@@ -78,6 +78,10 @@ class SlabCache:
         #: path, the cache computes the key's base hash pair per request
         #: and threads it through the policy callbacks.
         self._wants_hashes = bool(getattr(policy, "wants_key_hashes", False))
+        #: whether the policy overrides ``choose_victim``; every scheme
+        #: the paper evaluates keeps strict LRU and is never asked.
+        self._policy_picks_victims = (
+            type(policy).choose_victim is not AllocationPolicy.choose_victim)
 
     def attach_obs(self, registry, events=None) -> None:
         """Attach a metrics registry (and optional event trace).
@@ -356,13 +360,14 @@ class SlabCache:
             queue = self.queue_for(class_idx, bin_idx)
             item = Item(key, key_size, value_size, penalty, class_idx,
                         bin_idx, value, expires_at)
-            try:
-                self._ensure_slot(queue)
-            except OutOfMemoryError:
-                self.stats.set_failures += 1
-                if self.obs is not None:
-                    self._c_set_failures.inc()
-                return False
+            if queue.free_slots < 1:
+                try:
+                    self._ensure_slot(queue)
+                except OutOfMemoryError:
+                    self.stats.set_failures += 1
+                    if self.obs is not None:
+                        self._c_set_failures.inc()
+                    return False
             queue.lru.push_front(item)
             item.last_access = self.accesses
             self.cas_tick += 1
@@ -402,13 +407,14 @@ class SlabCache:
             queue = self.queue_for(class_idx, bin_idx)
             item = Item(key, key_size, value_size, penalty, class_idx,
                         bin_idx)
-            try:
-                self._ensure_slot(queue)
-            except OutOfMemoryError:
-                self.stats.set_failures += 1
-                if self.obs is not None:
-                    self._c_set_failures.inc()
-                return False
+            if queue.free_slots < 1:
+                try:
+                    self._ensure_slot(queue)
+                except OutOfMemoryError:
+                    self.stats.set_failures += 1
+                    if self.obs is not None:
+                        self._c_set_failures.inc()
+                    return False
             queue.lru.push_front(item)
             item.last_access = self.accesses
             self.cas_tick += 1
@@ -499,7 +505,8 @@ class SlabCache:
 
     def _evict_one(self, queue: Queue) -> None:
         """Evict one item from ``queue`` (policy-chosen, default LRU)."""
-        victim = self.policy.choose_victim(queue)
+        victim = (self.policy.choose_victim(queue)
+                  if self._policy_picks_victims else None)
         if victim is not None:
             if (victim.class_idx, victim.bin_idx) != queue.qid:
                 raise PolicyError(
@@ -529,12 +536,13 @@ class SlabCache:
         Evicts the donor's LRU items until one slab's worth of slots is
         free (the paper's discard-and-compact), then transfers ownership.
         """
-        if not donor.can_donate():
+        if donor.slabs < 1:
             raise PolicyError(
                 f"policy {self.policy.name!r} chose slabless donor {donor.qid}")
         target_used = (donor.slabs - 1) * donor.slots_per_slab
+        lru = donor.lru
         evicted = 0
-        while donor.used_slots > target_used:
+        while lru.size > target_used:
             self._evict_one(donor)
             evicted += 1
         self.pool.transfer(donor.qid, receiver.qid)
@@ -570,11 +578,13 @@ class SlabCache:
             self._migrate_slab(donor, receiver)
 
     def _flush_migrations(self) -> None:
-        while self._pending_migrations:
-            donor, receiver = self._pending_migrations.pop(0)
+        # Requests are queued only inside an operation and this runs
+        # after one, so the list is complete when it is taken.
+        pending, self._pending_migrations = self._pending_migrations, []
+        for donor, receiver in pending:
             # Re-validate: the pressure path may have drained the donor
             # between the request and now.
-            if donor.can_donate() and donor is not receiver:
+            if donor.slabs >= 1 and donor is not receiver:
                 self._migrate_slab(donor, receiver)
 
     # ------------------------------------------------------------------

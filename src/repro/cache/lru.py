@@ -70,11 +70,30 @@ class LRUList:
         self.size -= 1
 
     def move_to_front(self, item: Item) -> None:
-        """Promote ``item`` to MRU (the LRU 'hit' operation)."""
-        if self.head is item:
+        """Promote ``item`` to MRU (the LRU 'hit' operation).
+
+        :meth:`remove` then :meth:`push_front` in one body: same
+        observer callbacks at the same points, ``size`` untouched.
+        """
+        head = self.head
+        if head is item:
             return
-        self.remove(item)
-        self.push_front(item)
+        observer = self.observer
+        if observer is not None:
+            observer.on_remove(item)
+        # Not the head, so there is a predecessor.
+        prev, nxt = item.prev, item.next
+        prev.next = nxt
+        if nxt is not None:
+            nxt.prev = prev
+        else:
+            self.tail = prev
+        item.prev = None
+        item.next = head
+        head.prev = item
+        self.head = item
+        if observer is not None:
+            observer.on_push_front(item)
 
     def pop_back(self) -> Item | None:
         """Remove and return the LRU item, or None if empty."""

@@ -46,7 +46,7 @@ class Queue:
 
     @property
     def free_slots(self) -> int:
-        return self.capacity_slots - len(self.lru)
+        return self.slabs * self.slots_per_slab - self.lru.size
 
     @property
     def used_bytes(self) -> int:

@@ -40,8 +40,6 @@ class PamaConfig:
         tracker: ``"exact"`` for O(1) boundary-pointer segment tracking,
             ``"bloom"`` for the paper's Bloom-filter membership tests.
         bloom_fp_rate: false-positive target for ``"bloom"`` tracking.
-        bloom_rebuild_interval: accesses between Bloom segment-filter
-            rebuilds (defaults to ``value_window`` when None).
         ghost_segments: ghost-list depth in segments — the receiving
             segment plus ``m`` reference segments (set from ``m`` when
             None).
@@ -54,7 +52,6 @@ class PamaConfig:
     decay: float = 0.5
     tracker: str = "exact"
     bloom_fp_rate: float = 0.01
-    bloom_rebuild_interval: int | None = None
     ghost_segments: int | None = None
 
     def __post_init__(self) -> None:
@@ -90,12 +87,6 @@ class PamaConfig:
     def ghost_depth_segments(self) -> int:
         """Ghost segments: receiving segment plus m references."""
         return self.ghost_segments if self.ghost_segments is not None else self.m + 1
-
-    @property
-    def rebuild_interval(self) -> int:
-        return (self.bloom_rebuild_interval
-                if self.bloom_rebuild_interval is not None
-                else self.value_window)
 
     def bin_for(self, penalty: float) -> int:
         """Subclass index for a penalty (values beyond the cap → last bin)."""

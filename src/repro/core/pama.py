@@ -15,6 +15,7 @@ slot and no free slab exists:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import TYPE_CHECKING
 
 from repro.core.bloom_tracker import BloomSegmentTracker
@@ -60,9 +61,11 @@ class PamaPolicy(AllocationPolicy):
         self.wants_key_hashes = self.config.tracker == "bloom"
         # Hoisted off the frozen dataclass: read on every single access.
         self._value_window = self.config.value_window
-        #: penalty -> bin memo; traces draw from a handful of distinct
-        #: penalties and binning runs on every GET miss and SET.
-        self._bin_cache: dict[float, int] = {}
+        self._edges = self.config.penalty_edges
+        self._last_bin = len(self._edges) - 1
+        # The exact tracker keeps every item's segment in ``item.seg``;
+        # on_hit reads it there instead of asking the tracker.
+        self._exact_tracker = self.config.tracker == "exact"
         #: key -> owning queue state, for O(1) ghost lookups on misses
         #: without knowing the missed item's size.
         self.ghost_owner: dict[object, PamaQueueState] = {}
@@ -75,17 +78,18 @@ class PamaPolicy(AllocationPolicy):
 
     # -- binning -------------------------------------------------------
     def bin_for(self, penalty: float) -> int:
-        b = self._bin_cache.get(penalty)
-        if b is None:
-            # Invalid penalties (NaN, negatives) raise here and are
-            # never cached.
-            b = self._bin_cache[penalty] = self.config.bin_for(penalty)
-        return b
+        # PamaConfig.bin_for over the hoisted edges.  No penalty -> bin
+        # memo: real penalties are all but distinct, so one grew by an
+        # entry per item stored.
+        if penalty != penalty or penalty < 0:  # NaN or negative
+            raise ValueError(f"invalid penalty {penalty}")
+        idx = bisect_left(self._edges, penalty)
+        return idx if idx < self._last_bin else self._last_bin
 
     def bin_edges(self) -> tuple[float, ...] | None:
-        # Static config edges — but only while this exact memoized
-        # bin_for is the one in effect; a subclass that re-bins
-        # (adaptive edges) must fall back to the scalar path.
+        # Static config edges — but only while this exact bin_for is
+        # the one in effect; a subclass that re-bins (adaptive edges)
+        # must fall back to the scalar path.
         if type(self).bin_for is PamaPolicy.bin_for:
             return self.config.penalty_edges
         return None
@@ -132,10 +136,12 @@ class PamaPolicy(AllocationPolicy):
         # hit instead of a method call.
         if self.cache.accesses - self._last_rollover >= self._value_window:
             self._maybe_rollover()
-        state: PamaQueueState = queue.policy_data
-        seg = state.tracker.segment_on_access(item, h1, h2)
+        if self._exact_tracker:
+            seg = item.seg
+        else:
+            seg = queue.policy_data.tracker.segment_on_access(item, h1, h2)
         if seg >= 0:
-            state.values.add_outgoing(
+            queue.policy_data.values.add_outgoing(
                 seg, item.penalty if self.penalty_aware else 1.0)
 
     def on_miss(self, key: object, class_idx: int, penalty: float,
@@ -219,9 +225,9 @@ class PamaPolicy(AllocationPolicy):
         donor: Queue | None = None
         min_out = float("inf")
         for q in self.cache.iter_queues():
-            if not q.can_donate():
+            if q.slabs < 1:  # cannot donate
                 continue
-            out = self._states[q.qid].values.outgoing_value()
+            out = q.policy_data.values.outgoing_value()
             if out < min_out:
                 donor, min_out = q, out
         if donor is None:

@@ -55,7 +55,8 @@ class SegmentTracker:
 
         Must be called *before* the LRU promotion that the access causes.
         The optional hash pair mirrors the Bloom tracker's interface and
-        is ignored — exact tracking reads the index off the item.
+        is ignored — exact tracking reads the index off the item, and so
+        does ``PamaPolicy.on_hit``, without calling this.
         """
         return item.seg
 

@@ -21,7 +21,8 @@ from __future__ import annotations
 class ValueAccumulator:
     """Per-queue segment value state."""
 
-    __slots__ = ("weights", "out", "inc", "out_hits", "inc_hits")
+    __slots__ = ("weights", "out", "inc", "out_hits", "inc_hits",
+                 "_out_value", "_inc_value")
 
     def __init__(self, num_segments: int) -> None:
         if num_segments <= 0:
@@ -32,27 +33,43 @@ class ValueAccumulator:
         #: raw request counts per segment (pre-PAMA values / diagnostics).
         self.out_hits = [0] * num_segments
         self.inc_hits = [0] * num_segments
+        # Eq. 2 sums as last computed, None once ``out`` / ``inc`` moved.
+        # The decision path reads them for every queue on every
+        # pressured SET, far more often than a queue's segments change.
+        self._out_value: float | None = None
+        self._inc_value: float | None = None
 
     def add_outgoing(self, segment: int, amount: float) -> None:
         """Credit a request on live segment ``segment`` (Eq. 1 term)."""
         self.out[segment] += amount
         self.out_hits[segment] += 1
+        self._out_value = None
 
     def add_incoming(self, segment: int, amount: float) -> None:
         """Credit a miss that fell in ghost segment ``segment``."""
         self.inc[segment] += amount
         self.inc_hits[segment] += 1
+        self._inc_value = None
 
     def outgoing_value(self) -> float:
         """Eq. 2: penalty the subclass would suffer losing its bottom slab."""
-        return sum(w * v for w, v in zip(self.weights, self.out))
+        value = self._out_value
+        if value is None:
+            value = self._out_value = sum(
+                w * v for w, v in zip(self.weights, self.out))
+        return value
 
     def incoming_value(self) -> float:
         """Eq. 2 over ghost segments: penalty a new slab would save."""
-        return sum(w * v for w, v in zip(self.weights, self.inc))
+        value = self._inc_value
+        if value is None:
+            value = self._inc_value = sum(
+                w * v for w, v in zip(self.weights, self.inc))
+        return value
 
     def rollover(self, mode: str, decay: float) -> None:
         """Apply the window-boundary rule."""
+        self._out_value = self._inc_value = None
         if mode == "reset":
             n = len(self.out)
             self.out = [0.0] * n

@@ -287,7 +287,7 @@ class TenantArbiter(AllocationPolicy):
         donor_tenant = tenant
         min_out = float("inf")
         for q in self.cache.iter_queues():
-            if not q.can_donate():
+            if q.slabs < 1:  # cannot donate
                 continue
             d = q.bin_idx // nbins
             out = q.policy_data.values.outgoing_value()

@@ -147,6 +147,45 @@ class TestAllocationMechanics:
         assert cache.index[1].last_access == cache.accesses
 
 
+class TestDeferredMigrations:
+    """``cache.migrate`` from inside a policy callback waits for the
+    operation to finish, then runs in request order."""
+
+    class Mover(StaticMemcachedPolicy):
+        def __init__(self):
+            super().__init__()
+            self.requests = []
+
+        def on_hit(self, queue, item, h1=0, h2=0):
+            for donor, receiver in self.requests:
+                self.cache.migrate(donor, receiver)
+            self.requests = []
+
+    def test_applied_in_order_and_a_drained_donor_is_skipped(self):
+        policy = self.Mover()
+        cache = small_cache(slabs=4, policy=policy)
+        per_slab = 4096 // 64
+        for i in range(2 * per_slab):
+            cache.set(i, 8, 50, 0.1)       # class 0 owns two slabs
+        cache.set("mid", 8, 900, 0.1)
+        cache.set("big", 8, 3000, 0.1)
+        small = cache.index[0]
+        a = cache.queues[(small.class_idx, 0)]
+        b = cache.queues[(cache.index["mid"].class_idx, 0)]
+        c = cache.queues[(cache.index["big"].class_idx, 0)]
+        assert (a.slabs, b.slabs, c.slabs) == (2, 1, 1)
+
+        policy.requests = [(a, b), (a, c), (a, b)]
+        # the GET is served although its queue is then emptied: the
+        # first two requests ran after it, the third found no slab left
+        assert cache.get(2 * per_slab - 1) is not None
+        assert (a.slabs, b.slabs, c.slabs) == (0, 2, 2)
+        assert cache.stats.migrations == 2
+        assert len(a.lru) == 0 and a.free_slots == 0
+        assert b.free_slots == 2 * b.slots_per_slab - 1
+        cache.check_invariants()
+
+
 class TestStatsAndIntrospection:
     def test_hit_ratio(self):
         cache = small_cache()

@@ -122,6 +122,29 @@ class TestObserver:
         assert seen["prev"] is c and seen["next"] is a
 
 
+    def test_promotion_tells_the_observer_with_links_intact(self):
+        lru = LRUList()
+        seen = []
+
+        class Probe:
+            def on_push_front(self, item):
+                seen.append(("push", item.prev, item.next, lru.size))
+
+            def on_remove(self, item):
+                seen.append(("remove", item.prev, item.next, lru.size))
+
+        a, b, c = make_item("a"), make_item("b"), make_item("c")
+        for it in (a, b, c):
+            lru.push_front(it)
+        lru.observer = Probe()
+        lru.move_to_front(b)
+        # removed while still between c and a, pushed once linked at the
+        # front; the length is the list's at both moments
+        assert seen == [("remove", c, a, 3), ("push", None, c, 3)]
+        lru.move_to_front(b)  # already the head: nothing to tell
+        assert len(seen) == 2
+
+
 class TestLRUPropertyBased:
     @settings(max_examples=60)
     @given(st.lists(st.tuples(st.sampled_from(["push", "move", "pop", "remove"]),

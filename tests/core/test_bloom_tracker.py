@@ -55,6 +55,16 @@ class TestBloomTracker:
         assert tracker.removal.clears >= 1
         assert tracker.segment_on_access(items[0]) >= 0
 
+    def test_item_seg_stays_unset(self):
+        # The Bloom tracker keeps no per-item segment: item.seg is -1
+        # whatever the filters say, through pushes and promotions.
+        lru, tracker, items = build(seg_len=4, num_segments=2)
+        tracker.rebuild()
+        items[0].seg = 1  # a value an exact tracker could have left
+        lru.move_to_front(items[0])
+        lru.move_to_front(items[3])
+        assert all(it.seg == -1 for it in lru)
+
     def test_rollover_triggers_rebuild(self):
         lru, tracker, items = build()
         before = tracker.rebuilds
@@ -80,6 +90,24 @@ class TestBloomTrackerInPolicy:
         trackers = [q.policy_data.tracker for q in cache.iter_queues()]
         assert any(t.rebuilds > 0 for t in trackers)
         assert cache.stats.hits > 0
+
+    def test_hit_is_credited_from_the_filters_not_item_seg(self):
+        # The exact tracker's answer is item.seg and PamaPolicy.on_hit
+        # reads it there; under Bloom tracking item.seg is always -1
+        # and the segment must come from the tracker.
+        classes = SizeClassConfig(slab_size=4096, base_size=64)
+        policy = PamaPolicy(PamaConfig(tracker="bloom",
+                                       value_window=1_000_000))
+        cache = SlabCache(8 * 4096, policy, classes)
+        for key in range(20):
+            cache.set(key, 8, 40, 0.05)
+        queue = next(iter(cache.iter_queues()))
+        queue.policy_data.tracker.rebuild()
+        bottom = queue.lru.back
+        assert bottom.seg == -1
+        assert queue.policy_data.values.outgoing_value() == 0.0
+        assert cache.get(bottom.key) is bottom
+        assert queue.policy_data.values.outgoing_value() == 0.05 * 0.5
 
     def test_agreement_with_exact_tracker(self):
         """Same workload under exact vs bloom tracking: hit ratios close.

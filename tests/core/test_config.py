@@ -59,12 +59,6 @@ class TestConfigValidation:
         cfg = PamaConfig(m=1, ghost_segments=4)
         assert cfg.ghost_depth_segments == 4
 
-    def test_rebuild_interval_defaults_to_window(self):
-        cfg = PamaConfig(value_window=12345)
-        assert cfg.rebuild_interval == 12345
-        cfg2 = PamaConfig(value_window=12345, bloom_rebuild_interval=99)
-        assert cfg2.rebuild_interval == 99
-
     @pytest.mark.parametrize("kwargs", [
         dict(penalty_edges=()),
         dict(penalty_edges=(0.1, 0.01)),

@@ -1,5 +1,7 @@
 """Behavioural tests for the PAMA policy on a real cache."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +36,64 @@ class TestSubclassRouting:
         queue = next(iter(cache.iter_queues()))
         assert isinstance(queue.policy_data, PamaQueueState)
         assert queue.lru.observer is queue.policy_data.tracker
+
+
+def _around(edges):
+    """Every edge, its two neighbouring floats, and values past the cap."""
+    points = [0.0, -0.0, math.inf, 2 * edges[-1], 1e300]
+    for e in edges:
+        points += [e, math.nextafter(e, math.inf), math.nextafter(e, 0.0)]
+    return points
+
+
+class TestBinning:
+    EDGE_SETS = [PamaConfig().penalty_edges, (0.5,), (1e-6, 3.0),
+                 (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75)]
+
+    @pytest.mark.parametrize("edges", EDGE_SETS)
+    def test_edges_and_their_neighbours(self, edges):
+        config = PamaConfig(penalty_edges=edges)
+        policy = PamaPolicy(config)
+        for penalty in _around(edges):
+            assert policy.bin_for(penalty) == config.bin_for(penalty), penalty
+        assert policy.bin_for(math.inf) == len(edges) - 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(EDGE_SETS),
+           st.floats(min_value=0.0, allow_nan=False))
+    def test_equals_config_bin_for(self, edges, penalty):
+        config = PamaConfig(penalty_edges=edges)
+        assert PamaPolicy(config).bin_for(penalty) == config.bin_for(penalty)
+
+    @pytest.mark.parametrize("penalty", [math.nan, -1.0, -math.inf, -5e-324])
+    def test_invalid_penalties_raise(self, penalty):
+        policy = PamaPolicy()
+        for _ in range(2):  # and keep raising: nothing remembers them
+            with pytest.raises(ValueError):
+                policy.bin_for(penalty)
+
+    def test_no_state_per_distinct_penalty(self):
+        # The penalty -> bin memo this replaces grew by one entry per
+        # distinct penalty: 250k entries per million rows of a trace
+        # with measured penalties.
+        cache, policy = pama_cache(slabs=16)
+        keys = range(8)  # all fit: no eviction, so no ghosts either
+
+        def sized_state():
+            return {name: len(value) for name, value in vars(policy).items()
+                    if hasattr(value, "__len__")}
+
+        for key in keys:
+            cache.set(key, 8, 50, 0.05)
+        for penalty in (0.0005, 0.005, 0.05, 0.5, 2.0):  # every queue
+            cache.get("absent", miss_info=(8, 50, penalty))
+        before = sized_state()
+        for i in range(100_000):
+            penalty = 1e-4 + i * 5e-6  # 100k distinct, bins 0 to 3
+            cache.get(("absent", i % 8), miss_info=(8, 50, penalty))
+            cache.set(i % 8, 8, 50, penalty)
+        assert sized_state() == before
+        assert {cache.index[key].bin_idx for key in keys} == {3}
 
 
 class TestValueTracking:

@@ -142,3 +142,92 @@ class TestSegmentTrackerOracle:
                 key = sorted(live)[k % len(live)]
                 lru.remove(live.pop(key))
             tracker.check_invariants()
+
+
+def unfused_move_to_front(lru, item):
+    """``LRUList.move_to_front`` as it was before it unlinked and
+    relinked in one body: the oracle for the fused version."""
+    if lru.head is item:
+        return
+    lru.remove(item)
+    lru.push_front(item)
+
+
+def tracked_state(lru, tracker):
+    return ([(it.key, it.seg) for it in lru], lru.size, tracker.n,
+            [b.key if b is not None else None for b in tracker.bounds])
+
+
+class TestFusedMoveToFront:
+    """Two tracked lists driven in lockstep, one promoted by the fused
+    ``move_to_front`` and one by ``remove`` + ``push_front``."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seg_len=st.integers(1, 4),
+        num_segments=st.integers(1, 4),
+        ops=st.lists(st.tuples(st.sampled_from(["push", "move", "move", "pop",
+                                                "remove"]),
+                               st.integers(0, 24)), max_size=150),
+    )
+    def test_same_order_size_segments_and_bounds(self, seg_len, num_segments,
+                                                 ops):
+        fused, fused_tracker = tracked_list(seg_len, num_segments)
+        plain, plain_tracker = tracked_list(seg_len, num_segments)
+        live = {}  # key -> (item in fused, item in plain)
+        pushed = 0
+        for op, k in ops:
+            if op == "push":
+                key = f"k{pushed:03d}"
+                pushed += 1
+                live[key] = (make_item(key), make_item(key))
+                fused.push_front(live[key][0])
+                plain.push_front(live[key][1])
+            elif not live:
+                continue
+            elif op == "move":
+                a, b = live[sorted(live)[k % len(live)]]
+                fused.move_to_front(a)
+                unfused_move_to_front(plain, b)
+            elif op == "pop":
+                victim = fused.pop_back()
+                assert plain.pop_back().key == victim.key
+                del live[victim.key]
+            else:
+                a, b = live.pop(sorted(live)[k % len(live)])
+                fused.remove(a)
+                plain.remove(b)
+            fused.check_invariants()
+            fused_tracker.check_invariants()
+            assert (tracked_state(fused, fused_tracker)
+                    == tracked_state(plain, plain_tracker))
+
+    def test_head_item_is_left_alone(self):
+        lru, tracker = tracked_list(seg_len=1, num_segments=2)
+        items = [make_item(i) for i in range(3)]
+        for it in items:
+            lru.push_front(it)
+        before = tracked_state(lru, tracker)
+        lru.move_to_front(items[2])
+        assert tracked_state(lru, tracker) == before
+
+    def test_single_item(self):
+        lru, tracker = tracked_list(seg_len=2, num_segments=2)
+        only = make_item("only")
+        lru.push_front(only)
+        lru.move_to_front(only)
+        assert lru.front is only and lru.back is only and len(lru) == 1
+        assert only.prev is None and only.next is None and only.seg == 0
+        tracker.check_invariants()
+
+    def test_tail_item_hands_the_tail_to_its_predecessor(self):
+        lru, tracker = tracked_list(seg_len=1, num_segments=2)
+        a, b = make_item("a"), make_item("b")
+        lru.push_front(a)
+        lru.push_front(b)
+        lru.move_to_front(a)
+        assert [it.key for it in lru] == ["a", "b"]
+        assert lru.back is b and b.next is None and a.prev is None
+        assert (a.seg, b.seg) == (1, 0)
+        lru.check_invariants()
+        tracker.check_invariants()

@@ -11,10 +11,12 @@ from repro.cache import SlabCache, SizeClassConfig
 from repro.cache.errors import OutOfMemoryError, PolicyError
 from repro.cache.snapshot import load_snapshot, save_snapshot
 from repro.core import PamaPolicy
-from repro.policies import StaticMemcachedPolicy
+from repro.policies import (GreedyDualSizePolicy, OraclePolicy,
+                            StaticMemcachedPolicy)
 from repro.policies.base import AllocationPolicy
 from repro.server import start_server
-from repro.traces import load_npz
+from repro.sim import simulate
+from repro.traces import ETC, generate, load_npz
 
 
 def small_cache(slabs=4, policy=None):
@@ -98,6 +100,38 @@ class TestMisbehavingPolicy:
             cache.set(i, 8, 50, 0.1)
         with pytest.raises(PolicyError):
             cache.set("overflow", 8, 50, 0.1)
+
+    @pytest.mark.parametrize("base", [GreedyDualSizePolicy, OraclePolicy])
+    def test_item_level_policies_choose_every_victim(self, base):
+        # The cache asks choose_victim only of policies that override
+        # it; the two that do must still be asked on every eviction,
+        # and a victim from another queue must still be refused.
+        asked, foreign = [], []
+        trace = generate(ETC.scaled(0.01), 4_000, seed=5)
+
+        class Watched(base):
+            def choose_victim(self, queue):
+                victim = super().choose_victim(queue)
+                asked.append(victim)
+                if foreign:
+                    return foreign[0]
+                return victim
+
+        classes = SizeClassConfig(slab_size=4096, base_size=64)
+        policy = Watched(trace) if base is OraclePolicy else Watched()
+        cache = SlabCache(8 * 4096, policy, classes)
+        simulate(trace, cache, window_gets=1_000)
+        cache.check_invariants()
+        assert cache.stats.evictions > 0
+        assert len(asked) == cache.stats.evictions
+        assert all(victim is not None for victim in asked)
+
+        full = max(cache.iter_queues(), key=lambda q: len(q.lru))
+        other = next(q for q in cache.iter_queues()
+                     if q is not full and len(q.lru))
+        foreign.append(other.lru.back)
+        with pytest.raises(PolicyError):
+            cache._evict_one(full)
 
     def test_oom_on_zero_donors(self):
         cache = small_cache(slabs=1, policy=StaticMemcachedPolicy())
