@@ -12,10 +12,11 @@ the lock, not serving.  This front end replaces all four costs:
 * **hash-partitioned shards** (:mod:`repro.server.shard`, splitmix64 on
   the key) bound per-shard state and map 1:1 onto a process-per-shard
   deployment on multi-core hosts;
-* **pipelined parsing** (:class:`repro.server.protocol.StreamDecoder`)
-  decodes every command that arrived in a TCP segment in one pass;
-* **write coalescing** batches all replies of a decoded batch into a
-  single ``write``/``drain``.
+* **one pass per request**: an :class:`asyncio.Protocol` per connection
+  feeds a :class:`repro.server.protocol.StreamDecoder`; each command is
+  decoded, routed, executed and timed once;
+* **write coalescing**: the replies of a received chunk leave in one
+  ``transport.write``, and a client that stops reading stops being read.
 
 Reply bytes are identical to the legacy server's — both delegate
 storage and incr/decr semantics to :mod:`repro.server.shard`, and the
@@ -33,13 +34,8 @@ import time
 from repro import __version__
 from repro.obs import EventTrace, Registry, flat_items
 from repro.server import protocol as p
-from repro.server.server import _verb_of
 from repro.server.shard import (INCR_STORE_FAILED_MSG, STORE_FAILED,
                                 ShardSet, apply_incr_decr, apply_storage)
-
-#: bytes requested per socket read; one read often carries hundreds of
-#: pipelined commands, all decoded in one pass.
-_READ_SIZE = 64 * 1024
 
 
 class AsyncCacheServer:
@@ -65,13 +61,15 @@ class AsyncCacheServer:
         self.c_server_errors = counter(
             "server_errors_total", "unexpected errors answered SERVER_ERROR")
         self._latency: dict[tuple[str, str], object] = {}
+        #: histogram label of each shard index
+        self._labels = [str(i) for i in range(shards.nshards)]
         self._server: asyncio.Server | None = None
-        self._conn_tasks: set[asyncio.Task] = set()
+        self._transports: set[asyncio.Transport] = set()
 
     # -- lifecycle -----------------------------------------------------
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> None:
-        self._server = await asyncio.start_server(
-            self._handle, host, port, limit=_READ_SIZE)
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), host, port)
 
     @property
     def port(self) -> int:
@@ -83,13 +81,13 @@ class AsyncCacheServer:
         await self._server.serve_forever()
 
     async def stop(self) -> None:
+        """Stop listening and drop every connection, unsent replies
+        included (``close`` would wait for a client that never reads)."""
         if self._server is not None:
             self._server.close()
+            for transport in list(self._transports):
+                transport.abort()
             await self._server.wait_closed()
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
 
     # -- metrics -------------------------------------------------------
     def latency_histogram(self, verb: str, shard: str):
@@ -102,20 +100,6 @@ class AsyncCacheServer:
                 growth=1.5, cmd=verb, shard=shard)
             self._latency[(verb, shard)] = hist
         return hist
-
-    def _shard_label(self, cmd: p.Command) -> str:
-        """The shard a command routes to; "-" for cross-shard/admin.
-
-        A multi-key ``get`` is labelled by its first key's shard (the
-        common single-key case is then exact).
-        """
-        key = getattr(cmd, "key", None)
-        if key is None:
-            keys = getattr(cmd, "keys", None)
-            if not keys:
-                return "-"
-            key = keys[0]
-        return str(self.shards.shard_index(key))
 
     def gather_stats(self, arg: str | None) -> dict[str, object]:
         """The ``stats`` / ``stats detail`` payload (cross-shard)."""
@@ -135,145 +119,157 @@ class AsyncCacheServer:
             stats.update(flat_items(self.registry, histograms=False))
         return stats
 
-    # -- connection handling -------------------------------------------
-    async def _handle(self, reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-            task.add_done_callback(self._conn_tasks.discard)
-        self.c_connections.inc()
-        decoder = p.StreamDecoder()
-        tracer = self.tracer
-        try:
-            while True:
-                chunk = await reader.read(_READ_SIZE)
-                if not chunk:
-                    return
-                self.c_bytes_read.inc(len(chunk))
-                decoder.feed(chunk)
-                out = bytearray()
-                keep_going = True
-                for event in decoder.events():
-                    tag = event[0]
-                    if tag == p.EV_COMMAND:
-                        cmd = event[1]
-                        if isinstance(cmd, p.QuitCommand):
-                            keep_going = False
-                            break
-                        started = time.perf_counter()
-                        try:
-                            self._execute(cmd, event[2], out)
-                        except Exception as exc:  # noqa: BLE001
-                            # Same contract as the threaded server: an
-                            # unexpected failure answers SERVER_ERROR,
-                            # then the connection closes.
-                            self.c_server_errors.inc()
-                            out += p.format_server_error(
-                                str(exc) or type(exc).__name__)
-                            keep_going = False
-                            break
-                        elapsed = time.perf_counter() - started
-                        self.latency_histogram(
-                            _verb_of(cmd), self._shard_label(cmd)).record(
-                                elapsed)
-                        if tracer is not None:
-                            # Per-shard ticks are only ever mutated from
-                            # this loop, so the snapshot is naturally
-                            # race-free (unlike the threaded server,
-                            # which must lock).
-                            tick = sum(c.accesses
-                                       for c in self.shards.shards)
-                            if tracer.sampled(tick):
-                                tracer.record_single(
-                                    _verb_of(cmd), tick, tick,
-                                    duration_s=elapsed,
-                                    shard=self._shard_label(cmd))
-                    elif tag == p.EV_ERROR:
-                        self.c_protocol_errors.inc()
-                        out += p.format_error(event[1])
-                    else:  # EV_FATAL: reply, then close
-                        self.c_protocol_errors.inc()
-                        out += p.format_error(event[1])
-                        keep_going = False
-                        break
-                if out:
-                    # write coalescing: one write() per decoded batch,
-                    # however many pipelined replies it carries.
-                    self.c_bytes_written.inc(len(out))
-                    writer.write(bytes(out))
-                    await writer.drain()
-                if not keep_going:
-                    return
-        except (ConnectionError, asyncio.IncompleteReadError):
-            return  # client went away mid-conversation
-        except OSError:
-            return
-        except asyncio.CancelledError:
-            return  # server stopping; exit cleanly so the task is done
-        finally:
-            # close() without wait_closed(): the task may already be
-            # cancelled, and any await here would re-raise into the
-            # loop's exception handler.  The transport finishes closing
-            # on the loop.
-            writer.close()
-
     # -- command execution ---------------------------------------------
     def _execute(self, cmd: p.Command, data: bytes | None,
-                 out: bytearray) -> None:
-        """Apply one command against its shard; append reply bytes."""
+                 out: bytearray) -> str:
+        """Apply one command against its shard; append reply bytes.
+
+        Every key is routed once.  Returns the shard label the command
+        is recorded under: its key's shard, the first key's for a
+        multi-key ``get`` (the common single-key case is then exact),
+        "-" for cross-shard and admin commands.
+        """
         shards = self.shards
+        route, caches = shards.shard_index, shards.shards
         if isinstance(cmd, p.GetCommand):
+            first = -1
             for key in cmd.keys:
-                item = shards.shard_for(key).get(key)
+                idx = route(key)
+                if first < 0:
+                    first = idx
+                item = caches[idx].get(key)
                 if item is not None and item.value is not None:
                     flags, vdata = item.value
                     out += p.format_value(
                         key, flags, vdata,
                         cas=item.cas if cmd.with_cas else None)
             out += p.format_get_tail()
-            return
+            return self._labels[first]
         if isinstance(cmd, p.SetCommand):
-            reply = apply_storage(shards.shard_for(cmd.key), cmd, data)
-            if not cmd.noreply:
-                out += reply
-            return
-        if isinstance(cmd, p.IncrDecrCommand):
-            result = apply_incr_decr(shards.shard_for(cmd.key), cmd)
-            if not cmd.noreply:
-                if result is None:
-                    out += p.format_not_found()
-                elif result is STORE_FAILED:
-                    out += p.format_server_error(INCR_STORE_FAILED_MSG)
-                elif isinstance(result, bytes):
-                    out += p.format_error(result.decode())
-                else:
-                    out += p.format_number(result)
-            return
-        if isinstance(cmd, p.DeleteCommand):
-            found = shards.shard_for(cmd.key).delete(cmd.key)
-            if not cmd.noreply:
-                out += p.format_deleted(found)
-            return
-        if isinstance(cmd, p.TouchCommand):
-            cache = shards.shard_for(cmd.key)
-            found = cache.touch(
-                cmd.key, p.resolve_exptime(cmd.exptime, cache.clock()))
-            if not cmd.noreply:
-                out += p.format_touched(found)
-            return
-        if isinstance(cmd, p.FlushAllCommand):
+            idx = route(cmd.key)
+            reply = apply_storage(caches[idx], cmd, data)
+        elif isinstance(cmd, p.DeleteCommand):
+            idx = route(cmd.key)
+            reply = p.format_deleted(caches[idx].delete(cmd.key))
+        elif isinstance(cmd, p.IncrDecrCommand):
+            idx = route(cmd.key)
+            result = apply_incr_decr(caches[idx], cmd)
+            if result is None:
+                reply = p.format_not_found()
+            elif result is STORE_FAILED:
+                reply = p.format_server_error(INCR_STORE_FAILED_MSG)
+            elif isinstance(result, bytes):
+                reply = p.format_error(result.decode())
+            else:
+                reply = p.format_number(result)
+        elif isinstance(cmd, p.TouchCommand):
+            idx = route(cmd.key)
+            cache = caches[idx]
+            reply = p.format_touched(cache.touch(
+                cmd.key, p.resolve_exptime(cmd.exptime, cache.clock())))
+        elif isinstance(cmd, p.FlushAllCommand):
             shards.flush_all()
             if not cmd.noreply:
                 out += p.format_ok()
-            return
-        if isinstance(cmd, p.StatsCommand):
+            return "-"
+        elif isinstance(cmd, p.StatsCommand):
             out += p.format_stats(self.gather_stats(cmd.arg))
-            return
-        if isinstance(cmd, p.VersionCommand):
+            return "-"
+        elif isinstance(cmd, p.VersionCommand):
             out += p.format_version(f"repro-pama/{__version__}")
-            return
-        raise AssertionError(f"unhandled command {cmd!r}")  # pragma: no cover
+            return "-"
+        else:  # pragma: no cover
+            raise AssertionError(f"unhandled command {cmd!r}")
+        if not cmd.noreply:
+            out += reply
+        return self._labels[idx]
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection: received bytes in, reply bytes out."""
+
+    def __init__(self, server: AsyncCacheServer) -> None:
+        self.server = server
+        self.decoder = p.StreamDecoder(server.shards.max_item_size)
+        self.transport: asyncio.Transport | None = None
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.server._transports.add(transport)
+        self.server.c_connections.inc()
+
+    def connection_lost(self, exc) -> None:
+        self.server._transports.discard(self.transport)
+
+    # Back-pressure: while the transport holds more unsent reply bytes
+    # than its high-water mark, the client's requests are left unread.
+    def pause_writing(self) -> None:
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.transport.resume_reading()
+
+    def data_received(self, chunk: bytes) -> None:
+        # Served on the loop's next pass, connections take turns in the
+        # order their requests arrived.  Served here, a client quick to
+        # answer its replies overtakes one already waiting (epoll lists
+        # a socket it has just reported first) and the order of cache
+        # operations varies from run to run (docs/serving.md).
+        self.server.c_bytes_read.inc(len(chunk))
+        self.decoder.feed(chunk)
+        asyncio.get_running_loop().call_soon(self._serve)
+
+    def _serve(self) -> None:
+        """Execute every complete command received so far; their
+        replies leave in one write."""
+        server = self.server
+        execute, latency = server._execute, server._latency
+        tracer, perf = server.tracer, time.perf_counter
+        out = bytearray()
+        keep_going = True
+        for event in self.decoder.events():
+            if event[0] == p.EV_COMMAND:
+                cmd = event[1]
+                if isinstance(cmd, p.QuitCommand):
+                    keep_going = False
+                    break
+                started = perf()
+                try:
+                    shard = execute(cmd, event[2], out)
+                except Exception as exc:  # noqa: BLE001
+                    # Same contract as the threaded server: an
+                    # unexpected failure answers SERVER_ERROR, then the
+                    # connection closes.
+                    server.c_server_errors.inc()
+                    out += p.format_server_error(
+                        str(exc) or type(exc).__name__)
+                    keep_going = False
+                    break
+                elapsed = perf() - started
+                verb = p.verb_of(cmd)
+                hist = latency.get((verb, shard))
+                if hist is None:
+                    hist = server.latency_histogram(verb, shard)
+                hist.record(elapsed)
+                if tracer is not None:
+                    # Per-shard ticks are only ever mutated from this
+                    # loop, so the snapshot is naturally race-free
+                    # (unlike the threaded server, which must lock).
+                    tick = sum(c.accesses for c in server.shards.shards)
+                    if tracer.sampled(tick):
+                        tracer.record_single(
+                            verb, tick, tick, duration_s=elapsed, shard=shard)
+            else:  # EV_ERROR; EV_FATAL: reply, then close
+                server.c_protocol_errors.inc()
+                out += p.format_error(event[1])
+                if event[0] == p.EV_FATAL:
+                    keep_going = False
+                    break
+        if out:
+            server.c_bytes_written.inc(len(out))
+            self.transport.write(out)
+        if not keep_going:
+            self.transport.close()  # after the replies are flushed
 
 
 # -- background-thread harness (tests, benches, --spawn) ---------------------

@@ -38,8 +38,12 @@ class ProtocolError(ValueError):
 #: one extra field, the cas unique id from a prior ``gets``).
 STORAGE_VERBS = ("set", "add", "replace", "append", "prepend", "cas")
 
+#: Commands are values nothing mutates, but not ``frozen``: that would
+#: construct them through one ``object.__setattr__`` call per field.
+_command = dataclass(unsafe_hash=True, slots=True)
 
-@dataclass(frozen=True)
+
+@_command
 class SetCommand:
     """Any storage command: ``verb key flags exptime bytes [noreply]``.
 
@@ -64,20 +68,20 @@ class SetCommand:
         return self.flags / 1e6
 
 
-@dataclass(frozen=True)
+@_command
 class GetCommand:
     keys: tuple[str, ...]
     #: True for ``gets``: VALUE lines carry the item's cas unique id.
     with_cas: bool = False
 
 
-@dataclass(frozen=True)
+@_command
 class DeleteCommand:
     key: str
     noreply: bool
 
 
-@dataclass(frozen=True)
+@_command
 class IncrDecrCommand:
     key: str
     delta: int
@@ -85,30 +89,30 @@ class IncrDecrCommand:
     noreply: bool
 
 
-@dataclass(frozen=True)
+@_command
 class TouchCommand:
     key: str
     exptime: int
     noreply: bool
 
 
-@dataclass(frozen=True)
+@_command
 class FlushAllCommand:
     noreply: bool
 
 
-@dataclass(frozen=True)
+@_command
 class StatsCommand:
     #: None for plain ``stats``; "detail" dumps every registry metric.
     arg: str | None = None
 
 
-@dataclass(frozen=True)
+@_command
 class VersionCommand:
     pass
 
 
-@dataclass(frozen=True)
+@_command
 class QuitCommand:
     pass
 
@@ -117,17 +121,32 @@ Command = (SetCommand | GetCommand | DeleteCommand | IncrDecrCommand
            | TouchCommand | FlushAllCommand | StatsCommand
            | VersionCommand | QuitCommand)
 
+_VERBS = {DeleteCommand: "delete", TouchCommand: "touch",
+          FlushAllCommand: "flush_all", StatsCommand: "stats",
+          VersionCommand: "version"}
+
+
+def verb_of(cmd: Command) -> str:
+    """The label under which a command's latency is recorded."""
+    if isinstance(cmd, GetCommand):
+        return "gets" if cmd.with_cas else "get"
+    if isinstance(cmd, SetCommand):
+        return cmd.verb
+    if isinstance(cmd, IncrDecrCommand):
+        return "decr" if cmd.decrement else "incr"
+    return _VERBS.get(type(cmd), "other")
+
 
 def _check_key(key: str) -> str:
     if not key or len(key) > MAX_KEY_LEN:
         raise ProtocolError(f"bad key length {len(key)}")
-    if any(c.isspace() for c in key):
+    if key.split() != [key]:  # str.split and str.isspace agree on whitespace
         raise ProtocolError("key contains whitespace")
     return key
 
 
-def parse_command(line: bytes) -> Command:
-    """Parse one request line (without the trailing CRLF)."""
+def parse_command(line: bytes | bytearray) -> Command:
+    """Parse one request line (a trailing CR or CRLF is ignored)."""
     try:
         text = line.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -137,14 +156,21 @@ def parse_command(line: bytes) -> Command:
         raise ProtocolError("empty command")
     cmd = parts[0].lower()
 
-    if cmd in STORAGE_VERBS:
-        # A storage line is followed by a data block; when the line is
-        # malformed, attach the byte count (if readable) so the server
-        # can drain the block instead of parsing payload as commands.
-        recover = (int(parts[4]) if len(parts) > 4 and parts[4].isdigit()
-                   else None)
+    # ordered by how often a cache sees them; a single-key get first
+    if cmd in ("get", "gets"):
+        if len(parts) < 2:
+            raise ProtocolError("get expects at least one key")
+        keys = ((_check_key(parts[1]),) if len(parts) == 2  # no generator
+                else tuple(_check_key(k) for k in parts[1:]))
+        return GetCommand(keys, with_cas=cmd == "gets")
 
+    if cmd in STORAGE_VERBS:
         def bad(message: str) -> ProtocolError:
+            # A storage line is followed by a data block; attach the
+            # byte count (if readable) so the server can drain the block
+            # instead of parsing payload as commands.
+            recover = (int(parts[4]) if len(parts) > 4
+                       and parts[4].isdigit() else None)
             return ProtocolError(message, data_bytes=recover,
                                  fatal=recover is None)
 
@@ -172,6 +198,14 @@ def parse_command(line: bytes) -> Command:
             raise bad(str(exc)) from exc
         return SetCommand(key, flags, exptime, nbytes, noreply, verb=cmd,
                           cas_unique=cas_unique)
+
+    if cmd == "delete":
+        if len(parts) not in (2, 3):
+            raise ProtocolError("delete expects: key [noreply]")
+        noreply = len(parts) == 3
+        if noreply and parts[2] != "noreply":
+            raise ProtocolError(f"unexpected token {parts[2]!r}")
+        return DeleteCommand(_check_key(parts[1]), noreply)
 
     if cmd in ("incr", "decr"):
         if len(parts) not in (3, 4):
@@ -207,20 +241,6 @@ def parse_command(line: bytes) -> Command:
             raise ProtocolError(f"unexpected token {parts[1]!r}")
         return FlushAllCommand(noreply)
 
-    if cmd in ("get", "gets"):
-        if len(parts) < 2:
-            raise ProtocolError("get expects at least one key")
-        return GetCommand(tuple(_check_key(k) for k in parts[1:]),
-                          with_cas=cmd == "gets")
-
-    if cmd == "delete":
-        if len(parts) not in (2, 3):
-            raise ProtocolError("delete expects: key [noreply]")
-        noreply = len(parts) == 3
-        if noreply and parts[2] != "noreply":
-            raise ProtocolError(f"unexpected token {parts[2]!r}")
-        return DeleteCommand(_check_key(parts[1]), noreply)
-
     if cmd == "stats":
         if len(parts) == 1:
             return StatsCommand()
@@ -249,7 +269,8 @@ class StreamDecoder:
     :meth:`events`, which yields zero or more tuples per call:
 
     * ``(EV_COMMAND, command, data)`` — a parsed command; ``data`` is the
-      data block (without CRLF) for storage commands, else ``None``.
+      data block (without CRLF) of a storage command, else ``None``
+      (also for a block over ``max_item_size``: discarded, not read).
     * ``(EV_ERROR, message)`` — a recoverable protocol error (the stream
       is back in sync; reply ``CLIENT_ERROR`` and continue).
     * ``(EV_FATAL, message)`` — an unrecoverable framing error (bad data
@@ -270,12 +291,13 @@ class StreamDecoder:
     #: every field fits in a fraction of it; anything longer is abuse).
     MAX_LINE = 8192
 
-    def __init__(self) -> None:
+    def __init__(self, max_item_size: float = float("inf")) -> None:
+        self.max_item_size = max_item_size  # bytes; servers pass a slab's
         self._buf = bytearray()
         self._pos = 0  # consumed prefix of _buf
         self._pending: SetCommand | None = None  # awaiting its data block
-        self._drain = 0  # payload bytes still to discard (resync)
-        self._drain_msg: str | None = None
+        self._drain = 0  # block bytes still to discard
+        self._drain_event: tuple | None = None  # yielded once they are
         self.closed = False
 
     def feed(self, chunk: bytes) -> None:
@@ -288,76 +310,79 @@ class StreamDecoder:
         """Bytes received but not yet consumed by :meth:`events`."""
         return len(self._buf) - self._pos
 
-    def _compact(self) -> None:
-        if self._pos:
-            del self._buf[:self._pos]
-            self._pos = 0
-
     def events(self):
-        """Yield decoded events until the buffer has no complete item."""
+        """Yield decoded events until the buffer has no complete item.
+        Finish or drop the iteration before the next :meth:`feed`: the
+        buffer cannot grow while data blocks are copied out of a view."""
         buf = self._buf
-        while not self.closed:
-            # 1) resync drain after a malformed-but-countable storage line
-            if self._drain:
-                avail = len(buf) - self._pos
-                take = min(self._drain, avail)
-                self._pos += take
-                self._drain -= take
+        with memoryview(buf) as view:
+            while not self.closed:
+                # 1) discard a block nobody will read: the resync after a
+                #    malformed-but-countable storage line, an oversized item
                 if self._drain:
-                    break  # need more bytes
-                msg, self._drain_msg = self._drain_msg, None
-                yield (EV_ERROR, msg)
-                continue
-            # 2) a storage command is waiting for its data block + CRLF
-            if self._pending is not None:
-                need = self._pending.nbytes + 2
-                if len(buf) - self._pos < need:
-                    break
-                cmd, self._pending = self._pending, None
-                start = self._pos
-                data = bytes(buf[start:start + cmd.nbytes])
-                trailer = bytes(buf[start + cmd.nbytes:start + need])
-                self._pos += need
-                if trailer != CRLF:
-                    # framing is lost: there is no way to know where the
-                    # next command starts.
-                    self.closed = True
-                    yield (EV_FATAL, "bad data chunk")
-                    break
-                yield (EV_COMMAND, cmd, data)
-                continue
-            # 3) otherwise: decode the next request line
-            nl = buf.find(b"\n", self._pos)
-            if nl < 0:
-                if len(buf) - self._pos > self.MAX_LINE:
+                    take = min(self._drain, len(buf) - self._pos)
+                    self._pos += take
+                    self._drain -= take
+                    if self._drain:
+                        break  # need more bytes
+                    event, self._drain_event = self._drain_event, None
+                    yield event
+                    continue
+                # 2) a storage command is waiting for its data block + CRLF
+                if self._pending is not None:
+                    cmd = self._pending
+                    start = self._pos
+                    end = start + cmd.nbytes
+                    if len(buf) < end + 2:
+                        break
+                    self._pending = None
+                    self._pos = end + 2
+                    if buf[end] != 13 or buf[end + 1] != 10:  # not CRLF
+                        # framing is lost: there is no way to know where
+                        # the next command starts.
+                        self.closed = True
+                        yield (EV_FATAL, "bad data chunk")
+                        break
+                    yield (EV_COMMAND, cmd, bytes(view[start:end]))
+                    continue
+                # 3) otherwise: decode the next request line
+                nl = buf.find(b"\n", self._pos)
+                if (nl if nl >= 0 else len(buf)) - self._pos > self.MAX_LINE:
                     self.closed = True
                     yield (EV_FATAL, "command line too long")
-                break
-            line = bytes(buf[self._pos:nl]).rstrip(b"\r\n")
-            self._pos = nl + 1
-            if not line:
-                continue
-            try:
-                cmd = parse_command(line)
-            except ProtocolError as exc:
-                if exc.data_bytes is not None:
-                    # the client still sends the data block; discard
-                    # payload + CRLF before replying, or its bytes would
-                    # be decoded as commands (the classic desync bug).
-                    self._drain = exc.data_bytes + 2
-                    self._drain_msg = str(exc)
-                    continue
-                if exc.fatal:
-                    self.closed = True
-                    yield (EV_FATAL, str(exc))
                     break
-                yield (EV_ERROR, str(exc))
-                continue
-            if isinstance(cmd, SetCommand):
-                self._pending = cmd
-                continue
-            yield (EV_COMMAND, cmd, None)
-        self._compact()
+                if nl < 0:
+                    break
+                line = buf[self._pos:nl]  # parse_command ignores a final CR
+                self._pos = nl + 1
+                if not line or (line[0] == 13 and not line.strip(b"\r")):
+                    continue
+                try:
+                    cmd = parse_command(line)
+                except ProtocolError as exc:
+                    if exc.data_bytes is not None:
+                        # the client still sends the data block; discard
+                        # payload + CRLF before replying, or its bytes
+                        # would be decoded as commands (the classic
+                        # desync bug).
+                        self._drain = exc.data_bytes + 2
+                        self._drain_event = (EV_ERROR, str(exc))
+                        continue
+                    if exc.fatal:
+                        self.closed = True
+                        yield (EV_FATAL, str(exc))
+                        break
+                    yield (EV_ERROR, str(exc))
+                    continue
+                if not isinstance(cmd, SetCommand):
+                    yield (EV_COMMAND, cmd, None)
+                elif cmd.nbytes > self.max_item_size:
+                    self._drain = cmd.nbytes + 2
+                    self._drain_event = (EV_COMMAND, cmd, None)
+                else:
+                    self._pending = cmd
+        del buf[:self._pos]  # compact: drop the consumed prefix
+        self._pos = 0
 
 
 # -- response formatting -----------------------------------------------------

@@ -82,7 +82,7 @@ class CacheRequestHandler(socketserver.StreamRequestHandler):
                     pass
                 return
             elapsed = time.perf_counter() - started
-            self.server.latency_histogram(_verb_of(cmd)).record(elapsed)
+            self.server.latency_histogram(p.verb_of(cmd)).record(elapsed)
             tracer = self.server.tracer
             if tracer is not None:
                 # One tick per completed command; record_single is the
@@ -93,7 +93,7 @@ class CacheRequestHandler(socketserver.StreamRequestHandler):
                 with self.server.lock:
                     tick = self.server.cache.accesses
                 if tracer.sampled(tick):
-                    tracer.record_single(_verb_of(cmd), tick, tick,
+                    tracer.record_single(p.verb_of(cmd), tick, tick,
                                          duration_s=elapsed)
             if not keep_going:
                 return
@@ -117,6 +117,14 @@ class CacheRequestHandler(socketserver.StreamRequestHandler):
         cache = self.server.cache
         lock = self.server.lock
         if isinstance(cmd, p.SetCommand):
+            if cmd.nbytes > cache.size_classes.max_item_size:
+                # no slab can hold it: discard the block in chunks
+                # instead of reading it whole, then say so
+                if not self._drain(cmd.nbytes + 2):
+                    return False
+                if not cmd.noreply:
+                    self._reply(self._store(cache, cmd, None))
+                return True
             data = self.rfile.read(cmd.nbytes)
             trailer = self.rfile.read(2)
             # Count what was actually read *before* bailing on a short
@@ -194,19 +202,6 @@ class CacheRequestHandler(socketserver.StreamRequestHandler):
     # server (repro.server.shard) so the two front ends cannot drift.
     _store = staticmethod(apply_storage)
     _incr_decr = staticmethod(apply_incr_decr)
-
-
-def _verb_of(cmd: p.Command) -> str:
-    """The label under which a command's latency is recorded."""
-    if isinstance(cmd, p.SetCommand):
-        return cmd.verb
-    if isinstance(cmd, p.GetCommand):
-        return "gets" if cmd.with_cas else "get"
-    if isinstance(cmd, p.IncrDecrCommand):
-        return "decr" if cmd.decrement else "incr"
-    return {p.DeleteCommand: "delete", p.TouchCommand: "touch",
-            p.FlushAllCommand: "flush_all", p.StatsCommand: "stats",
-            p.VersionCommand: "version"}.get(type(cmd), "other")
 
 
 class CacheServer(socketserver.ThreadingTCPServer):

@@ -17,6 +17,8 @@ Two things live here:
 
 from __future__ import annotations
 
+from functools import lru_cache, partial
+
 from repro.bloom.hashing import SHARD_SEED, key_shard
 from repro.cache.cache import SlabCache
 from repro.cache.sizeclasses import SizeClassConfig
@@ -26,6 +28,10 @@ from repro.server import protocol as p
 __all__ = ["SHARD_SEED", "shard_of", "ShardSet", "StoreFailed",
            "STORE_FAILED", "INCR_STORE_FAILED_MSG", "apply_storage",
            "apply_incr_decr"]
+
+#: keys whose shard a :class:`ShardSet` remembers: routing a text key
+#: is a per-byte loop in Python (docs/performance.md, "Serving path")
+ROUTE_MEMO = 8192
 
 
 def shard_of(key: object, nshards: int) -> int:
@@ -64,15 +70,17 @@ class ShardSet:
                 f"{per_shard} per shard — below one "
                 f"{classes.slab_size}-byte slab")
         self.nshards = nshards
+        self.max_item_size = classes.max_item_size  # of every shard
         self.shards: list[SlabCache] = [
             SlabCache(per_shard, policy_factory(), classes, clock=clock)
             for _ in range(nshards)]
-
-    def shard_index(self, key: object) -> int:
-        return shard_of(key, self.nshards)
+        #: ``shard_index(key)`` is ``shard_of(key, nshards)``, memoized
+        self.shard_index = (
+            lru_cache(ROUTE_MEMO)(partial(key_shard, nshards=nshards))
+            if nshards > 1 else lambda key: 0)
 
     def shard_for(self, key: object) -> SlabCache:
-        return self.shards[shard_of(key, self.nshards)]
+        return self.shards[self.shard_index(key)]
 
     def attach_obs(self, registry, events=None) -> None:
         for cache in self.shards:
@@ -149,13 +157,19 @@ class StoreFailed:
 
 STORE_FAILED = StoreFailed()
 
-#: the SERVER_ERROR message for a failed incr/decr store, shared so the
+#: the SERVER_ERROR message for a value no slab can hold (a storage
+#: block over the item size, a failed incr/decr store), shared so the
 #: two servers reply identically.
 INCR_STORE_FAILED_MSG = "object too large for cache"
 
 
-def apply_storage(cache: SlabCache, cmd: p.SetCommand, data: bytes) -> bytes:
-    """Apply a storage verb against ``cache``; returns the reply line."""
+def apply_storage(cache: SlabCache, cmd: p.SetCommand,
+                  data: bytes | None) -> bytes:
+    """Apply a storage verb against ``cache``; returns the reply line.
+    ``data`` is ``None`` when the front end discarded a block larger
+    than any slab instead of reading it."""
+    if data is None:
+        return p.format_server_error(INCR_STORE_FAILED_MSG)
     expires = p.resolve_exptime(cmd.exptime, cache.clock())
     existing = cache.get(cmd.key)  # honours expiry
     if cmd.verb == "add" and existing is not None:

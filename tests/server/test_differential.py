@@ -138,6 +138,18 @@ BINARY_SCRIPT = (
     b"quit\r\n"
 )
 
+# one byte more than a 64 KiB slab holds: answered SERVER_ERROR once the
+# block has gone by, and the payload (which spells commands) is not run
+_TOO_BIG = (b"flush_all\r\n" * 5958)[:(64 << 10) + 1]
+OVERSIZED_SCRIPT = (
+    b"set big 0 0 %d\r\n%b\r\n" % (len(_TOO_BIG), _TOO_BIG)
+    + b"get big\r\n"
+    b"set big 0 0 %d noreply\r\n%b\r\n" % (len(_TOO_BIG), _TOO_BIG)
+    + b"set fits 0 0 %d\r\n%b\r\n" % (60 << 10, _TOO_BIG[:60 << 10])
+    + b"version\r\n"
+    b"quit\r\n"
+)
+
 
 class TestSingleShardByteIdentical:
     """shards=1: the full protocol, cas ids included, byte for byte."""
@@ -145,8 +157,9 @@ class TestSingleShardByteIdentical:
     @pytest.mark.parametrize("script", [
         BASIC_SCRIPT, NUMERIC_SCRIPT, NOREPLY_SCRIPT, CAS_SCRIPT,
         ERROR_SCRIPT, FATAL_SCRIPT, TOUCH_SCRIPT, BINARY_SCRIPT,
+        OVERSIZED_SCRIPT,
     ], ids=["basic", "numeric", "noreply", "cas", "error", "fatal",
-            "touch", "binary"])
+            "touch", "binary", "oversized"])
     def test_replies_match(self, script):
         differential(script, nshards=1)
 
@@ -158,14 +171,27 @@ class TestSingleShardByteIdentical:
     def test_error_script_chunked(self):
         differential(ERROR_SCRIPT, nshards=1, chunk=5)
 
+    def test_oversized_reply(self):
+        shards = ShardSet(CAPACITY, PamaPolicy, CLASSES, nshards=1)
+        handle = start_async_server(shards)
+        try:
+            reply = replay(handle.port, OVERSIZED_SCRIPT, chunk=4096)
+        finally:
+            handle.stop()
+        assert reply.startswith(
+            b"SERVER_ERROR object too large for cache\r\nEND\r\nSTORED\r\n"
+            b"VERSION ")
+        assert shards.stats_snapshot()["sets"] == 1
+
 
 class TestMultiShard:
     """shards=4: identical replies modulo per-shard cas ids."""
 
     @pytest.mark.parametrize("script", [
         BASIC_SCRIPT, NUMERIC_SCRIPT, NOREPLY_SCRIPT, ERROR_SCRIPT,
-        TOUCH_SCRIPT, BINARY_SCRIPT,
-    ], ids=["basic", "numeric", "noreply", "error", "touch", "binary"])
+        TOUCH_SCRIPT, BINARY_SCRIPT, OVERSIZED_SCRIPT,
+    ], ids=["basic", "numeric", "noreply", "error", "touch", "binary",
+            "oversized"])
     def test_replies_match(self, script):
         differential(script, nshards=4)
 

@@ -70,7 +70,11 @@ class TestServerRoundTrip:
 
     def test_oversized_item_not_stored(self, server):
         with CacheClient(port=server.port) as c:
-            assert not c.set("big", b"x" * (128 << 10))  # > one 64KiB slab
+            with pytest.raises(
+                    RuntimeError,
+                    match="SERVER_ERROR object too large for cache"):
+                c.set("big", b"x" * (128 << 10))  # > one 64KiB slab
+            assert c.get("big") is None  # block discarded, stream in sync
 
 
 class TestServerWithStaticPolicy:
