@@ -1,17 +1,26 @@
-"""Microbenchmark — obs instrumentation cost on the simulate hot path.
+"""Microbenchmark — what observability costs the replay, off and on.
 
-The acceptance bar for repro.obs: with **no registry attached** the
-instrumented replay loop must stay within 5% of an uninstrumented
-reference (every instrumentation point reduces to one ``is not None``
-check).  The reference below is the pre-instrumentation ``Simulator.run``
-hot loop, inlined verbatim minus the obs guards, driven over the same
-trace and an identically configured cache.
+Three bounds against an uninstrumented reference — the pre-obs
+``Simulator.run`` hot loop, inlined below and driven over the same
+trace and an identically configured cache:
+
+* **no registry attached**: within 5% (every instrumentation point in
+  the cache reduces to one ``is not None`` check);
+* **a ``TimelineRecorder`` attached**: within 5%;
+* **``obs.enable()``** (registry histograms + event trace): within 20%.
+
+The last two hold because telemetry is not on the per-request path:
+one replay kernel serves every fault-free run, notes one outcome per
+GET, and reduces metrics windows, histograms and timeline rows once
+per run of rows (docs/performance.md § "Telemetry path").  What is left
+of the enabled cost is the event trace's per-eviction and per-migration
+records.
 
 Timing discipline: shared machines drift (CPU contention, frequency
 scaling), so a single A/B pair proves nothing.  Each variant is run
 many times in alternating order and the *minimum* is compared — the
 minimum estimates the uncontended cost of each variant, which is the
-quantity the 5% bound is about.
+quantity the bounds are about.
 """
 
 from __future__ import annotations
@@ -30,7 +39,8 @@ from repro.traces import ETC, generate
 REQUESTS = 80_000
 WINDOW = 20_000
 ROUNDS = 10
-MAX_DISABLED_OVERHEAD = 0.05
+#: variant -> most it may cost over the reference loop
+MAX_OVERHEAD = {"disabled": 0.05, "timeline": 0.05, "enabled": 0.20}
 
 
 def _fresh_cache() -> SlabCache:
@@ -109,19 +119,17 @@ def measure(trace, rounds: int = ROUNDS) -> dict[str, float]:
 def bench_obs_disabled_overhead():
     trace = generate(ETC.scaled(0.2), REQUESTS, seed=7)
     times = measure(trace)
-    overhead = times["disabled"] / times["reference"] - 1.0
-    enabled_overhead = times["enabled"] / times["reference"] - 1.0
-    timeline_overhead = times["timeline"] / times["reference"] - 1.0
+    overhead = {name: times[name] / times["reference"] - 1.0
+                for name in MAX_OVERHEAD}
     print(f"\nreference (uninstrumented): {times['reference'] * 1e3:8.1f} ms")
-    print(f"obs disabled:               {times['disabled'] * 1e3:8.1f} ms "
-          f"({overhead:+.2%})")
-    print(f"obs enabled:                {times['enabled'] * 1e3:8.1f} ms "
-          f"({enabled_overhead:+.2%})")
-    print(f"timeline attached:          {times['timeline'] * 1e3:8.1f} ms "
-          f"({timeline_overhead:+.2%})")
-    assert overhead < MAX_DISABLED_OVERHEAD, (
-        f"obs-disabled overhead {overhead:.2%} exceeds "
-        f"{MAX_DISABLED_OVERHEAD:.0%}")
+    for name, label in (("disabled", "obs disabled:"),
+                        ("enabled", "obs enabled:"),
+                        ("timeline", "timeline attached:")):
+        print(f"{label:<27} {times[name] * 1e3:8.1f} ms "
+              f"({overhead[name]:+.2%}, bound {MAX_OVERHEAD[name]:.0%})")
+    for name, bound in MAX_OVERHEAD.items():
+        assert overhead[name] < bound, (
+            f"obs {name} overhead {overhead[name]:.2%} exceeds {bound:.0%}")
 
 
 if __name__ == "__main__":

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 KIB = 1024
 MIB = 1024 * 1024
 GIB = 1024 * 1024 * 1024
@@ -62,3 +64,17 @@ def next_pow2(n: int) -> int:
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
     return 1 << (n - 1).bit_length()
+
+
+def seq_sum(carry: float, values) -> float:
+    """``carry + v0 + v1 + ...`` added strictly left to right.
+
+    Bit for bit what a Python loop of ``carry += v`` computes; NumPy's
+    ``values.sum()`` adds pairwise and does not.  The array forms of the
+    per-request recorders accumulate with this, so a replay reduced per
+    window equals the one recorded per request.
+    """
+    buf = np.empty(len(values) + 1)
+    buf[0] = carry
+    buf[1:] = values
+    return float(np.cumsum(buf, out=buf)[-1])

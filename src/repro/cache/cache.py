@@ -31,6 +31,15 @@ from repro.cache.stats import CacheStats
 from repro.policies.base import AllocationPolicy, default_donor
 
 
+#: :class:`CacheStats` fields a registry exposes as ``cache_<field>_total``.
+_COUNTED = (("gets", "GET lookups"), ("hits", "GET hits"),
+            ("misses", "GET misses"), ("sets", "successful SETs"),
+            ("set_failures", "SETs that could not be stored"),
+            ("evictions", "items evicted for space"),
+            ("migrations", "slab migrations between queues"),
+            ("expired", "items dropped at expiry"))
+
+
 class SlabCache:
     """A slab-allocated, policy-driven KV cache.
 
@@ -86,24 +95,29 @@ class SlabCache:
     def attach_obs(self, registry, events=None) -> None:
         """Attach a metrics registry (and optional event trace).
 
-        Creates the cache's counters up front so hot paths only call
-        ``Counter.inc`` through pre-bound references.
+        No operation touches the ``cache_*_total`` counters: the
+        registry asks for them when it is read and gets what
+        :attr:`stats` gained since its last read, so caches sharing a
+        registry add up and a cache counts from its attach.
         """
+        if self.obs is not None:  # the old registry keeps what it saw
+            self._obs_feed()
+            self.obs.feeds.remove(self._obs_feed)
         self.obs = registry
         self.events = events
-        counter = registry.counter
-        self._c_gets = counter("cache_gets_total", "GET lookups")
-        self._c_hits = counter("cache_hits_total", "GET hits")
-        self._c_misses = counter("cache_misses_total", "GET misses")
-        self._c_sets = counter("cache_sets_total", "successful SETs")
-        self._c_set_failures = counter(
-            "cache_set_failures_total", "SETs that could not be stored")
-        self._c_evictions = counter(
-            "cache_evictions_total", "items evicted for space")
-        self._c_migrations = counter(
-            "cache_migrations_total", "slab migrations between queues")
-        self._c_expired = counter(
-            "cache_expired_total", "items dropped at expiry")
+        stats = self.stats  # the feed must not keep the cache alive
+        counters = [(registry.counter(f"cache_{field}_total", text), field)
+                    for field, text in _COUNTED]
+        seen = {field: getattr(stats, field) for field, _ in _COUNTED}
+
+        def feed() -> None:
+            for counter, field in counters:
+                now = getattr(stats, field)
+                counter.value += now - seen[field]
+                seen[field] = now
+
+        self._obs_feed = feed
+        registry.feeds.append(feed)
 
     def attach_timeline(self, timeline) -> None:
         """Attach a :class:`repro.obs.timeline.TimelineRecorder`.
@@ -210,8 +224,6 @@ class SlabCache:
                     and self.clock() >= item.expires_at:
                 self._unlink(item)
                 stats.expired += 1
-                if self.obs is not None:
-                    self._c_expired.inc()
                 item = None
             if item is not None:
                 queue = self.queues[(item.class_idx, item.bin_idx)]
@@ -219,18 +231,12 @@ class SlabCache:
                 qstats.gets += 1
                 qstats.hits += 1
                 stats.hits += 1
-                if self.obs is not None:
-                    self._c_gets.inc()
-                    self._c_hits.inc()
                 self.policy.on_hit(queue, item, h1, h2)
                 queue.lru.move_to_front(item)
                 item.last_access = self.accesses
                 return item
             # miss
             stats.misses += 1
-            if self.obs is not None:
-                self._c_gets.inc()
-                self._c_misses.inc()
             class_idx = -1
             if key_size >= 0:
                 try:
@@ -285,8 +291,6 @@ class SlabCache:
                     and self.clock() >= item.expires_at:
                 self._unlink(item)
                 stats.expired += 1
-                if self.obs is not None:
-                    self._c_expired.inc()
                 item = None
             if item is not None:
                 queue = self.queues[(item.class_idx, item.bin_idx)]
@@ -294,18 +298,12 @@ class SlabCache:
                 qstats.gets += 1
                 qstats.hits += 1
                 stats.hits += 1
-                if self.obs is not None:
-                    self._c_gets.inc()
-                    self._c_hits.inc()
                 self.policy.on_hit(queue, item, h1, h2)
                 queue.lru.move_to_front(item)
                 item.last_access = self.accesses
                 return item
             # miss
             stats.misses += 1
-            if self.obs is not None:
-                self._c_gets.inc()
-                self._c_misses.inc()
             if key_size >= 0:
                 if class_idx == -2:
                     # invalid sizes: raise the scalar path's error
@@ -365,8 +363,6 @@ class SlabCache:
                     self._ensure_slot(queue)
                 except OutOfMemoryError:
                     self.stats.set_failures += 1
-                    if self.obs is not None:
-                        self._c_set_failures.inc()
                     return False
             queue.lru.push_front(item)
             item.last_access = self.accesses
@@ -375,8 +371,6 @@ class SlabCache:
             self.index[key] = item
             queue.stats.sets += 1
             self.stats.sets += 1
-            if self.obs is not None:
-                self._c_sets.inc()
             self.policy.on_insert(queue, item)
             return True
         finally:
@@ -412,8 +406,6 @@ class SlabCache:
                     self._ensure_slot(queue)
                 except OutOfMemoryError:
                     self.stats.set_failures += 1
-                    if self.obs is not None:
-                        self._c_set_failures.inc()
                     return False
             queue.lru.push_front(item)
             item.last_access = self.accesses
@@ -422,8 +414,6 @@ class SlabCache:
             self.index[key] = item
             queue.stats.sets += 1
             self.stats.sets += 1
-            if self.obs is not None:
-                self._c_sets.inc()
             self.policy.on_insert(queue, item)
             return True
         finally:
@@ -520,8 +510,6 @@ class SlabCache:
         del self.index[victim.key]
         queue.stats.evictions += 1
         self.stats.evictions += 1
-        if self.obs is not None:
-            self._c_evictions.inc()
         if self.timeline is not None:
             self.timeline.note_eviction()
         if self.events is not None:
@@ -551,8 +539,6 @@ class SlabCache:
         donor.stats.slabs_donated += 1
         receiver.stats.slabs_received += 1
         self.stats.migrations += 1
-        if self.obs is not None:
-            self._c_migrations.inc()
         if self.timeline is not None:
             self.timeline.note_migration()
         if self.events is not None:

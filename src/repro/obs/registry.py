@@ -1,10 +1,12 @@
 """Metrics registry: counters, gauges, and log-bucketed histograms.
 
-The design goal is *zero dependencies and near-zero cost*: metric
-objects are plain ``__slots__`` classes whose hot methods are a couple
-of arithmetic ops; instrumented code holds direct references to them
-and guards every call with an ``is not None`` check, so a cache with no
-registry attached pays one attribute load per operation.
+The design goal is *near-zero cost*: metric objects are plain
+``__slots__`` classes whose hot methods are a couple of arithmetic ops;
+instrumented code holds direct references to them and guards every
+call with an ``is not None`` check.  What can be computed from state an
+owner already keeps is not recorded per operation at all: a histogram
+takes a whole array (:meth:`Histogram.record_many`), and a registry
+asks its ``feeds`` for fresh counter values when it is read.
 
 Histograms are log-bucketed (geometric bucket bounds), the standard
 HDR-style trade-off: a fixed, small memory footprint with bounded
@@ -14,6 +16,10 @@ HDR-style trade-off: a fixed, small memory footprint with bounded
 from __future__ import annotations
 
 from bisect import bisect_left
+
+import numpy as np
+
+from repro._util import seq_sum
 
 
 def _check_name(name: str) -> str:
@@ -103,6 +109,24 @@ class Histogram:
             self.max = value
         self.counts[bisect_left(self.bounds, value)] += 1
 
+    def record_many(self, values) -> None:
+        """Array form of :meth:`record`: the state that recording each
+        value in order leaves, ``sum`` bit for bit."""
+        values = np.asarray(values, dtype=np.float64)
+        if np.isnan(values).any():
+            # bisect_left files NaN under bucket 0 and leaves min/max
+            # alone; searchsorted and np.min do neither.
+            for value in values.tolist():
+                self.record(value)
+        elif len(values):
+            self.count += len(values)
+            self.sum = seq_sum(self.sum, values)
+            self.min = min(self.min, float(values.min()))
+            self.max = max(self.max, float(values.max()))
+            added = np.bincount(np.searchsorted(self.bounds, values, "left"),
+                                minlength=len(self.counts))
+            self.counts = [a + b for a, b in zip(self.counts, added.tolist())]
+
     def reset(self) -> None:
         """Zero every bucket and aggregate (bounds stay as configured).
 
@@ -166,6 +190,11 @@ class Registry:
     def __init__(self) -> None:
         self._metrics: dict[tuple[str, tuple[tuple[str, str], ...]],
                             Metric] = {}
+        #: callables run before every read (:meth:`collect`,
+        #: :meth:`get`): an owner of counters that mirror state it
+        #: already keeps (``SlabCache`` and its ``CacheStats``) adds one
+        #: that brings them up to date, instead of on every operation.
+        self.feeds: list = []
 
     def _get_or_create(self, cls, name: str, help: str,
                        labels: dict[str, str], **kwargs) -> Metric:
@@ -193,9 +222,13 @@ class Registry:
 
     def collect(self) -> list[Metric]:
         """All metrics, sorted by (name, labels) for stable output."""
+        for feed in self.feeds:
+            feed()
         return [self._metrics[k] for k in sorted(self._metrics)]
 
     def get(self, name: str, **labels: str) -> Metric | None:
+        for feed in self.feeds:
+            feed()
         return self._metrics.get((name, tuple(sorted(labels.items()))))
 
     def __len__(self) -> int:

@@ -10,9 +10,11 @@ that drove PAMA's migration decisions, and a snapshot of per-class and
 per-(class, bin) slab counts.
 
 Cost model mirrors :mod:`repro.obs`: nothing is recorded unless a
-recorder is attached, every cold-path hook is one ``is not None``
-check, and the simulator selects a timeline-aware replay loop up front
-so the disabled hot path is byte-for-byte the uninstrumented one.
+recorder is attached, and every cold-path hook is one ``is not None``
+check.  Attaching one does not change the replay loop: the simulator's
+kernel hands a run of GET outcomes to :meth:`TimelineRecorder.record_many`
+and sends only the request on which a row closes through
+:meth:`~TimelineRecorder.record_get` / :meth:`~TimelineRecorder.advance`.
 
 Memory is bounded two ways:
 
@@ -31,6 +33,9 @@ import csv
 import json
 from typing import IO
 
+import numpy as np
+
+from repro._util import seq_sum
 from repro.obs.registry import Histogram
 
 #: quantiles each row reports for the window's service times.
@@ -117,7 +122,8 @@ class TimelineRecorder:
         keep_rows: set False to keep *no* rows in memory (sink-only
             mode for very long runs).
 
-    Per-request accounting (:meth:`record_get` / :meth:`advance`) is
+    Request accounting (:meth:`record_get` / :meth:`advance`, or
+    :meth:`record_many` for a run of GETs inside the open window) is
     driven by the replay loop with the global request tick; cold-path
     hooks (:meth:`note_eviction` and friends) are called by the cache
     and the policy and accumulate into whatever window is open, so the
@@ -192,6 +198,29 @@ class TimelineRecorder:
             cell[1] += hit
             cell[2] += cost
             cell[3] += miss_penalty
+
+    def record_many(self, hits, costs, penalties) -> None:
+        """Array form of :meth:`record_get` for a run of untagged GETs
+        that all fall inside the open window (``hits`` a bool array;
+        NaN penalties of misses are skipped, as there).
+
+        Rolling the window stays with :meth:`record_get` and
+        :meth:`advance`: the caller ends its run before the request at
+        :attr:`next_close` and sends that one through them.
+        """
+        if not len(costs):
+            return
+        self._gets += len(costs)
+        self._hits += int(np.count_nonzero(hits))
+        self._service = seq_sum(self._service, costs)
+        self._hist.record_many(costs)
+        missed = penalties[~hits]
+        self._penalty = seq_sum(self._penalty, missed[missed == missed])
+
+    @property
+    def next_close(self) -> int:
+        """The first tick at which a request rolls the open window."""
+        return self._window_start + self.stride
 
     def advance(self, tick: int) -> None:
         """A non-GET request at ``tick`` (SET/DELETE): window roll only."""

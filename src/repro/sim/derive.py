@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.bloom.hashing import (hash_key_array, hash_pair_arrays,
                                  key_shard_array)
-from repro.traces.record import Trace
+from repro.traces.record import iter_windows
 
 __all__ = ["hash_key_array", "hash_pair_arrays", "key_shard_array",
            "class_index_array", "penalty_bin_array", "derived_rows",
@@ -84,15 +84,6 @@ def penalty_bin_array(penalties, edges):
     return idx
 
 
-def _windows(source):
-    """The bounded-window view of any replay source."""
-    if isinstance(source, Trace):
-        return (source,)
-    if hasattr(source, "iter_windows"):
-        return source.iter_windows()
-    return iter(source)
-
-
 def derived_rows(source, service, size_classes, edges, want_hashes):
     """Per-request scalars plus derived columns, one window at a time.
 
@@ -103,7 +94,7 @@ def derived_rows(source, service, size_classes, edges, want_hashes):
     that never probe filters get ``(0, 0)`` pairs (the scalar loop's
     behaviour) and skip the hashing work entirely.
     """
-    for w in _windows(source):
+    for w in iter_windows(source):
         if want_hashes:
             a1, a2 = hash_pair_arrays(w.keys)
             h1, h2 = a1.tolist(), a2.tolist()
@@ -124,18 +115,18 @@ def derive_unsupported_reason(cache, policy, *, faults=None, timeline=None,
 
     The derive loop covers the plain replay: a :class:`SlabCache`-style
     cache exposing the precomputed entry points, a policy with static
-    penalty binning, and none of the instrumented loop variants (fault
-    injection, timelines, per-request histograms, tenant tagging) whose
-    per-request side channels the scalar loops own.
+    penalty binning, and none of fault injection, timelines,
+    service-time histograms or tenant tagging, whose side channels the
+    scalar loops own.
     """
     if wants_tenants:
         return "tenant-tagged replay uses the scalar tenant loop"
     if faults is not None:
         return "fault injection uses the scalar fault-aware loop"
     if timeline is not None:
-        return "timeline recording uses the scalar timeline loop"
+        return "timeline recording runs on the scalar kernel"
     if hist is not None:
-        return "per-request histograms use the scalar instrumented loop"
+        return "service-time histograms run on the scalar kernel"
     if not (hasattr(cache, "lookup_hashed") and hasattr(cache, "set_classed")):
         return f"{type(cache).__name__} has no derived-column fast path"
     edges = getattr(policy, "bin_edges", lambda: None)()

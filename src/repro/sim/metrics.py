@@ -11,6 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from repro._util import seq_sum
+
 
 @dataclass
 class WindowStats:
@@ -78,6 +82,44 @@ class MetricsCollector:
         self.total_service += penalty
         if self._gets >= self.window_gets:
             self._close_window()
+
+    @property
+    def gets_to_close(self) -> int:
+        """GETs left until the one that closes the open window (>= 1)."""
+        return self.window_gets - self._gets
+
+    def record_many(self, hits, costs) -> None:
+        """Array form of :meth:`record_hit` / :meth:`record_miss`: one
+        run of GET outcomes in order (``hits`` a bool array, ``costs``
+        the service times), every float sum bit for bit.
+
+        A GET that closes a window goes through the per-request
+        methods, which own the close; a caller that needs the snapshot
+        at that GET's instant (the replay kernel) ends its run before it.
+        """
+        start = 0
+        while len(costs) - start >= self.gets_to_close:
+            stop = start + self.gets_to_close - 1
+            self._add(hits[start:stop], costs[start:stop])
+            record = self.record_hit if hits[stop] else self.record_miss
+            record(float(costs[stop]))
+            start = stop + 1
+        self._add(hits[start:], costs[start:])
+
+    def _add(self, hits, costs) -> None:
+        gets = len(costs)
+        if not gets:
+            return
+        nhits = int(np.count_nonzero(hits))
+        missed = costs[~hits]
+        self._gets += gets
+        self._hits += nhits
+        self._penalty = seq_sum(self._penalty, missed)
+        self._service = seq_sum(self._service, costs)
+        self.total_gets += gets
+        self.total_hits += nhits
+        self.total_penalty = seq_sum(self.total_penalty, missed)
+        self.total_service = seq_sum(self.total_service, costs)
 
     def _close_window(self) -> None:
         stats = WindowStats(index=len(self.windows), gets=self._gets,

@@ -9,6 +9,8 @@ matches the paper (constant hit time, penalty-dominated misses).
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class ServiceTimeModel:
     """Maps hits and misses to seconds of user-visible service time."""
@@ -49,3 +51,13 @@ class ServiceTimeModel:
         if type(self).miss is ServiceTimeModel.miss:
             return values
         return [self.miss(p) for p in values]
+
+    def hit_array(self, sizes) -> np.ndarray:
+        """Vector form of :meth:`hit` over the sizes of the items hit,
+        element-wise identical; a subclass's :meth:`hit` is mapped."""
+        if type(self).hit is not ServiceTimeModel.hit:
+            return np.array([self.hit(size) for size in sizes.tolist()],
+                            dtype=np.float64)
+        if self.bandwidth is None:
+            return np.full(len(sizes), self.hit_time)
+        return self.hit_time + sizes / self.bandwidth

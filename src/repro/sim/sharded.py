@@ -41,18 +41,9 @@ from repro.sim.experiment import ExperimentSpec
 from repro.sim.metrics import MetricsCollector, _sum_dicts
 from repro.sim.service import ServiceTimeModel
 from repro.sim.simulator import SimulationResult, Simulator
-from repro.traces.record import SharedTrace, Trace
+from repro.traces.record import SharedTrace, Trace, iter_windows
 
 __all__ = ["run_sharded", "shard_windows"]
-
-
-def _iter_windows(source):
-    """The bounded-window view of any replay source (same as derive's)."""
-    if isinstance(source, Trace):
-        return (source,)
-    if hasattr(source, "iter_windows"):
-        return source.iter_windows()
-    return iter(source)
 
 
 def shard_windows(source, shard: int, nshards: int):
@@ -63,7 +54,7 @@ def shard_windows(source, shard: int, nshards: int):
     request stream the matching server shard would see.  ``nshards <= 1``
     yields the windows unchanged (no masking cost on the exact path).
     """
-    for w in _iter_windows(source):
+    for w in iter_windows(source):
         if nshards <= 1:
             yield w
             continue

@@ -7,77 +7,47 @@ applied directly.  Hit ratio and average service time are collected per
 window of GETs, with per-class and per-queue slab snapshots at each
 window close (the Figs 3/4 series).
 
-Replay sources: an in-memory :class:`~repro.traces.record.Trace`
-(columns convert to flat lists once — the PR-4 hot path), or any
-*streaming* source — a :class:`~repro.traces.compile.CompiledTrace` or
-an iterable of bounded :class:`Trace` windows — whose rows feed the
-same loops window-by-window, so a 100M-op compiled trace replays with
-resident memory bounded by the window, and results identical to the
-whole-trace replay.
+Replay sources: an in-memory :class:`~repro.traces.record.Trace`, a
+:class:`~repro.traces.compile.CompiledTrace` or an iterable of bounded
+:class:`Trace` windows.  All of them replay window by window
+(:func:`~repro.traces.record.iter_windows`), so a 100M-op compiled
+trace replays with resident memory bounded by the window, and results
+do not depend on where the windows fall.
+
+Telemetry is not on the per-request path of a fault-free replay: see
+:meth:`Simulator._replay`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import islice
+
+import numpy as np
 
 from repro import obs as _obs
 from repro.cache.cache import SlabCache
 from repro.sim.derive import derive_unsupported_reason, derived_rows
 from repro.sim.metrics import MetricsCollector, WindowStats
 from repro.sim.service import ServiceTimeModel
-from repro.traces.record import Trace
+from repro.traces.record import iter_windows
 
 
-def _windowed_rows(source, service):
-    """Rows from a streaming source, one bounded window at a time.
-
-    Each window's columns convert to plain lists (the same per-row
-    scalars the whole-trace path produces), get consumed, and are freed
-    before the next window — peak memory is one window, and per-window
-    ``miss_array`` is element-wise so results are bit-identical.
+def _trace_rows(source, service, tenants: bool = False):
+    """Per-request scalars for the loops that record per request:
+    ``(op, key, key_size, value_size, penalty, miss_cost)`` plus the
+    tenant id when ``tenants``.  One window's columns are lists at a
+    time, and ``miss_array`` is element-wise, so neither peak memory
+    nor results depend on the length of the trace.
     """
-    windows = (source.iter_windows() if hasattr(source, "iter_windows")
-               else iter(source))
-    for w in windows:
-        yield from zip(w.ops.tolist(), w.keys.tolist(),
-                       w.key_sizes.tolist(), w.value_sizes.tolist(),
-                       w.penalties.tolist(),
-                       service.miss_array(w.penalties))
-
-
-def _trace_rows(trace, service):
-    """The replay row stream for any trace source run() accepts."""
-    if isinstance(trace, Trace):
-        # Whole-trace fast path: one tolist per column, a single zip.
-        return zip(trace.ops.tolist(), trace.keys.tolist(),
-                   trace.key_sizes.tolist(), trace.value_sizes.tolist(),
-                   trace.penalties.tolist(),
-                   service.miss_array(trace.penalties))
-    return _windowed_rows(trace, service)
-
-
-def _windowed_rows_tenants(source, service):
-    """Tenant-tagged rows from a streaming source (7th column)."""
-    windows = (source.iter_windows() if hasattr(source, "iter_windows")
-               else iter(source))
-    for w in windows:
-        yield from zip(w.ops.tolist(), w.keys.tolist(),
-                       w.key_sizes.tolist(), w.value_sizes.tolist(),
-                       w.penalties.tolist(),
-                       service.miss_array(w.penalties),
-                       w.tenants.tolist())
-
-
-def _trace_rows_tenants(trace, service):
-    """Row stream with the tenant id as a 7th per-row scalar."""
-    if isinstance(trace, Trace):
-        return zip(trace.ops.tolist(), trace.keys.tolist(),
-                   trace.key_sizes.tolist(), trace.value_sizes.tolist(),
-                   trace.penalties.tolist(),
-                   service.miss_array(trace.penalties),
-                   trace.tenants.tolist())
-    return _windowed_rows_tenants(trace, service)
+    for w in iter_windows(source):
+        columns = [w.ops.tolist(), w.keys.tolist(), w.key_sizes.tolist(),
+                   w.value_sizes.tolist(), w.penalties.tolist(),
+                   service.miss_array(w.penalties)]
+        if tenants:
+            columns.append(w.tenants.tolist())
+        yield from zip(*columns)
 
 
 @dataclass
@@ -150,7 +120,7 @@ class Simulator:
         self.service_model = service_model or ServiceTimeModel()
         self.fill_on_miss = fill_on_miss
         self.window_gets = window_gets
-        #: optional obs registry for per-request histograms; falls back
+        #: optional obs registry for service-time histograms; falls back
         #: to the module-level registry when observability is enabled.
         self.obs = obs
         #: optional :class:`~repro.faults.injector.FaultInjector` —
@@ -158,9 +128,8 @@ class Simulator:
         #: routed-op latency, graceful degradation).  Share the same
         #: injector with the cache when it is a fault-aware cluster.
         self.faults = faults
-        #: optional :class:`~repro.obs.timeline.TimelineRecorder` —
-        #: selects a timeline-aware replay loop; the disabled hot loops
-        #: are untouched (PR-4 throughput contract).
+        #: optional :class:`~repro.obs.timeline.TimelineRecorder`; the
+        #: replay loop is the same with or without one.
         self.timeline = timeline
         #: optional :class:`~repro.obs.spans.SpanTracer` — sampled
         #: requests in the fault-aware loop open a root "request" span;
@@ -213,12 +182,7 @@ class Simulator:
                 # simulators must snapshot *this* run's cache, not the
                 # first cache it ever met.
                 timeline.snapshot_fn = self._snapshot
-        fill = self.fill_on_miss
-        cache_set = cache.set
-        record_hit = metrics.record_hit
-        record_miss = metrics.record_miss
-        # Per-request service-time histograms, only when observability
-        # is on: the disabled path costs one ``is not None`` per GET.
+        # Service-time histograms only when observability is on.
         registry = self.obs if self.obs is not None else _obs.get_registry()
         hist = hist_hit = hist_miss = None
         if registry is not None:
@@ -238,20 +202,13 @@ class Simulator:
                 "per-request penalty of GET misses", lo=1e-6, growth=1.25,
                 policy=policy)
 
-        # Row iteration is columnar: each column converts to a plain
-        # Python list once, the per-row miss cost is precomputed from
-        # the penalties column (identity for the default model, so
-        # bit-identical to calling service.miss per request), and the
-        # loops below unpack scalars straight out of one zip — no
-        # per-request tuple building, no per-miss method call.
         started = time.perf_counter()
 
-        # Loop bodies selected once: the tenant-tagged replay when the
-        # policy arbitrates between tenants, the fault-aware replay
-        # when an injector is attached, the timeline-aware replay when
-        # only a recorder is, otherwise the obs-disabled replay runs
-        # the hot loop with zero per-request instrumentation cost
-        # (split again on whether the hit cost is a hoistable constant).
+        # One loop per kind of replay, chosen once: the derived replay,
+        # the tenant-tagged replay when the policy arbitrates between
+        # tenants, the fault-aware replay when an injector is attached;
+        # everything else — with or without a registry or a timeline —
+        # is the kernel.
         tenant_metrics: dict[int, dict] = {}
         wants_tenants = bool(getattr(cache.policy, "wants_tenants", False))
         if wants_tenants and self.faults is not None:
@@ -266,78 +223,22 @@ class Simulator:
             hist=hist, wants_tenants=wants_tenants)
         if derive is True and reason is not None:
             raise ValueError(f"derive pass unavailable: {reason}")
-        use_derive = (derive is True
-                      or (derive is None and reason is None
-                          and cache._wants_hashes))
-        rows = (derived_rows(trace, service, cache.size_classes,
-                             cache.policy.bin_edges(), cache._wants_hashes)
-                if use_derive
-                else _trace_rows_tenants(trace, service) if wants_tenants
-                else _trace_rows(trace, service))
-        cache_lookup = cache.lookup
-        cache_delete = cache.delete
-        if use_derive:
-            self._replay_derived(rows, metrics, service)
+        if derive is True or (derive is None and reason is None
+                              and cache._wants_hashes):
+            self._replay_derived(
+                derived_rows(trace, service, cache.size_classes,
+                             cache.policy.bin_edges(), cache._wants_hashes),
+                metrics, service)
         elif wants_tenants:
             tenant_metrics = self._replay_tenants(
-                rows, metrics, service, hist, hist_hit, hist_miss,
-                timeline, registry)
+                _trace_rows(trace, service, tenants=True), metrics, service,
+                hist, hist_hit, hist_miss, timeline, registry)
         elif self.faults is not None:
-            self._replay_faulty(rows, metrics, service,
-                                hist, hist_hit, hist_miss)
-        elif timeline is not None:
-            self._replay_timeline(rows, metrics, service,
-                                  hist, hist_hit, hist_miss, timeline)
-        elif hist is None:
-            if service.bandwidth is None:
-                hit_cost = service.hit_time
-                for op, key, key_size, value_size, penalty, miss_cost in rows:
-                    if op == 0:  # GET
-                        if cache_lookup(key, key_size, value_size,
-                                        penalty) is not None:
-                            record_hit(hit_cost)
-                        else:
-                            record_miss(miss_cost)
-                            if fill:
-                                cache_set(key, key_size, value_size, penalty)
-                    elif op == 1:  # SET
-                        cache_set(key, key_size, value_size, penalty)
-                    else:  # DELETE
-                        cache_delete(key)
-            else:
-                service_hit = service.hit
-                for op, key, key_size, value_size, penalty, miss_cost in rows:
-                    if op == 0:  # GET
-                        item = cache_lookup(key, key_size, value_size, penalty)
-                        if item is not None:
-                            record_hit(service_hit(item.total_size))
-                        else:
-                            record_miss(miss_cost)
-                            if fill:
-                                cache_set(key, key_size, value_size, penalty)
-                    elif op == 1:  # SET
-                        cache_set(key, key_size, value_size, penalty)
-                    else:  # DELETE
-                        cache_delete(key)
+            self._replay_faulty(_trace_rows(trace, service), metrics,
+                                service, hist, hist_hit, hist_miss)
         else:
-            for op, key, key_size, value_size, penalty, miss_cost in rows:
-                if op == 0:  # GET
-                    item = cache_lookup(key, key_size, value_size, penalty)
-                    if item is not None:
-                        cost = service.hit(item.total_size)
-                        record_hit(cost)
-                        hist.record(cost)
-                        hist_hit.record(cost)
-                    else:
-                        record_miss(miss_cost)
-                        hist.record(miss_cost)
-                        hist_miss.record(miss_cost)
-                        if fill:
-                            cache_set(key, key_size, value_size, penalty)
-                elif op == 1:  # SET
-                    cache_set(key, key_size, value_size, penalty)
-                else:  # DELETE
-                    cache_delete(key)
+            self._replay(trace, metrics, service, hist, hist_hit, hist_miss,
+                         timeline)
         elapsed = time.perf_counter() - started
         metrics.flush()
         if timeline is not None:
@@ -531,50 +432,117 @@ class Simulator:
             }
         return out
 
-    def _replay_timeline(self, rows, metrics: MetricsCollector,
-                         service: ServiceTimeModel, hist, hist_hit,
-                         hist_miss, timeline) -> None:
-        """Fault-free replay with a timeline recorder attached.
+    def _replay(self, source, metrics: MetricsCollector,
+                service: ServiceTimeModel, hist, hist_hit, hist_miss,
+                timeline) -> None:
+        """The fault-free kernel: cache operations and one outcome per GET.
 
-        One extra ``record_get``/``advance`` call per request relative
-        to the plain loop; the request index is the access tick the
-        windows key on.
+        Per trace window, the rows up to the next *closing row* run in
+        a loop that records nothing; their GET costs are then one array
+        (the window's miss costs, the hit cost written over the hits)
+        that the collector, the histograms and the timeline reduce
+        through their ``record_many``.  A closing row is one on which a
+        metrics window or a timeline row closes — the
+        ``gets_to_close``-th GET from here, the row at the timeline's
+        ``next_close`` tick.  Both are known before the run starts;
+        that one row goes through :meth:`_closing_row`, which records
+        per request, so the per-request methods alone define when a
+        window closes and what it snapshots.  The next window is pulled
+        only when this one is fully reduced.
         """
         cache = self.cache
         fill = self.fill_on_miss
-        cache_lookup = cache.lookup
-        cache_set = cache.set
-        cache_delete = cache.delete
-        record_hit = metrics.record_hit
-        record_miss = metrics.record_miss
-        record_get = timeline.record_get
-        advance = timeline.advance
-        tick = -1
-        for op, key, key_size, value_size, penalty, miss_cost in rows:
-            tick += 1
-            if op == 0:  # GET
-                item = cache_lookup(key, key_size, value_size, penalty)
-                if item is not None:
-                    cost = service.hit(item.total_size)
-                    record_hit(cost)
-                    record_get(tick, True, cost)
-                    if hist is not None:
-                        hist.record(cost)
-                        hist_hit.record(cost)
-                else:
-                    record_miss(miss_cost)
-                    record_get(tick, False, miss_cost, penalty)
-                    if hist is not None:
-                        hist.record(miss_cost)
-                        hist_miss.record(miss_cost)
-                    if fill:
+        lookup, cache_set, cache_delete = cache.lookup, cache.set, cache.delete
+        # hit costs need the item's size only when they depend on it
+        sized = (service.bandwidth is not None
+                 or type(service).hit is not ServiceTimeModel.hit)
+        plain_miss = type(service).miss is ServiceTimeModel.miss
+        got: list[int] = []  # per GET of a run: size hit (0 unsized), -1 miss
+        note = got.append
+        base = 0  # tick of the window's first row
+        for w in iter_windows(source):
+            n = len(w)
+            penalties = w.penalties
+            miss_costs = (penalties if plain_miss else np.array(
+                service.miss_array(penalties), dtype=np.float64))
+            get_rows = np.flatnonzero(w.ops == 0)
+            rows = w.iter_rows()
+            at = gets = 0  # rows and GETs of this window already replayed
+            while at < n:
+                stop = n
+                closing_get = gets + metrics.gets_to_close - 1
+                if closing_get < len(get_rows):
+                    stop = int(get_rows[closing_get])
+                if timeline is not None:
+                    stop = min(stop, max(at, timeline.next_close - base))
+                for op, key, key_size, value_size, penalty in islice(
+                        rows, stop - at):
+                    if op == 0:  # GET
+                        item = lookup(key, key_size, value_size, penalty)
+                        if item is not None:
+                            note(item.total_size if sized else 0)
+                        else:
+                            note(-1)
+                            if fill:
+                                cache_set(key, key_size, value_size, penalty)
+                    elif op == 1:  # SET
                         cache_set(key, key_size, value_size, penalty)
-            elif op == 1:  # SET
-                cache_set(key, key_size, value_size, penalty)
-                advance(tick)
+                    else:  # DELETE
+                        cache_delete(key)
+                if got:
+                    outcome = np.array(got)
+                    got.clear()
+                    hits = outcome >= 0
+                    of_gets = get_rows[gets:gets + len(outcome)]
+                    costs = miss_costs[of_gets]
+                    costs[hits] = service.hit_array(outcome[hits])
+                    metrics.record_many(hits, costs)
+                    if hist is not None:
+                        hist.record_many(costs)
+                        hist_hit.record_many(costs[hits])
+                        hist_miss.record_many(costs[~hits])
+                    if timeline is not None:
+                        timeline.record_many(hits, costs, penalties[of_gets])
+                    gets += len(outcome)
+                if stop < n:
+                    gets += self._closing_row(
+                        base + stop, next(rows), float(miss_costs[stop]),
+                        metrics, service, hist, hist_hit, hist_miss, timeline)
+                at = stop + 1
+            base += n
+            del rows  # this window's lists go before the next is pulled
+
+    def _closing_row(self, tick, row, miss_cost, metrics, service,
+                     hist, hist_hit, hist_miss, timeline) -> bool:
+        """One request recorded the per-request way; True for a GET.
+
+        A metrics window closes inside ``record_hit``/``record_miss``,
+        after the lookup and before the fill SET; a timeline row closes
+        inside ``record_get`` before the GET is counted, or inside
+        ``advance`` after a SET/DELETE ran.
+        """
+        cache = self.cache
+        op, key, key_size, value_size, penalty = row
+        if op != 0:
+            if op == 1:  # SET
+                cache.set(key, key_size, value_size, penalty)
             else:  # DELETE
-                cache_delete(key)
-                advance(tick)
+                cache.delete(key)
+            if timeline is not None:
+                timeline.advance(tick)
+            return False
+        item = cache.lookup(key, key_size, value_size, penalty)
+        hit = item is not None
+        cost = service.hit(item.total_size) if hit else miss_cost
+        (metrics.record_hit if hit else metrics.record_miss)(cost)
+        if timeline is not None:
+            timeline.record_get(tick, hit, cost, penalty)
+        if hist is not None:
+            hist.record(cost)
+            (hist_hit if hit else hist_miss).record(cost)
+        if not hit and self.fill_on_miss:
+            cache.set(key, key_size, value_size, penalty)
+        return True
 
     def _replay_faulty(self, rows, metrics: MetricsCollector,
                        service: ServiceTimeModel,

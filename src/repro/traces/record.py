@@ -176,6 +176,31 @@ class Trace:
                 f"meta={self.meta})")
 
 
+#: rows per window when an in-memory :class:`Trace` is replayed window
+#: by window: bounds the per-window scratch, results do not depend on it.
+WINDOW_ROWS = 1 << 14
+
+
+def iter_windows(source) -> Iterator[Trace]:
+    """The bounded-window view of any replay source, built lazily.
+
+    ``source`` is a :class:`Trace` (zero-copy slices of
+    :data:`WINDOW_ROWS` rows; one that fits is yielded as itself),
+    anything with ``iter_windows()`` (a compiled trace), or an iterable
+    of :class:`Trace` windows.
+    """
+    if isinstance(source, Trace):
+        if len(source) <= WINDOW_ROWS:
+            yield source
+        else:
+            for start in range(0, len(source), WINDOW_ROWS):
+                yield source.slice(start, start + WINDOW_ROWS)
+    elif hasattr(source, "iter_windows"):
+        yield from source.iter_windows()
+    else:
+        yield from source
+
+
 # ---------------------------------------------------------------------------
 # shared-memory transport
 # ---------------------------------------------------------------------------

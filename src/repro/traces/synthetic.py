@@ -69,6 +69,11 @@ class SyntheticTraceGenerator:
     def __init__(self, profile: WorkloadProfile, seed: int = 0,
                  penalty_model: PenaltyModel | None = None,
                  mean_interarrival: float = 1e-4) -> None:
+        # cold keys are numbered from ``COLD_KEY_BASE + (seed << 32)``
+        # in an int64, and SeedSequence takes no negative entropy
+        if not 0 <= seed < (1 << 31) - 256:
+            raise ValueError(
+                f"seed must be in [0, 2**31 - 256), got {seed}")
         self.profile = profile
         self.seed = seed
         self.penalty_model = penalty_model or PenaltyModel(

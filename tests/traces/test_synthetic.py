@@ -180,3 +180,25 @@ class TestDiurnal:
         trace = SyntheticTraceGenerator(
             self._profile(0.95, 0.1), seed=11).generate(5_000)
         assert (np.diff(trace.timestamps) > 0).all()
+
+
+class TestSeedRange:
+    """Cold keys are numbered from ``COLD_KEY_BASE + (seed << 32)`` in
+    an int64: a seed past ``2**31 - 257`` used to construct fine and
+    die inside ``generate`` with a bare ``OverflowError`` (only for
+    profiles with cold keys), a negative one with ``SeedSequence``'s
+    "expected non-negative integer"."""
+
+    @pytest.mark.parametrize("seed", [-1, 2**31 - 256, 2**31, 2**40])
+    def test_out_of_range_seed_is_refused_at_construction(self, seed):
+        with pytest.raises(ValueError,
+                           match=r"seed must be in \[0, 2\*\*31 - 256\)"):
+            SyntheticTraceGenerator(ETC.scaled(0.05), seed=seed)
+
+    def test_largest_accepted_seed_numbers_its_cold_keys(self):
+        gen = SyntheticTraceGenerator(ETC.scaled(0.05), seed=2**31 - 257)
+        cold = gen.generate(20_000).keys
+        cold = cold[cold >= gen.COLD_KEY_BASE]
+        assert len(cold) > 100
+        assert cold.min() == 2**63 - 2**32
+        assert len(np.unique(cold)) == len(cold)
