@@ -62,6 +62,9 @@ class SlabCache:
         self.policy = policy
         self.index: dict[object, Item] = {}
         self.queues: dict[tuple[int, int], Queue] = {}
+        # The size classes' item_size -> class memo, probed in place by
+        # lookup/set; class_for_size fills it and answers what it lacks.
+        self._class_memo = self.size_classes._class_cache
         self.stats = CacheStats()
         #: monotonically increasing access tick (GETs + SETs + DELETEs);
         #: the paper's notion of time for windows and item ages.
@@ -239,19 +242,25 @@ class SlabCache:
             stats.misses += 1
             class_idx = -1
             if key_size >= 0:
-                try:
-                    class_idx = self.size_classes.class_for_size(
-                        key_size + value_size)
-                except ItemTooLargeError:
-                    class_idx = -1
+                class_idx = self._class_memo.get(key_size + value_size)
+                if class_idx is None:
+                    try:
+                        class_idx = self.size_classes.class_for_size(
+                            key_size + value_size)
+                    except ItemTooLargeError:
+                        class_idx = -1
                 if penalty == penalty:  # not NaN
                     stats.total_miss_penalty += penalty
-                bin_idx = (self.policy.bin_for(penalty)
-                           if penalty == penalty else 0)
+                    bin_idx = self.policy.bin_for(penalty)
+                else:
+                    bin_idx = 0
                 if class_idx >= 0:
-                    q = self.queue_for(class_idx, bin_idx)
-                    q.stats.gets += 1
-                    q.stats.misses += 1
+                    q = self.queues.get((class_idx, bin_idx))
+                    if q is None:
+                        q = self.queue_for(class_idx, bin_idx)
+                    qstats = q.stats
+                    qstats.gets += 1
+                    qstats.misses += 1
             self.policy.on_miss(key, class_idx, penalty, h1, h2)
             return None
         finally:
@@ -329,24 +338,41 @@ class SlabCache:
 
     def set(self, key: object, key_size: int, value_size: int,
             penalty: float, value: object = None,
-            expires_at: float = 0.0) -> bool:
+            expires_at: float = 0.0,
+            class_idx: int = -1, bin_idx: int = -1) -> bool:
         """Store an item; returns False if it cannot be stored.
 
         An existing item under the same key is replaced (its slot is
         released first, so a same-class replacement never evicts).
         ``expires_at`` is an absolute clock time (0.0 = never).
+
+        ``class_idx`` / ``bin_idx`` are the size class of ``key_size +
+        value_size`` and ``policy.bin_for(penalty)`` when the caller has
+        them already (the derive pass, :mod:`repro.sim.derive`).  Giving
+        both asserts what it proved for the row — sizes non-negative with
+        a positive sum that fits the largest class, penalty finite and
+        non-negative — and skips those checks and the two lookups; with
+        either absent (negative) they all run here.
         """
-        if key_size < 0 or value_size < 0 or key_size + value_size <= 0:
-            raise InvalidItemError(
-                f"invalid sizes key={key_size} value={value_size}")
-        if not (penalty >= 0):  # catches NaN and negatives
-            raise InvalidItemError(f"penalty must be >= 0, got {penalty}")
-        self.accesses += 1
-        try:
-            class_idx = self.size_classes.class_for_size(key_size + value_size)
-        except ItemTooLargeError:
-            self.stats.rejected_too_large += 1
-            return False
+        if class_idx < 0 or bin_idx < 0:
+            item_size = key_size + value_size
+            if key_size < 0 or value_size < 0 or item_size <= 0:
+                raise InvalidItemError(
+                    f"invalid sizes key={key_size} value={value_size}")
+            if not (penalty >= 0):  # catches NaN and negatives
+                raise InvalidItemError(
+                    f"penalty must be >= 0, got {penalty}")
+            self.accesses += 1
+            class_idx = self._class_memo.get(item_size)
+            if class_idx is None:
+                try:
+                    class_idx = self.size_classes.class_for_size(item_size)
+                except ItemTooLargeError:
+                    self.stats.rejected_too_large += 1
+                    return False
+            bin_idx = self.policy.bin_for(penalty)
+        else:
+            self.accesses += 1
 
         self._in_operation = True
         try:
@@ -354,60 +380,19 @@ class SlabCache:
             if old is not None:
                 self._unlink(old)
 
-            bin_idx = self.policy.bin_for(penalty)
-            queue = self.queue_for(class_idx, bin_idx)
+            queue = self.queues.get((class_idx, bin_idx))
+            if queue is None:
+                queue = self.queue_for(class_idx, bin_idx)
             item = Item(key, key_size, value_size, penalty, class_idx,
                         bin_idx, value, expires_at)
-            if queue.free_slots < 1:
+            lru = queue.lru
+            if queue.slabs * queue.slots_per_slab - lru.size < 1:
                 try:
                     self._ensure_slot(queue)
                 except OutOfMemoryError:
                     self.stats.set_failures += 1
                     return False
-            queue.lru.push_front(item)
-            item.last_access = self.accesses
-            self.cas_tick += 1
-            item.cas = self.cas_tick
-            self.index[key] = item
-            queue.stats.sets += 1
-            self.stats.sets += 1
-            self.policy.on_insert(queue, item)
-            return True
-        finally:
-            self._in_operation = False
-            if self._pending_migrations:
-                self._flush_migrations()
-
-    def set_classed(self, key: object, key_size: int, value_size: int,
-                    penalty: float, class_idx: int, bin_idx: int) -> bool:
-        """:meth:`set` with the size class and penalty bin precomputed.
-
-        The derive pass only takes this path for rows it proved valid
-        (``class_idx >= 0`` and ``bin_idx >= 0``): sizes positive and
-        within the largest class, penalty finite and non-negative —
-        precisely the checks :meth:`set` performs before computing the
-        same two values.  Rows with any sentinel fall back to
-        :meth:`set` so invalid input raises (or rejects) exactly as the
-        scalar path would.  No ``value``/``expires_at``: trace replay
-        stores size-only items.
-        """
-        self.accesses += 1
-        self._in_operation = True
-        try:
-            old = self.index.get(key)
-            if old is not None:
-                self._unlink(old)
-
-            queue = self.queue_for(class_idx, bin_idx)
-            item = Item(key, key_size, value_size, penalty, class_idx,
-                        bin_idx)
-            if queue.free_slots < 1:
-                try:
-                    self._ensure_slot(queue)
-                except OutOfMemoryError:
-                    self.stats.set_failures += 1
-                    return False
-            queue.lru.push_front(item)
+            lru.push_front(item)
             item.last_access = self.accesses
             self.cas_tick += 1
             item.cas = self.cas_tick
@@ -470,7 +455,8 @@ class SlabCache:
     def _ensure_slot(self, queue: Queue) -> None:
         """Make sure ``queue`` has at least one free slot."""
         guard = 0
-        while queue.free_slots < 1:
+        lru = queue.lru
+        while queue.slabs * queue.slots_per_slab - lru.size < 1:
             guard += 1
             if guard > self.pool.total + 4:
                 raise PolicyError(
@@ -494,7 +480,12 @@ class SlabCache:
                 self._migrate_slab(donor, queue)
 
     def _evict_one(self, queue: Queue) -> None:
-        """Evict one item from ``queue`` (policy-chosen, default LRU)."""
+        """Evict one item from ``queue`` (policy-chosen, default LRU).
+
+        The in-place replacement of a pressured SET, and every eviction
+        of a policy that picks its own victims; a migration's LRU run
+        goes through :meth:`_migrate_slab` instead.
+        """
         victim = (self.policy.choose_victim(queue)
                   if self._policy_picks_victims else None)
         if victim is not None:
@@ -523,16 +514,37 @@ class SlabCache:
 
         Evicts the donor's LRU items until one slab's worth of slots is
         free (the paper's discard-and-compact), then transfers ownership.
+        Under strict LRU the surplus leaves as one run off the stack
+        bottom: unlinked, dropped from the index and counted together,
+        then handed to the policy LRU first — what :meth:`_evict_one`
+        per item does, in the order it does it per kind of step.
         """
         if donor.slabs < 1:
             raise PolicyError(
                 f"policy {self.policy.name!r} chose slabless donor {donor.qid}")
-        target_used = (donor.slabs - 1) * donor.slots_per_slab
         lru = donor.lru
-        evicted = 0
-        while lru.size > target_used:
-            self._evict_one(donor)
-            evicted += 1
+        evicted = max(0, lru.size - (donor.slabs - 1) * donor.slots_per_slab)
+        if self._policy_picks_victims:
+            for _ in range(evicted):
+                self._evict_one(donor)
+        elif evicted:
+            victims = lru.pop_back_run(evicted)
+            index = self.index
+            for victim in victims:
+                del index[victim.key]
+            donor.stats.evictions += evicted
+            self.stats.evictions += evicted
+            if self.timeline is not None:
+                self.timeline.note_eviction(evicted)
+            events = self.events
+            if events is not None:
+                for victim in victims:
+                    events.record("eviction", self.accesses, queue=donor.qid,
+                                  key=victim.key, penalty=victim.penalty,
+                                  size=victim.total_size)
+            on_evict = self.policy.on_evict
+            for victim in victims:
+                on_evict(donor, victim)
         self.pool.transfer(donor.qid, receiver.qid)
         donor.slabs -= 1
         receiver.slabs += 1

@@ -102,6 +102,36 @@ class LRUList:
             self.remove(item)
         return item
 
+    def pop_back_run(self, count: int) -> list[Item]:
+        """Remove the ``count`` LRU-most items; returns them LRU first.
+
+        :meth:`pop_back` ``count`` times in one body: the observer hears
+        ``on_remove`` per item, LRU first, each with its links intact and
+        everything beneath it already gone.  ``tail`` and ``size`` settle
+        once, after the run (no observer reads them).  Stops early at an
+        empty list.
+        """
+        observer = self.observer
+        on_remove = observer.on_remove if observer is not None else None
+        run: list[Item] = []
+        item = self.tail
+        for _ in range(count):
+            if item is None:
+                break
+            if on_remove is not None:
+                on_remove(item)
+            prev = item.prev
+            if prev is not None:
+                prev.next = None
+            item.prev = None
+            run.append(item)
+            item = prev
+        self.tail = item
+        if item is None:
+            self.head = None
+        self.size -= len(run)
+        return run
+
     @property
     def back(self) -> Item | None:
         return self.tail

@@ -16,13 +16,15 @@ from repro.cache.stats import QueueStats
 class Queue:
     """Slab-owning LRU queue of equally-sized slots."""
 
-    __slots__ = ("class_idx", "bin_idx", "slot_size", "slots_per_slab",
+    __slots__ = ("class_idx", "bin_idx", "qid", "slot_size", "slots_per_slab",
                  "slabs", "lru", "stats", "policy_data")
 
     def __init__(self, class_idx: int, bin_idx: int, slot_size: int,
                  slots_per_slab: int) -> None:
         self.class_idx = class_idx
         self.bin_idx = bin_idx
+        #: the key of this queue in ``SlabCache.queues`` and the pool.
+        self.qid = (class_idx, bin_idx)
         self.slot_size = slot_size
         self.slots_per_slab = slots_per_slab
         self.slabs = 0
@@ -31,10 +33,6 @@ class Queue:
         #: opaque slot for the active policy (e.g. PAMA's segment
         #: tracker + ghost list live here).
         self.policy_data: object = None
-
-    @property
-    def qid(self) -> tuple[int, int]:
-        return (self.class_idx, self.bin_idx)
 
     @property
     def capacity_slots(self) -> int:

@@ -40,9 +40,9 @@ class PamaConfig:
         tracker: ``"exact"`` for O(1) boundary-pointer segment tracking,
             ``"bloom"`` for the paper's Bloom-filter membership tests.
         bloom_fp_rate: false-positive target for ``"bloom"`` tracking.
-        ghost_segments: ghost-list depth in segments — the receiving
-            segment plus ``m`` reference segments (set from ``m`` when
-            None).
+
+    The ghost list is ``num_segments`` deep — the receiving segment plus
+    ``m`` references, one per term Eq. 2 sums — and takes no setting.
     """
 
     penalty_edges: tuple[float, ...] = DEFAULT_PENALTY_EDGES
@@ -52,7 +52,6 @@ class PamaConfig:
     decay: float = 0.5
     tracker: str = "exact"
     bloom_fp_rate: float = 0.01
-    ghost_segments: int | None = None
 
     def __post_init__(self) -> None:
         if not self.penalty_edges:
@@ -82,11 +81,6 @@ class PamaConfig:
     def num_segments(self) -> int:
         """Tracked bottom segments: candidate S0 plus m references."""
         return self.m + 1
-
-    @property
-    def ghost_depth_segments(self) -> int:
-        """Ghost segments: receiving segment plus m references."""
-        return self.ghost_segments if self.ghost_segments is not None else self.m + 1
 
     def bin_for(self, penalty: float) -> int:
         """Subclass index for a penalty (values beyond the cap → last bin)."""

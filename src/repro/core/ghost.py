@@ -18,6 +18,12 @@ past it drops the oldest (bottom) entry.
 Segment tracking mirrors :class:`~repro.core.segments.SegmentTracker`
 with the direction flipped (distances measured from the top, so a push
 shifts *every* boundary instead of none).
+
+Key lookup goes through a *directory*, ``key -> GhostEntry``.  A list
+built alone owns one; the lists of one policy share the policy's, so a
+miss finds its entry — and through ``entry.ghost`` the list, through
+``list.owner`` the subclass — with one probe, and there is no second
+key set to keep in step.
 """
 
 from __future__ import annotations
@@ -28,11 +34,14 @@ from typing import Iterator
 class GhostEntry:
     """A remembered eviction: key + penalty only (no value payload)."""
 
-    __slots__ = ("key", "penalty", "prev", "next", "seg")
+    __slots__ = ("key", "penalty", "ghost", "prev", "next", "seg")
 
-    def __init__(self, key: object, penalty: float) -> None:
+    def __init__(self, key: object, penalty: float,
+                 ghost: GhostList) -> None:
         self.key = key
         self.penalty = penalty
+        #: the list this entry is linked in.
+        self.ghost = ghost
         self.prev: GhostEntry | None = None  # toward ghost top
         self.next: GhostEntry | None = None  # toward ghost bottom
         self.seg = 0
@@ -45,9 +54,10 @@ class GhostList:
     """Bounded, segment-tracked list of recently evicted keys."""
 
     __slots__ = ("seg_len", "num_segments", "capacity", "head", "tail",
-                 "index", "bounds", "n")
+                 "index", "bounds", "n", "owner")
 
-    def __init__(self, seg_len: int, num_segments: int) -> None:
+    def __init__(self, seg_len: int, num_segments: int,
+                 directory: dict[object, GhostEntry] | None = None) -> None:
         if seg_len <= 0:
             raise ValueError(f"seg_len must be positive, got {seg_len}")
         if num_segments <= 0:
@@ -57,7 +67,13 @@ class GhostList:
         self.capacity = seg_len * num_segments
         self.head: GhostEntry | None = None  # top (most recent eviction)
         self.tail: GhostEntry | None = None  # bottom (oldest)
-        self.index: dict[object, GhostEntry] = {}
+        #: key -> entry; shared with sibling lists when ``directory`` is
+        #: given, in which case it also holds their keys.
+        self.index: dict[object, GhostEntry] = (
+            {} if directory is None else directory)
+        #: for whoever built the list to point back at itself (PAMA: the
+        #: subclass state, reached from a directory hit).
+        self.owner: object = None
         # bounds[k]: entry at top-distance exactly k*seg_len (the topmost
         # entry of segment k), or None when the ghost is shorter.
         self.bounds: list[GhostEntry | None] = [None] * num_segments
@@ -65,17 +81,18 @@ class GhostList:
 
     # -- queries ---------------------------------------------------------
     def __contains__(self, key: object) -> bool:
-        return key in self.index
+        return self.lookup(key) is not None
 
     def __len__(self) -> int:
         return self.n
 
     def lookup(self, key: object) -> GhostEntry | None:
-        return self.index.get(key)
+        entry = self.index.get(key)
+        return entry if entry is not None and entry.ghost is self else None
 
     def segment_of(self, key: object) -> int:
         """Ghost segment of ``key`` (-1 if absent)."""
-        entry = self.index.get(key)
+        entry = self.lookup(key)
         return entry.seg if entry is not None else -1
 
     def __iter__(self) -> Iterator[GhostEntry]:
@@ -91,58 +108,64 @@ class GhostList:
         """Record an eviction at the ghost top.
 
         Returns the key dropped off the ghost bottom (capacity overflow)
-        or None.  A key already present is refreshed (moved to top).
+        or None.  A key already in the directory is refreshed: it leaves
+        the list that held it and enters this one at the top.
         """
-        old = self.index.get(key)
+        index = self.index
+        old = index.get(key)
         if old is not None:
-            self._remove_entry(old)
+            old.ghost.remove_entry(old)
 
-        entry = GhostEntry(key, penalty)
+        entry = GhostEntry(key, penalty, self)
         # Every existing entry's top-distance grows by one: each boundary
         # pointer moves one step toward the top.
         old_len = self.n
         bounds = self.bounds
+        seg_len = self.seg_len
         for k in range(self.num_segments - 1, 0, -1):
-            p_k = k * self.seg_len
             node = bounds[k]
             if node is not None:
                 newly = node.prev
-            elif old_len == p_k:
+            elif old_len == k * seg_len:
                 newly = self.tail
             else:
-                newly = None
-            if newly is not None:
-                newly.seg = k
+                continue  # the ghost does not reach segment k yet
+            newly.seg = k
             bounds[k] = newly
 
-        entry.next = self.head
-        entry.prev = None
-        if self.head is not None:
-            self.head.prev = entry
-        self.head = entry
-        if self.tail is None:
+        head = self.head
+        entry.next = head
+        if head is not None:
+            head.prev = entry
+        else:
             self.tail = entry
-        entry.seg = 0
+        self.head = entry
         bounds[0] = entry
-        self.n += 1
-        self.index[key] = entry
+        index[key] = entry
 
-        if self.n > self.capacity:
-            dropped = self.tail
-            assert dropped is not None
-            self._remove_entry(dropped)
-            return dropped.key
-        return None
+        if old_len < self.capacity:
+            self.n = old_len + 1
+            return None
+        # Full: the bottom entry falls off.  It now sits one past the
+        # last segment, beneath every boundary, so no pointer moves.
+        dropped = self.tail
+        last = dropped.prev
+        last.next = None
+        self.tail = last
+        dropped.prev = None
+        del index[dropped.key]
+        return dropped.key
 
     def remove(self, key: object) -> bool:
         """Forget ``key`` (it re-entered the cache). True if present."""
-        entry = self.index.get(key)
+        entry = self.lookup(key)
         if entry is None:
             return False
-        self._remove_entry(entry)
+        self.remove_entry(entry)
         return True
 
-    def _remove_entry(self, entry: GhostEntry) -> None:
+    def remove_entry(self, entry: GhostEntry) -> None:
+        """Unlink ``entry`` (one of this list's) and drop its key."""
         s = entry.seg
         bounds = self.bounds
         # Entries beneath the removed one move up: boundaries strictly
@@ -154,7 +177,7 @@ class GhostList:
             node.seg = k - 1
             bounds[k] = node.next
         if bounds[s] is entry:
-            bounds[s] = entry.next if entry.next is not None else None
+            bounds[s] = entry.next
             # entry.next (old distance p_s+1) now has distance p_s; its
             # segment is unchanged unless seg_len == 1, which the loop
             # above already fixed.
@@ -173,14 +196,18 @@ class GhostList:
         del self.index[entry.key]
 
     def clear(self) -> None:
+        """Forget every entry of this list (a shared directory keeps
+        its other lists' keys)."""
+        index = self.index
+        for entry in self:
+            del index[entry.key]
         self.head = self.tail = None
-        self.index.clear()
         self.bounds = [None] * self.num_segments
         self.n = 0
 
     # -- verification -------------------------------------------------------
     def check_invariants(self) -> None:
-        assert self.n == len(self.index) <= self.capacity
+        assert self.n <= self.capacity
         expected_bounds: list[GhostEntry | None] = [None] * self.num_segments
         d = 0
         node = self.head
@@ -193,10 +220,15 @@ class GhostList:
                 f"ghost entry at distance {d}: seg={node.seg}, expected {want}")
             if d % self.seg_len == 0:
                 expected_bounds[want] = node
-            assert self.index.get(node.key) is node
+            assert node.ghost is self, f"entry {node.key!r} names another list"
+            assert self.index.get(node.key) is node, (
+                f"linked entry {node.key!r} is not the directory's")
             prev = node
             node = node.next
             d += 1
         assert d == self.n, f"walked {d} entries, n={self.n}"
         assert self.tail is prev
         assert self.bounds == expected_bounds, "ghost boundary pointers drifted"
+        filed = sum(1 for e in self.index.values() if e.ghost is self)
+        assert filed == d, (
+            f"directory files {filed} entries under this list, {d} are linked")

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.bloom_tracker import BloomSegmentTracker
 from repro.core.config import PamaConfig
-from repro.core.ghost import GhostList
+from repro.core.ghost import GhostEntry, GhostList
 from repro.core.segments import SegmentTracker
 from repro.core.value import ValueAccumulator
 from repro.policies.base import AllocationPolicy
@@ -66,10 +66,15 @@ class PamaPolicy(AllocationPolicy):
         # The exact tracker keeps every item's segment in ``item.seg``;
         # on_hit reads it there instead of asking the tracker.
         self._exact_tracker = self.config.tracker == "exact"
-        #: key -> owning queue state, for O(1) ghost lookups on misses
-        #: without knowing the missed item's size.
-        self.ghost_owner: dict[object, PamaQueueState] = {}
+        #: the ghost directory, key -> entry, shared by every subclass's
+        #: ghost list: a miss finds its entry without knowing the missed
+        #: item's size, and ``entry.ghost.owner`` is the subclass state.
+        self.ghost_owner: dict[object, GhostEntry] = {}
         self._states: dict[tuple[int, int], PamaQueueState] = {}
+        #: (queue, its values) per subclass in creation order — the order
+        #: of ``cache.queues``, so the donor scan breaks ties as a walk
+        #: over the queues would.
+        self._scan: list[tuple[Queue, ValueAccumulator]] = []
         self._last_rollover = 0
         # decision statistics (reported by the ablation benches)
         self.migrations_approved = 0
@@ -105,16 +110,15 @@ class PamaPolicy(AllocationPolicy):
                 seed=queue.class_idx * 101 + queue.bin_idx)
         else:
             tracker = SegmentTracker(queue.lru, seg_len, cfg.num_segments)
-        ghost = GhostList(seg_len, cfg.ghost_depth_segments)
-        state = PamaQueueState(tracker, ghost,
-                               ValueAccumulator(cfg.num_segments),
-                               qid=queue.qid)
+        # As deep as the tracked stack bottom: Eq. 2 sums one incoming
+        # term per outgoing one.
+        ghost = GhostList(seg_len, cfg.num_segments, self.ghost_owner)
+        values = ValueAccumulator(cfg.num_segments)
+        state = ghost.owner = PamaQueueState(tracker, ghost, values,
+                                             qid=queue.qid)
         queue.policy_data = state
         self._states[queue.qid] = state
-
-    # -- value contribution ------------------------------------------------
-    def _contribution(self, penalty: float) -> float:
-        return penalty if self.penalty_aware else 1.0
+        self._scan.append((queue, values))
 
     def _maybe_rollover(self) -> None:
         cfg = self.config
@@ -146,20 +150,16 @@ class PamaPolicy(AllocationPolicy):
 
     def on_miss(self, key: object, class_idx: int, penalty: float,
                 h1: int = 0, h2: int = 0) -> None:
-        self._maybe_rollover()
-        state = self.ghost_owner.get(key)
-        if state is None:
+        if self.cache.accesses - self._last_rollover >= self._value_window:
+            self._maybe_rollover()
+        entry = self.ghost_owner.get(key)
+        if entry is None:
             return
-        # ghost_owner and the per-queue ghosts are kept in lockstep by
-        # on_evict/on_insert/on_remove (see check_ghost_sync, which the
-        # property tests drive); an owner entry without a ghost entry
-        # would silently drop incoming value, so fail loudly instead.
-        entry = state.ghost.lookup(key)
-        assert entry is not None, \
-            f"ghost_owner has {key!r} but its ghost list does not"
+        state: PamaQueueState = entry.ghost.owner
         # Use the penalty remembered at eviction time — "PAMA uses actual
         # miss penalties associated with each slab".
-        state.values.add_incoming(entry.seg, self._contribution(entry.penalty))
+        state.values.add_incoming(
+            entry.seg, entry.penalty if self.penalty_aware else 1.0)
         timeline = self.cache.timeline
         if timeline is not None:
             timeline.note_ghost_hit()
@@ -172,44 +172,41 @@ class PamaPolicy(AllocationPolicy):
     def on_insert(self, queue: Queue, item: Item) -> None:
         # The key is live again; it must leave the ghost or a future
         # eviction/miss would double count it.
-        state = self.ghost_owner.pop(item.key, None)
-        if state is not None:
-            state.ghost.remove(item.key)
+        entry = self.ghost_owner.get(item.key)
+        if entry is not None:
+            entry.ghost.remove_entry(entry)
 
     def on_evict(self, queue: Queue, item: Item) -> None:
-        state: PamaQueueState = queue.policy_data
-        dropped = state.ghost.push(item.key, item.penalty)
-        self.ghost_owner[item.key] = state
-        if dropped is not None:
-            self.ghost_owner.pop(dropped, None)
+        # Stack bottom -> ghost top; the list files the entry in the
+        # directory and drops the key that falls off its own bottom.
+        queue.policy_data.ghost.push(item.key, item.penalty)
 
     def on_remove(self, queue: Queue, item: Item) -> None:
         # DELETE / replacement: the key leaves without becoming a ghost
         # (it was not evicted for space, so it predicts no saved miss).
-        state = self.ghost_owner.pop(item.key, None)
-        if state is not None:
-            state.ghost.remove(item.key)
+        entry = self.ghost_owner.get(item.key)
+        if entry is not None:
+            entry.ghost.remove_entry(entry)
 
     # -- integrity -----------------------------------------------------
     def check_ghost_sync(self) -> None:
-        """Audit the ghost_owner ↔ per-queue ghost list bijection.
+        """Audit the ghost directory against the per-queue ghost lists.
 
-        Invariant: ``ghost_owner`` maps exactly the union of all queue
-        ghosts' keys, each to the state whose ghost holds it.  Driven by
-        the Hypothesis property tests over random op sequences.
+        Invariant: the directory holds exactly the entries linked in
+        this policy's lists, each under its own key.  Every list checks
+        that what it links is filed (and filed under it); the count
+        closes the other direction — a filed entry no list links.
+        Driven by the Hypothesis property tests over random op
+        sequences.
         """
-        ghosted: dict[object, PamaQueueState] = {}
-        for qid, state in self._states.items():
+        linked = 0
+        for state in self._states.values():
+            assert state.ghost.owner is state
             state.ghost.check_invariants()
-            for entry in state.ghost:
-                assert entry.key not in ghosted, (
-                    f"key {entry.key!r} in two ghosts")
-                ghosted[entry.key] = state
-        assert ghosted.keys() == self.ghost_owner.keys(), (
-            f"ghost_owner drifted: {ghosted.keys() ^ self.ghost_owner.keys()}")
-        for key, state in self.ghost_owner.items():
-            assert ghosted[key] is state, \
-                f"ghost_owner points {key!r} at the wrong queue state"
+            linked += len(state.ghost)
+        assert linked == len(self.ghost_owner), (
+            f"ghost directory drifted: {len(self.ghost_owner)} entries "
+            f"filed, {linked} linked")
 
     # -- the allocation decision ----------------------------------------------
     def candidate_values(self) -> dict[tuple[int, int], float]:
@@ -218,16 +215,18 @@ class PamaPolicy(AllocationPolicy):
                 for qid, st in self._states.items()}
 
     def resolve_pressure(self, queue: Queue, must_migrate: bool) -> Queue | None:
-        self._maybe_rollover()
-        state: PamaQueueState = queue.policy_data
-        incoming = state.values.incoming_value()
+        if self.cache.accesses - self._last_rollover >= self._value_window:
+            self._maybe_rollover()
+        incoming = queue.policy_data.values.incoming_value()
 
         donor: Queue | None = None
         min_out = float("inf")
-        for q in self.cache.iter_queues():
+        for q, values in self._scan:
             if q.slabs < 1:  # cannot donate
                 continue
-            out = q.policy_data.values.outgoing_value()
+            out = values._out_value  # the kept Eq. 2 sum, see value.py
+            if out is None:
+                out = values.outgoing_value()
             if out < min_out:
                 donor, min_out = q, out
         if donor is None:

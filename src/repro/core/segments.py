@@ -29,7 +29,7 @@ from repro.cache.lru import LRUList
 class SegmentTracker:
     """LRU observer maintaining exact per-item segment indices."""
 
-    __slots__ = ("lru", "seg_len", "num_segments", "bounds", "n")
+    __slots__ = ("lru", "seg_len", "num_segments", "limit", "bounds", "n")
 
     def __init__(self, lru: LRUList, seg_len: int, num_segments: int) -> None:
         if seg_len <= 0:
@@ -43,6 +43,8 @@ class SegmentTracker:
         self.lru = lru
         self.seg_len = seg_len
         self.num_segments = num_segments
+        #: bottom-distance of the first item above the tracked region.
+        self.limit = num_segments * seg_len
         # bounds[k] for k < num_segments: lowest item of segment k;
         # bounds[num_segments]: first item above the tracked region.
         self.bounds: list[Item | None] = [None] * (num_segments + 1)
@@ -66,16 +68,18 @@ class SegmentTracker:
     # -- LRU observer ------------------------------------------------------
     def on_push_front(self, item: Item) -> None:
         d = self.n  # the new front item has the largest bottom-distance
-        limit = self.num_segments * self.seg_len
-        if d < limit:
-            item.seg = d // self.seg_len
-            if d % self.seg_len == 0:
-                self.bounds[item.seg] = item
+        self.n = d + 1
+        limit = self.limit
+        if d > limit:  # a stack past its tracked bottom: the usual case
+            item.seg = -1
+        elif d < limit:
+            seg_len = self.seg_len
+            item.seg = seg = d // seg_len
+            if d % seg_len == 0:
+                self.bounds[seg] = item
         else:
             item.seg = -1
-            if d == limit:
-                self.bounds[self.num_segments] = item
-        self.n += 1
+            self.bounds[self.num_segments] = item
 
     def on_remove(self, item: Item) -> None:
         # Called with links intact (before the unlink).
@@ -109,7 +113,7 @@ class SegmentTracker:
         expected_bounds: list[Item | None] = [None] * (self.num_segments + 1)
         d = 0
         node = self.lru.back
-        limit = self.num_segments * self.seg_len
+        limit = self.limit
         while node is not None:
             want = d // self.seg_len if d < limit else -1
             assert node.seg == want, (

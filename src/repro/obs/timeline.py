@@ -228,8 +228,8 @@ class TimelineRecorder:
             self._close(tick)
 
     # -- cold-path notes (cache / policy hooks) -------------------------
-    def note_eviction(self) -> None:
-        self._evictions += 1
+    def note_eviction(self, count: int = 1) -> None:
+        self._evictions += count
 
     def note_migration(self) -> None:
         self._migrations += 1

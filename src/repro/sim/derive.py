@@ -7,8 +7,8 @@ class of ``key_size + value_size`` (a memo-dict probe), and the penalty
 bin (another memo probe).  This module computes all of them **per trace
 window** as NumPy column operations, and the simulator threads the
 derived columns into :meth:`repro.cache.cache.SlabCache.lookup_hashed`
-/ :meth:`~repro.cache.cache.SlabCache.set_classed` so the innermost
-loop does table lookups only.
+/ :meth:`~repro.cache.cache.SlabCache.set` so the innermost loop does
+table lookups only.
 
 Every array helper here agrees element-wise with its scalar reference
 (``hash_key`` / ``class_for_size`` / ``PamaConfig.bin_for`` /
@@ -127,7 +127,7 @@ def derive_unsupported_reason(cache, policy, *, faults=None, timeline=None,
         return "timeline recording runs on the scalar kernel"
     if hist is not None:
         return "service-time histograms run on the scalar kernel"
-    if not (hasattr(cache, "lookup_hashed") and hasattr(cache, "set_classed")):
+    if not hasattr(cache, "lookup_hashed"):
         return f"{type(cache).__name__} has no derived-column fast path"
     edges = getattr(policy, "bin_edges", lambda: None)()
     if edges is None:

@@ -266,18 +266,18 @@ class Simulator:
                         service: ServiceTimeModel) -> None:
         """The derived replay loop over 10-column rows.
 
-        Dispatches every request through the precomputed entry points
-        (:meth:`~repro.cache.cache.SlabCache.lookup_hashed` /
-        :meth:`~repro.cache.cache.SlabCache.set_classed`); rows carrying
-        a derive sentinel (unknown/invalid class, invalid penalty, or a
-        negative value size a SET must reject) fall back to the scalar
-        :meth:`~repro.cache.cache.SlabCache.set` so validation errors
+        Dispatches every request with its precomputed columns
+        (:meth:`~repro.cache.cache.SlabCache.lookup_hashed`, and
+        :meth:`~repro.cache.cache.SlabCache.set` given the class and
+        bin).  ``set`` takes a derive sentinel (unknown/invalid class,
+        invalid penalty) as "not given" and validates the row itself; a
+        negative value size, which a SET must reject but which can sum
+        to a valid class, is handed over as one — so validation errors
         raise exactly as the scalar loop raises them.
         """
         cache = self.cache
         fill = self.fill_on_miss
         lookup_hashed = cache.lookup_hashed
-        set_classed = cache.set_classed
         cache_set = cache.set
         cache_delete = cache.delete
         record_hit = metrics.record_hit
@@ -293,18 +293,13 @@ class Simulator:
                     else:
                         record_miss(miss_cost)
                         if fill:
-                            if class_idx >= 0 and bin_idx >= 0 \
-                                    and value_size >= 0:
-                                set_classed(key, key_size, value_size,
-                                            penalty, class_idx, bin_idx)
-                            else:
-                                cache_set(key, key_size, value_size, penalty)
+                            cache_set(key, key_size, value_size, penalty,
+                                      None, 0.0,
+                                      class_idx if value_size >= 0 else -1,
+                                      bin_idx)
                 elif op == 1:  # SET
-                    if class_idx >= 0 and bin_idx >= 0 and value_size >= 0:
-                        set_classed(key, key_size, value_size, penalty,
-                                    class_idx, bin_idx)
-                    else:
-                        cache_set(key, key_size, value_size, penalty)
+                    cache_set(key, key_size, value_size, penalty, None, 0.0,
+                              class_idx if value_size >= 0 else -1, bin_idx)
                 else:  # DELETE
                     cache_delete(key)
         else:
@@ -319,18 +314,13 @@ class Simulator:
                     else:
                         record_miss(miss_cost)
                         if fill:
-                            if class_idx >= 0 and bin_idx >= 0 \
-                                    and value_size >= 0:
-                                set_classed(key, key_size, value_size,
-                                            penalty, class_idx, bin_idx)
-                            else:
-                                cache_set(key, key_size, value_size, penalty)
+                            cache_set(key, key_size, value_size, penalty,
+                                      None, 0.0,
+                                      class_idx if value_size >= 0 else -1,
+                                      bin_idx)
                 elif op == 1:  # SET
-                    if class_idx >= 0 and bin_idx >= 0 and value_size >= 0:
-                        set_classed(key, key_size, value_size, penalty,
-                                    class_idx, bin_idx)
-                    else:
-                        cache_set(key, key_size, value_size, penalty)
+                    cache_set(key, key_size, value_size, penalty, None, 0.0,
+                              class_idx if value_size >= 0 else -1, bin_idx)
                 else:  # DELETE
                     cache_delete(key)
 

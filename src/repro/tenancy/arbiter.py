@@ -41,6 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cache.cache import SlabCache
     from repro.cache.item import Item
     from repro.cache.queue import Queue
+    from repro.core.value import ValueAccumulator
 
 
 @dataclass(frozen=True)
@@ -76,18 +77,16 @@ class _TenantView:
     """What a per-tenant inner PamaPolicy sees as "its cache".
 
     Forwards the attributes the policy's bookkeeping reads (the global
-    access tick, events, timeline) and filters ``iter_queues`` to the
-    tenant's own strip — the inner never makes allocation decisions
-    (the arbiter replicates that logic with cross-tenant eligibility),
-    but diagnostics like ``candidate_values`` stay tenant-scoped.
+    access tick, events, timeline).  The inner never makes allocation
+    decisions (the arbiter replicates that logic with cross-tenant
+    eligibility) and only ever sees the queues created for it, so
+    diagnostics like ``candidate_values`` stay tenant-scoped.
     """
 
-    __slots__ = ("_cache", "tenant", "_nbins")
+    __slots__ = ("_cache",)
 
-    def __init__(self, cache: SlabCache, tenant: int, nbins: int) -> None:
+    def __init__(self, cache: SlabCache) -> None:
         self._cache = cache
-        self.tenant = tenant
-        self._nbins = nbins
 
     @property
     def accesses(self) -> int:
@@ -100,11 +99,6 @@ class _TenantView:
     @property
     def timeline(self):
         return self._cache.timeline
-
-    def iter_queues(self):
-        t, nbins = self.tenant, self._nbins
-        return (q for q in self._cache.iter_queues()
-                if q.bin_idx // nbins == t)
 
 
 class TenantArbiter(AllocationPolicy):
@@ -154,6 +148,9 @@ class TenantArbiter(AllocationPolicy):
         self._nbins = self.config.num_bins
         self._inners: list[PamaPolicy] = [PamaPolicy(self.config)
                                           for _ in self.tenants]
+        #: every tenant's (queue, its values) in ``cache.queues`` order:
+        #: ``PamaPolicy._scan`` across the inners.
+        self._scan: list[tuple[Queue, ValueAccumulator]] = []
         self.wants_key_hashes = self.config.tracker == "bloom"
         #: tenant id of the request being served; the tenant-tagged
         #: replay loop sets this before every operation.
@@ -180,8 +177,8 @@ class TenantArbiter(AllocationPolicy):
 
     def attach(self, cache: SlabCache) -> None:
         super().attach(cache)
-        for t, inner in enumerate(self._inners):
-            inner.attach(_TenantView(cache, t, self._nbins))
+        for inner in self._inners:
+            inner.attach(_TenantView(cache))
 
     def inner_policy(self, tenant: int) -> PamaPolicy:
         """The per-tenant PAMA instance (diagnostics and tests)."""
@@ -227,6 +224,7 @@ class TenantArbiter(AllocationPolicy):
     # -- event dispatch ------------------------------------------------
     def on_queue_created(self, queue: Queue) -> None:
         self._inners[queue.bin_idx // self._nbins].on_queue_created(queue)
+        self._scan.append((queue, queue.policy_data.values))
 
     def on_hit(self, queue: Queue, item: Item,
                h1: int = 0, h2: int = 0) -> None:
@@ -286,11 +284,13 @@ class TenantArbiter(AllocationPolicy):
         donor: Queue | None = None
         donor_tenant = tenant
         min_out = float("inf")
-        for q in self.cache.iter_queues():
+        for q, values in self._scan:
             if q.slabs < 1:  # cannot donate
                 continue
             d = q.bin_idx // nbins
-            out = q.policy_data.values.outgoing_value()
+            out = values._out_value
+            if out is None:
+                out = values.outgoing_value()
             if d != tenant:
                 # A steal must not break the donor tenant's guarantee.
                 if not allow_cross:

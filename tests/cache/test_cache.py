@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cache import SlabCache, SizeClassConfig
 from repro.cache.errors import InvalidItemError
+from repro.core.pama import PamaPolicy
 from repro.policies.memcached import StaticMemcachedPolicy
 from repro.policies.twemcache import TwemcachePolicy
 
@@ -79,6 +80,30 @@ class TestBasicOps:
             cache.set("k", 4, 10, float("nan"))
         with pytest.raises(InvalidItemError):
             cache.set("k", 4, 10, -0.5)
+
+    def test_set_with_the_class_and_bin_worked_out_already(self):
+        # what the derive pass hands over; a negative one means "absent"
+        plain = small_cache(policy=PamaPolicy())
+        told = small_cache(policy=PamaPolicy())
+        for key, size, penalty in ((1, 50, 0.0005), (2, 900, 0.05),
+                                   (1, 900, 2.0), (3, 50, 0.5)):
+            plain.set(key, 8, size, penalty)
+            item = plain.index[key]
+            assert told.set(key, 8, size, penalty, None, 0.0,
+                              item.class_idx, item.bin_idx)
+            got = told.index[key]
+            assert (got.class_idx, got.bin_idx) \
+                == (item.class_idx, item.bin_idx)
+        assert told.stats == plain.stats
+        assert told.slab_distribution() == plain.slab_distribution()
+        told.check_invariants()
+        # either one absent: everything is validated and looked up here
+        with pytest.raises(InvalidItemError):
+            told.set("k", 8, -2, 0.1, None, 0.0, -1, 0)
+        with pytest.raises(InvalidItemError):
+            told.set("k", 8, 50, float("nan"), None, 0.0, 0, -1)
+        assert not told.set("big", 10, 10_000, 0.1, None, 0.0, -1, 2)
+        assert told.stats.rejected_too_large == 1
 
 
 class TestAllocationMechanics:

@@ -64,6 +64,22 @@ class TestLRUListBasics:
         assert lru.pop_back().key == 2
         assert lru.pop_back() is None
 
+    def test_pop_back_run(self):
+        lru = LRUList()
+        items = [make_item(i) for i in range(5)]
+        for it in items:
+            lru.push_front(it)
+        assert lru.pop_back_run(0) == []
+        assert [it.key for it in lru.pop_back_run(2)] == [0, 1]  # LRU first
+        assert [it.key for it in lru] == [4, 3, 2] and len(lru) == 3
+        assert items[0].prev is None and items[1].next is None
+        lru.check_invariants()
+        # asking for more than there is drains the list and stops
+        assert [it.key for it in lru.pop_back_run(9)] == [2, 3, 4]
+        assert len(lru) == 0 and lru.front is None and lru.back is None
+        assert lru.pop_back_run(1) == []
+        lru.check_invariants()
+
     def test_remove_only_item(self):
         lru = LRUList()
         it = make_item(0)
@@ -143,6 +159,25 @@ class TestObserver:
         assert seen == [("remove", c, a, 3), ("push", None, c, 3)]
         lru.move_to_front(b)  # already the head: nothing to tell
         assert len(seen) == 2
+
+    def test_a_run_tells_the_observer_per_item_lru_first(self):
+        lru = LRUList()
+        seen = []
+
+        class Probe:
+            def on_push_front(self, item):
+                pass
+
+            def on_remove(self, item):
+                seen.append((item.key, item.prev, item.next))
+
+        a, b, c = make_item("a"), make_item("b"), make_item("c")
+        for it in (a, b, c):
+            lru.push_front(it)
+        lru.observer = Probe()
+        lru.pop_back_run(2)
+        # each still linked to what is above it, what was beneath gone
+        assert seen == [("a", b, None), ("b", c, None)]
 
 
 class TestLRUPropertyBased:

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.cache import SizeClassConfig, SlabCache
 from repro.core.config import (DEFAULT_PENALTY_EDGES, PamaConfig)
+from repro.core.pama import PamaPolicy
 
 
 class TestPenaltyBinning:
@@ -44,7 +46,13 @@ class TestConfigValidation:
     def test_segments_from_m(self):
         cfg = PamaConfig(m=2)
         assert cfg.num_segments == 3
-        assert cfg.ghost_depth_segments == 3
+        # the ghost is as deep as the tracked stack bottom
+        policy = PamaPolicy(cfg)
+        cache = SlabCache(8 * 4096, policy, SizeClassConfig(slab_size=4096))
+        cache.set("k", 8, 50, 0.05)
+        state = next(iter(cache.iter_queues())).policy_data
+        assert state.ghost.num_segments == 3
+        assert len(state.values.inc) == 3
 
     def test_m_zero_allowed(self):
         # Fig 10 sweeps m=0: candidate segment only
@@ -55,9 +63,13 @@ class TestConfigValidation:
         cfg = PamaConfig(m=2)
         assert cfg.segment_weights() == [0.5, 0.25, 0.125]
 
-    def test_ghost_override(self):
-        cfg = PamaConfig(m=1, ghost_segments=4)
-        assert cfg.ghost_depth_segments == 4
+    def test_ghost_segments_keyword_refused(self):
+        # It was read by nothing but a test, and any depth past m + 1
+        # crashed add_incoming on the first hit in ghost segment m + 1
+        # (``inc`` and ``weights`` have m + 1 entries).
+        with pytest.raises(TypeError):
+            PamaConfig(m=2, ghost_segments=5)
+        assert not hasattr(PamaConfig(), "ghost_depth_segments")
 
     @pytest.mark.parametrize("kwargs", [
         dict(penalty_edges=()),

@@ -116,3 +116,87 @@ class TestGhostOracle:
             assert [e.key for e in g] == model
             for d, key in enumerate(model):
                 assert g.segment_of(key) == d // seg_len
+
+
+class TestSharedDirectory:
+    """Lists built over one directory: one key set, each entry knowing
+    its list."""
+
+    def test_membership_is_per_list(self):
+        directory = {}
+        a = GhostList(2, 2, directory)
+        b = GhostList(2, 2, directory)
+        a.push("x", 0.1)
+        b.push("y", 0.2)
+        assert set(directory) == {"x", "y"}
+        assert directory["x"].ghost is a and directory["y"].ghost is b
+        assert "x" in a and "x" not in b
+        assert b.lookup("x") is None and b.segment_of("x") == -1
+        assert not b.remove("x") and "x" in a
+        a.check_invariants()
+        b.check_invariants()
+
+    def test_overflow_drops_only_the_own_tail(self):
+        directory = {}
+        a = GhostList(1, 2, directory)
+        b = GhostList(1, 2, directory)
+        b.push("keep", 0.1)
+        assert [a.push(k, 0.1) for k in "pqr"] == [None, None, "p"]
+        assert set(directory) == {"keep", "q", "r"}
+        a.check_invariants()
+        b.check_invariants()
+
+    def test_push_moves_a_key_filed_under_a_sibling(self):
+        directory = {}
+        a = GhostList(2, 2, directory)
+        b = GhostList(2, 2, directory)
+        a.push("x", 0.1)
+        a.push("z", 0.1)
+        b.push("x", 0.3)
+        assert [e.key for e in a] == ["z"] and [e.key for e in b] == ["x"]
+        assert directory["x"].ghost is b and directory["x"].penalty == 0.3
+        a.check_invariants()
+        b.check_invariants()
+
+    def test_clear_keeps_the_siblings_keys(self):
+        directory = {}
+        a = GhostList(2, 2, directory)
+        b = GhostList(2, 2, directory)
+        for k in range(3):
+            a.push(("a", k), 0.1)
+            b.push(("b", k), 0.1)
+        a.clear()
+        assert len(a) == 0 and set(directory) == {("b", k) for k in range(3)}
+        a.check_invariants()
+        b.check_invariants()
+
+    def test_a_list_alone_owns_its_directory(self):
+        a, b = GhostList(2, 2), GhostList(2, 2)
+        a.push("x", 0.1)
+        assert "x" not in b and a.index is not b.index
+
+    @settings(max_examples=60, deadline=None)
+    @given(seg_len=st.integers(1, 3), num_segments=st.integers(1, 3),
+           ops=st.lists(st.tuples(st.sampled_from(["push", "remove"]),
+                                  st.integers(0, 2), st.integers(0, 12)),
+                        max_size=120))
+    def test_three_lists_match_three_lists_alone(self, seg_len, num_segments,
+                                                 ops):
+        # keys are per list (a policy never ghosts a live key twice), so
+        # sharing the directory must change nothing a list can observe
+        directory = {}
+        shared = [GhostList(seg_len, num_segments, directory)
+                  for _ in range(3)]
+        alone = [GhostList(seg_len, num_segments) for _ in range(3)]
+        for op, which, k in ops:
+            key = (which, k)
+            if op == "push":
+                assert shared[which].push(key, 0.1 * k) \
+                    == alone[which].push(key, 0.1 * k)
+            else:
+                assert shared[which].remove(key) == alone[which].remove(key)
+            for s, a in zip(shared, alone):
+                s.check_invariants()
+                assert [(e.key, e.seg, e.penalty) for e in s] \
+                    == [(e.key, e.seg, e.penalty) for e in a]
+            assert len(directory) == sum(len(s) for s in shared)

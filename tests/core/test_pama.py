@@ -229,19 +229,19 @@ class TestIntegrity:
             state.ghost.check_invariants()
             if hasattr(state.tracker, "check_invariants"):
                 state.tracker.check_invariants()
-        # ghost_owner must agree with the per-queue ghosts
-        for key, state in policy.ghost_owner.items():
-            assert key in state.ghost
+        # every filed entry is in the list it names
+        for key, entry in policy.ghost_owner.items():
+            assert key in entry.ghost
+        policy.check_ghost_sync()
 
 
 class TestGhostOwnerSync:
-    """ghost_owner ↔ per-queue ghost lists stay a bijection.
+    """The ghost directory holds exactly what the ghost lists link.
 
-    The on_miss fast path relies on it: a ghost_owner entry whose key
-    is missing from the owning ghost would silently drop incoming
-    value (pre-fix this was an unreachable defensively-coded branch;
-    it is now an asserted invariant, and these property tests drive
-    the op space that has to maintain it).
+    ``ghost_owner`` is the one key index of every subclass's ghost
+    list, so it cannot name a list that does not hold the key; what the
+    op space still has to maintain — and these property tests drive —
+    is that every linked entry is filed and nothing else is.
     """
 
     OPS = ["get", "set", "delete"]
@@ -282,14 +282,30 @@ class TestGhostOwnerSync:
             self._apply(cache, op, key, penalty)
             policy.check_ghost_sync()
 
-    def test_check_ghost_sync_detects_dangling_owner(self):
+    @staticmethod
+    def _ghosted():
         cache, policy = pama_cache(slabs=1)
         per_slab = 4096 // 64
         for i in range(per_slab + 2):
             cache.set(i, 8, 50, 0.0005)
         policy.check_ghost_sync()  # healthy
-        # manufacture the corruption the invariant exists to catch
-        key, state = next(iter(policy.ghost_owner.items()))
-        state.ghost.remove(key)
-        with pytest.raises(AssertionError):
+        return policy
+
+    # The directory and the lists cannot disagree about *which* list
+    # holds a key any more — the entry itself says — but an entry can
+    # still be in one and not the other.
+    def test_check_ghost_sync_detects_linked_but_unfiled(self):
+        policy = self._ghosted()
+        key = next(iter(policy.ghost_owner))
+        del policy.ghost_owner[key]  # still linked in its list
+        with pytest.raises(AssertionError, match="not the directory's"):
+            policy.check_ghost_sync()
+
+    def test_check_ghost_sync_detects_filed_but_unlinked(self):
+        policy = self._ghosted()
+        key, entry = next(iter(policy.ghost_owner.items()))
+        ghost = entry.ghost
+        ghost.remove_entry(entry)
+        policy.ghost_owner[key] = entry  # filed, linked nowhere
+        with pytest.raises(AssertionError, match="directory files"):
             policy.check_ghost_sync()

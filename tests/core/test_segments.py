@@ -160,14 +160,15 @@ def tracked_state(lru, tracker):
 
 class TestFusedMoveToFront:
     """Two tracked lists driven in lockstep, one promoted by the fused
-    ``move_to_front`` and one by ``remove`` + ``push_front``."""
+    ``move_to_front`` and one by ``remove`` + ``push_front``, one
+    drained by ``pop_back_run`` and one by that many ``pop_back``."""
 
     @settings(max_examples=120, deadline=None)
     @given(
         seg_len=st.integers(1, 4),
         num_segments=st.integers(1, 4),
-        ops=st.lists(st.tuples(st.sampled_from(["push", "move", "move", "pop",
-                                                "remove"]),
+        ops=st.lists(st.tuples(st.sampled_from(["push", "push", "move", "move",
+                                                "pop", "remove", "run"]),
                                st.integers(0, 24)), max_size=150),
     )
     def test_same_order_size_segments_and_bounds(self, seg_len, num_segments,
@@ -193,6 +194,15 @@ class TestFusedMoveToFront:
                 victim = fused.pop_back()
                 assert plain.pop_back().key == victim.key
                 del live[victim.key]
+            elif op == "run":
+                run = fused.pop_back_run(k % 7)  # may ask for too many
+                assert len(run) == min(k % 7, len(live))
+                assert [v.key for v in run] \
+                    == [plain.pop_back().key for _ in run]
+                for victim in run:
+                    assert victim.prev is None and victim.next is None
+                    assert victim.seg == -1
+                    del live[victim.key]
             else:
                 a, b = live.pop(sorted(live)[k % len(live)])
                 fused.remove(a)

@@ -4,10 +4,10 @@ scan that recomputed them per decision.
 ``ValueAccumulator`` keeps its outgoing / incoming values between
 mutations, and ``PamaPolicy.resolve_pressure`` (with its replica in
 ``TenantArbiter``) reads ``q.slabs`` and ``q.policy_data.values`` off
-the queues.  The subclasses below decide the way those methods did
-before: ``can_donate()`` per queue, the state looked up in
-``_states[q.qid]``, and every value a fresh ``sum(w * v ...)`` that goes
-around the accumulator's kept result.  A replay that migrates at least
+the queues.  The ``Recomputing*`` classes (``tests/reference_pressure``)
+decide the way those methods did before: ``can_donate()`` per queue,
+the state looked up in ``_states[q.qid]``, and every value a fresh
+``sum(w * v ...)`` that goes around the accumulator's kept result.  A replay that migrates at least
 once per 100 rows must come out ``==``-equal under both — every float
 bit for bit, every counter to the unit.
 """
@@ -24,50 +24,10 @@ from repro.sim.simulator import simulate
 from repro.tenancy import TenantArbiter
 from repro.traces import get_profile
 from repro.traces.synthetic import SyntheticTraceGenerator
+from tests.reference_pressure import RecomputingArbiter, RecomputingScan
 
 ROWS = 40_000
 WINDOW = 5_000
-
-
-def eq2(weights, masses):
-    return sum(w * v for w, v in zip(weights, masses))
-
-
-class RecomputingScan:
-    """``PamaPolicy.resolve_pressure`` as of the parent commit."""
-
-    def resolve_pressure(self, queue, must_migrate):
-        self._maybe_rollover()
-        values = queue.policy_data.values
-        incoming = eq2(values.weights, values.inc)
-
-        donor = None
-        min_out = float("inf")
-        for q in self.cache.iter_queues():
-            if not q.can_donate():
-                continue
-            values = self._states[q.qid].values
-            out = eq2(values.weights, values.out)
-            if out < min_out:
-                donor, min_out = q, out
-        if donor is None:
-            return None
-
-        if donor is queue:
-            self.migrations_declined += 1
-            self._record_decision(queue, donor, incoming, min_out, "self")
-            return queue
-        if incoming <= min_out and not must_migrate:
-            self.migrations_declined += 1
-            self._record_decision(queue, donor, incoming, min_out, "declined")
-            return None
-        if incoming <= min_out:
-            self.migrations_forced += 1
-            self._record_decision(queue, donor, incoming, min_out, "forced")
-        else:
-            self.migrations_approved += 1
-            self._record_decision(queue, donor, incoming, min_out, "approved")
-        return donor
 
 
 class RecomputingPama(RecomputingScan, PamaPolicy):
@@ -76,71 +36,6 @@ class RecomputingPama(RecomputingScan, PamaPolicy):
 
 class RecomputingPrePama(RecomputingScan, PrePamaPolicy):
     pass
-
-
-class RecomputingArbiter(TenantArbiter):
-    """``TenantArbiter.resolve_pressure`` as of the parent commit."""
-
-    def resolve_pressure(self, queue, must_migrate):
-        for inner in self._inners:
-            inner._maybe_rollover()
-        tenant = queue.bin_idx // self._nbins
-        cfg = self.tenants[tenant]
-        values = queue.policy_data.values
-        incoming = eq2(values.weights, values.inc)
-        owned = self.tenant_slabs()
-        nbins = self._nbins
-        allow_cross = (self.allow_steal
-                       and (cfg.cap_slabs is None
-                            or owned[tenant] < cfg.cap_slabs))
-        sla_r = cfg.sla_weight
-
-        donor = None
-        donor_tenant = tenant
-        min_out = float("inf")
-        for q in self.cache.iter_queues():
-            if not q.can_donate():
-                continue
-            d = q.bin_idx // nbins
-            values = q.policy_data.values
-            out = eq2(values.weights, values.out)
-            if d != tenant:
-                if not allow_cross:
-                    continue
-                if owned[d] - 1 < self.tenants[d].reserve_slabs:
-                    continue
-                out *= (self.tenants[d].sla_weight / sla_r) \
-                    * self.steal_margin
-            if out < min_out:
-                donor, donor_tenant, min_out = q, d, out
-        if donor is None:
-            return None
-
-        cross = donor_tenant != tenant
-        if donor is queue:
-            self._inners[tenant].migrations_declined += 1
-            self._record_decision(queue, donor, incoming, min_out, "self")
-            return queue
-        if incoming <= min_out and not must_migrate:
-            self._inners[tenant].migrations_declined += 1
-            if cross:
-                self.steals_declined += 1
-            self._record_decision(queue, donor, incoming, min_out,
-                                  "steal-declined" if cross else "declined")
-            return None
-        if incoming <= min_out:
-            self._inners[tenant].migrations_forced += 1
-            if cross:
-                self.steals_forced += 1
-            self._record_decision(queue, donor, incoming, min_out,
-                                  "steal-forced" if cross else "forced")
-        else:
-            self._inners[tenant].migrations_approved += 1
-            if cross:
-                self.steals_approved += 1
-            self._record_decision(queue, donor, incoming, min_out,
-                                  "steal-approved" if cross else "approved")
-        return donor
 
 
 def _config():
