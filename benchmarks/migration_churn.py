@@ -73,7 +73,7 @@ def main() -> None:
                     tally["returned directly"] += went_to == donor
 
     with tempfile.TemporaryDirectory() as tmp:
-        ct, cache, sim, window_rows = open_workload(
+        ct, cache, sim, window_rows, _passes = open_workload(
             args.workload, args.seed, tmp)
         window = cache.policy.config.value_window
         cache.events = Tally()

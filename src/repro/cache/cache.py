@@ -40,6 +40,46 @@ _COUNTED = (("gets", "GET lookups"), ("hits", "GET hits"),
             ("expired", "items dropped at expiry"))
 
 
+#: ``class_idx`` of a :meth:`SlabCache.lookup` whose caller derived
+#: nothing (-1 and -2 are the derive pass's own sentinels).
+NOT_DERIVED = -3
+
+
+def apply_rows_per_request(cache, rows, fill: bool, note, sized: bool) -> None:
+    """A run of trace rows, one ``lookup``/``set``/``delete`` per request.
+
+    What ``apply_rows`` means, for any cache with the per-request API
+    (:class:`~repro.cluster.cluster.CacheCluster` runs exactly this over
+    its routed operations), and the oracle :meth:`SlabCache.apply_rows`
+    is held equal to.  ``rows`` yields ``(op, key, key_size, value_size,
+    penalty)``; every GET hands ``note`` its outcome — the hit item's
+    size (0 unless ``sized``) or -1 for a miss, which is followed by the
+    fill SET when ``fill``.
+    """
+    lookup, cache_set, cache_delete = cache.lookup, cache.set, cache.delete
+    for op, key, key_size, value_size, penalty in rows:
+        if op == 0:  # GET
+            item = lookup(key, key_size, value_size, penalty)
+            if item is not None:
+                note(item.key_size + item.value_size if sized else 0)
+            else:
+                note(-1)
+                if fill:
+                    cache_set(key, key_size, value_size, penalty)
+        elif op == 1:  # SET
+            cache_set(key, key_size, value_size, penalty)
+        else:  # DELETE
+            cache_delete(key)
+
+
+def _overridden(policy: AllocationPolicy, hook: str):
+    """``policy``'s bound ``hook``, or None when its class kept the
+    base class's no-op."""
+    if getattr(type(policy), hook) is getattr(AllocationPolicy, hook):
+        return None
+    return getattr(policy, hook)
+
+
 class SlabCache:
     """A slab-allocated, policy-driven KV cache.
 
@@ -94,6 +134,13 @@ class SlabCache:
         #: the paper evaluates keeps strict LRU and is never asked.
         self._policy_picks_victims = (
             type(policy).choose_victim is not AllocationPolicy.choose_victim)
+        #: the per-request hooks, bound once: None when the policy's
+        #: class inherits the no-op (memcached, twemcache), so a GET or
+        #: a SET there calls nothing.  A hook is overridden on the
+        #: class; one patched onto an attached instance is not seen.
+        self._on_hit = _overridden(policy, "on_hit")
+        self._on_miss = _overridden(policy, "on_miss")
+        self._on_insert = _overridden(policy, "on_insert")
 
     def attach_obs(self, registry, events=None) -> None:
         """Attach a metrics registry (and optional event trace).
@@ -193,8 +240,7 @@ class SlabCache:
         subsequent fill SET instead.
 
         This is the compatibility wrapper; :meth:`lookup` is the same
-        operation with scalar arguments (no tuple to build or unpack on
-        the replay hot path).
+        operation with scalar arguments (no tuple to build or unpack).
         """
         if miss_info is None:
             return self.lookup(key, -1, 0, math.nan)
@@ -202,24 +248,39 @@ class SlabCache:
         return self.lookup(key, key_size, value_size, penalty)
 
     def lookup(self, key: object, key_size: int, value_size: int,
-               penalty: float) -> Item | None:
-        """GET with scalar miss accounting — the replay engine hot path.
+               penalty: float, h1: int = 0, h2: int = 0,
+               class_idx: int = NOT_DERIVED, bin_idx: int = -1) -> Item | None:
+        """GET with scalar miss accounting — the per-request entry point.
 
         ``key_size < 0`` means "miss details unknown" (the plain
         ``get(key)`` server path): the miss is counted but no per-queue
         miss accounting happens.  Behaviour is identical to
         :meth:`get`; only the calling convention differs.
+
+        The remaining arguments are the derive pass's columns
+        (:mod:`repro.sim.derive`), for a caller that has them; each
+        absent one is computed here, so results do not depend on them:
+
+        * ``(h1, h2)`` — the key's base hash pair.  A real ``h2`` is
+          odd; 0 means absent, and the key is hashed here when the
+          policy wants hashes;
+        * ``class_idx`` — the size class of ``key_size + value_size``;
+          ``-1`` when the item is too large or ``key_size < 0``, ``-2``
+          when the sizes are invalid (non-positive) and the scalar
+          path's :class:`InvalidItemError` must be raised,
+          :data:`NOT_DERIVED` when absent;
+        * ``bin_idx`` — ``policy.bin_for(penalty)``, valid only for
+          policies with static :meth:`~repro.policies.base.AllocationPolicy.bin_edges`;
+          ``-1`` asks ``bin_for`` (absent, or a NaN/negative penalty, so
+          invalid input raises exactly where it always did).
         """
         self.accesses += 1
         stats = self.stats
-        stats.gets += 1
-        if self._wants_hashes:
+        if h2 == 0 and self._wants_hashes:
             # Hash-once: the single place a request's key meets the hash
             # function; every Bloom probe downstream reuses this pair.
             h1 = hash_key(key, 0)
             h2 = hash_key(key, PAIR_SEED_DELTA) | 1
-        else:
-            h1 = h2 = 0
         self._in_operation = True
         try:
             item = self.index.get(key)
@@ -229,92 +290,26 @@ class SlabCache:
                 stats.expired += 1
                 item = None
             if item is not None:
-                queue = self.queues[(item.class_idx, item.bin_idx)]
-                qstats = queue.stats
-                qstats.gets += 1
-                qstats.hits += 1
+                queue = item.queue
+                queue.stats.hits += 1
                 stats.hits += 1
-                self.policy.on_hit(queue, item, h1, h2)
-                queue.lru.move_to_front(item)
-                item.last_access = self.accesses
-                return item
-            # miss
-            stats.misses += 1
-            class_idx = -1
-            if key_size >= 0:
-                class_idx = self._class_memo.get(key_size + value_size)
-                if class_idx is None:
-                    try:
-                        class_idx = self.size_classes.class_for_size(
-                            key_size + value_size)
-                    except ItemTooLargeError:
-                        class_idx = -1
-                if penalty == penalty:  # not NaN
-                    stats.total_miss_penalty += penalty
-                    bin_idx = self.policy.bin_for(penalty)
-                else:
-                    bin_idx = 0
-                if class_idx >= 0:
-                    q = self.queues.get((class_idx, bin_idx))
-                    if q is None:
-                        q = self.queue_for(class_idx, bin_idx)
-                    qstats = q.stats
-                    qstats.gets += 1
-                    qstats.misses += 1
-            self.policy.on_miss(key, class_idx, penalty, h1, h2)
-            return None
-        finally:
-            self._in_operation = False
-            if self._pending_migrations:
-                self._flush_migrations()
-
-    def lookup_hashed(self, key: object, key_size: int, value_size: int,
-                      penalty: float, h1: int, h2: int,
-                      class_idx: int, bin_idx: int) -> Item | None:
-        """:meth:`lookup` with the derived columns precomputed.
-
-        The derive pass (:mod:`repro.sim.derive`) supplies per-request
-        values this method would otherwise compute:
-
-        * ``(h1, h2)`` — the key's base hash pair (``0, 0`` when the
-          policy does not want hashes, exactly like :meth:`lookup`);
-        * ``class_idx`` — the size class for ``key_size + value_size``;
-          ``-1`` when the item is too large or ``key_size < 0``, ``-2``
-          when the sizes are invalid (non-positive) and the scalar
-          path's :class:`InvalidItemError` must be re-raised;
-        * ``bin_idx`` — ``policy.bin_for(penalty)``, valid only for
-          policies with static :meth:`~repro.policies.base.AllocationPolicy.bin_edges`;
-          ``-1`` re-dispatches to ``bin_for`` (NaN/negative penalties,
-          so invalid input raises exactly where the scalar path does).
-
-        Behaviour is identical to :meth:`lookup`; only the computation
-        is hoisted out of the per-request path.
-        """
-        self.accesses += 1
-        stats = self.stats
-        stats.gets += 1
-        self._in_operation = True
-        try:
-            item = self.index.get(key)
-            if item is not None and item.expires_at \
-                    and self.clock() >= item.expires_at:
-                self._unlink(item)
-                stats.expired += 1
-                item = None
-            if item is not None:
-                queue = self.queues[(item.class_idx, item.bin_idx)]
-                qstats = queue.stats
-                qstats.gets += 1
-                qstats.hits += 1
-                stats.hits += 1
-                self.policy.on_hit(queue, item, h1, h2)
+                if self._on_hit is not None:
+                    self._on_hit(queue, item, h1, h2)
                 queue.lru.move_to_front(item)
                 item.last_access = self.accesses
                 return item
             # miss
             stats.misses += 1
             if key_size >= 0:
-                if class_idx == -2:
+                if class_idx == NOT_DERIVED:
+                    class_idx = self._class_memo.get(key_size + value_size)
+                    if class_idx is None:
+                        try:
+                            class_idx = self.size_classes.class_for_size(
+                                key_size + value_size)
+                        except ItemTooLargeError:
+                            class_idx = -1
+                elif class_idx == -2:
                     # invalid sizes: raise the scalar path's error
                     self.size_classes.class_for_size(key_size + value_size)
                 if penalty == penalty:  # not NaN
@@ -324,13 +319,74 @@ class SlabCache:
                 else:
                     bin_idx = 0
                 if class_idx >= 0:
-                    q = self.queue_for(class_idx, bin_idx)
-                    q.stats.gets += 1
+                    q = self.queues.get((class_idx, bin_idx))
+                    if q is None:
+                        q = self.queue_for(class_idx, bin_idx)
                     q.stats.misses += 1
             else:
                 class_idx = -1
-            self.policy.on_miss(key, class_idx, penalty, h1, h2)
+            if self._on_miss is not None:
+                self._on_miss(key, class_idx, penalty, h1, h2)
             return None
+        finally:
+            self._in_operation = False
+            if self._pending_migrations:
+                self._flush_migrations()
+
+    def apply_rows(self, rows, fill: bool, note, sized: bool) -> None:
+        """Apply a run of trace rows — the loop the replay kernel runs.
+
+        :func:`apply_rows_per_request` with the plain GET hit handled in
+        this frame, from locals: after a probe of the index that only
+        reads, what :meth:`lookup` does for a hit, in its order, once
+        per hit.  Everything else — a miss, an item that can expire,
+        SET, DELETE — goes through :meth:`lookup` / :meth:`set` /
+        :meth:`delete` whole.  ``accesses`` is stored before any hook
+        runs; a migration requested from inside ``on_hit`` waits until
+        the item is promoted and stamped, as it does in :meth:`lookup`;
+        an exception leaves the rows before it applied and
+        ``_in_operation`` clear.
+        """
+        index_get = self.index.get
+        stats = self.stats
+        on_hit = self._on_hit
+        wants_hashes = self._wants_hashes
+        lookup, cache_set, cache_delete = self.lookup, self.set, self.delete
+        h1 = h2 = 0
+        try:
+            for op, key, key_size, value_size, penalty in rows:
+                if op == 0:  # GET
+                    item = index_get(key)
+                    if item is None or item.expires_at:
+                        item = lookup(key, key_size, value_size, penalty)
+                        if item is None:
+                            note(-1)
+                            if fill:
+                                cache_set(key, key_size, value_size, penalty)
+                            continue
+                    else:
+                        self.accesses = tick = self.accesses + 1
+                        if wants_hashes:
+                            h1 = hash_key(key, 0)
+                            h2 = hash_key(key, PAIR_SEED_DELTA) | 1
+                        queue = item.queue
+                        queue.stats.hits += 1
+                        stats.hits += 1
+                        if on_hit is not None:
+                            self._in_operation = True
+                            on_hit(queue, item, h1, h2)
+                            self._in_operation = False
+                        lru = queue.lru
+                        if lru.head is not item:
+                            lru.move_to_front(item)
+                        item.last_access = tick
+                        if self._pending_migrations:
+                            self._flush_migrations()
+                    note(item.key_size + item.value_size if sized else 0)
+                elif op == 1:  # SET
+                    cache_set(key, key_size, value_size, penalty)
+                else:  # DELETE
+                    cache_delete(key)
         finally:
             self._in_operation = False
             if self._pending_migrations:
@@ -384,7 +440,7 @@ class SlabCache:
             if queue is None:
                 queue = self.queue_for(class_idx, bin_idx)
             item = Item(key, key_size, value_size, penalty, class_idx,
-                        bin_idx, value, expires_at)
+                        bin_idx, value, expires_at, queue)
             lru = queue.lru
             if queue.slabs * queue.slots_per_slab - lru.size < 1:
                 try:
@@ -399,7 +455,8 @@ class SlabCache:
             self.index[key] = item
             queue.stats.sets += 1
             self.stats.sets += 1
-            self.policy.on_insert(queue, item)
+            if self._on_insert is not None:
+                self._on_insert(queue, item)
             return True
         finally:
             self._in_operation = False
@@ -489,7 +546,7 @@ class SlabCache:
         victim = (self.policy.choose_victim(queue)
                   if self._policy_picks_victims else None)
         if victim is not None:
-            if (victim.class_idx, victim.bin_idx) != queue.qid:
+            if victim.queue is not queue:
                 raise PolicyError(
                     f"policy chose victim {victim.key!r} from queue "
                     f"{(victim.class_idx, victim.bin_idx)}, not {queue.qid}")
@@ -605,7 +662,7 @@ class SlabCache:
 
     def _unlink(self, item: Item) -> None:
         """Remove an item from its queue and the index (not an eviction)."""
-        queue = self.queues[(item.class_idx, item.bin_idx)]
+        queue = item.queue
         queue.lru.remove(item)
         del self.index[item.key]
         self.policy.on_remove(queue, item)

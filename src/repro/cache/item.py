@@ -18,6 +18,9 @@ class Item:
         penalty: the miss penalty of this key in seconds — the time the
             backend needs to recompute the value.  PAMA bins on this.
         class_idx / bin_idx: the queue this item currently lives in.
+        queue: that :class:`~repro.cache.queue.Queue` itself, stamped by
+            ``SlabCache.set`` (None on an item no cache stored), so a hit
+            or an unlink reads it instead of probing ``cache.queues``.
         last_access: cache access tick of the most recent GET hit or SET
             (the "age" used by the Facebook rebalancer).
         value: optional payload (only the real server stores one; the
@@ -26,17 +29,19 @@ class Item:
 
     __slots__ = ("key", "key_size", "value_size", "penalty", "class_idx",
                  "bin_idx", "last_access", "value", "prev", "next", "seg",
-                 "expires_at", "cas")
+                 "expires_at", "cas", "queue")
 
     def __init__(self, key: object, key_size: int, value_size: int,
                  penalty: float, class_idx: int = -1, bin_idx: int = 0,
-                 value: object = None, expires_at: float = 0.0) -> None:
+                 value: object = None, expires_at: float = 0.0,
+                 queue=None) -> None:
         self.key = key
         self.key_size = key_size
         self.value_size = value_size
         self.penalty = penalty
         self.class_idx = class_idx
         self.bin_idx = bin_idx
+        self.queue = queue
         self.last_access = 0
         self.value = value
         #: absolute expiry time in seconds (0.0 = never expires).

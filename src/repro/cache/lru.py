@@ -6,7 +6,7 @@ allocation.  Order convention: **front = MRU, back = LRU** (the paper's
 "stack top" is the front, "stack bottom" the back).
 
 An observer (PAMA's segment tracker) can subscribe to structural
-changes; callbacks fire *after* the list is consistent.
+changes: one callback per change, see :class:`LRUObserver`.
 """
 
 from __future__ import annotations
@@ -21,12 +21,18 @@ class LRUObserver(Protocol):
 
     ``on_push_front`` fires after the item is linked at the front;
     ``on_remove`` fires *before* the item is unlinked, so the observer
-    can still read ``item.prev``/``item.next``.
+    can still read ``item.prev``/``item.next``.  A promotion
+    (:meth:`LRUList.move_to_front`) is one ``on_promote``, fired like a
+    removal — before anything moves, links intact — and standing for
+    that removal and the push to the front that follows it; it does not
+    fire for an item that already is the head.
     """
 
     def on_push_front(self, item: Item) -> None: ...
 
     def on_remove(self, item: Item) -> None: ...
+
+    def on_promote(self, item: Item) -> None: ...
 
 
 class LRUList:
@@ -72,15 +78,17 @@ class LRUList:
     def move_to_front(self, item: Item) -> None:
         """Promote ``item`` to MRU (the LRU 'hit' operation).
 
-        :meth:`remove` then :meth:`push_front` in one body: same
-        observer callbacks at the same points, ``size`` untouched.
+        :meth:`remove` then :meth:`push_front` in one body, ``size``
+        untouched, and one observer callback for the pair:
+        ``on_promote(item)`` while the item is still linked where it
+        was.  The head is left alone and the observer hears nothing.
         """
         head = self.head
         if head is item:
             return
         observer = self.observer
         if observer is not None:
-            observer.on_remove(item)
+            observer.on_promote(item)
         # Not the head, so there is a predecessor.
         prev, nxt = item.prev, item.next
         prev.next = nxt
@@ -92,8 +100,6 @@ class LRUList:
         item.next = head
         head.prev = item
         self.head = item
-        if observer is not None:
-            observer.on_push_front(item)
 
     def pop_back(self) -> Item | None:
         """Remove and return the LRU item, or None if empty."""

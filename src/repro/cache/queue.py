@@ -69,6 +69,7 @@ class Queue:
         for item in self.lru:
             assert isinstance(item, Item)
             assert (item.class_idx, item.bin_idx) == self.qid
+            assert item.queue is self
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"Queue(q={self.qid}, slabs={self.slabs}, "

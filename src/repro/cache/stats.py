@@ -7,9 +7,12 @@ from dataclasses import dataclass
 
 @dataclass
 class QueueStats:
-    """Per-queue (class, penalty-bin) counters."""
+    """Per-queue (class, penalty-bin) counters.
 
-    gets: int = 0
+    Every GET accounted to the queue bumps exactly one of ``hits`` and
+    ``misses``; ``gets`` is their sum.
+    """
+
     hits: int = 0
     misses: int = 0
     sets: int = 0
@@ -18,19 +21,22 @@ class QueueStats:
     slabs_donated: int = 0
 
     @property
+    def gets(self) -> int:
+        return self.hits + self.misses
+
+    @property
     def hit_ratio(self) -> float:
         return self.hits / self.gets if self.gets else 0.0
-
-    def reset_window(self) -> None:
-        """Zero the rate-style counters (policies track deltas themselves)."""
-        self.gets = self.hits = self.misses = self.sets = 0
 
 
 @dataclass
 class CacheStats:
-    """Global cache counters plus service-time accumulation."""
+    """Global cache counters plus service-time accumulation.
 
-    gets: int = 0
+    Every GET bumps exactly one of ``hits`` and ``misses``; ``gets`` is
+    their sum.
+    """
+
     hits: int = 0
     misses: int = 0
     sets: int = 0
@@ -43,6 +49,10 @@ class CacheStats:
     flushes: int = 0
     #: sum of miss penalties over all GET misses with known penalty (s).
     total_miss_penalty: float = 0.0
+
+    @property
+    def gets(self) -> int:
+        return self.hits + self.misses
 
     @property
     def hit_ratio(self) -> float:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.cache.cache import SlabCache
+from repro.cache.cache import SlabCache, apply_rows_per_request
 from repro.cache.item import Item
 from repro.cache.sizeclasses import SizeClassConfig
 from repro.cache.stats import CacheStats
@@ -160,6 +160,11 @@ class CacheCluster:
             key, lambda node: node.lookup(key, key_size, value_size, penalty),
             None, "get")
 
+    def apply_rows(self, rows, fill: bool, note, sized: bool) -> None:
+        """A run of trace rows (:meth:`SlabCache.apply_rows`), each
+        request routed on its own."""
+        apply_rows_per_request(self, rows, fill, note, sized)
+
     def set(self, key: object, key_size: int, value_size: int,
             penalty: float, value: object = None) -> bool:
         if self.faults is None:
@@ -302,7 +307,6 @@ class CacheCluster:
         total = CacheStats()
         for node in self.nodes.values():
             s = node.stats
-            total.gets += s.gets
             total.hits += s.hits
             total.misses += s.misses
             total.sets += s.sets

@@ -97,6 +97,9 @@ class BloomSegmentTracker:
     def on_remove(self, item: Item) -> None:
         pass
 
+    def on_promote(self, item: Item) -> None:
+        item.seg = -1
+
     # -- maintenance ----------------------------------------------------------
     def rebuild(self) -> None:
         """Repopulate the per-segment filters by walking the stack bottom.

@@ -106,6 +106,40 @@ class SegmentTracker:
             bounds[s] = item.prev
         item.seg = -1
 
+    def on_promote(self, item: Item) -> None:
+        # The boundary walk of on_remove and the placement of
+        # on_push_front in one body; links intact, ``n`` is unchanged.
+        s = item.seg
+        bounds = self.bounds
+        m = self.num_segments
+        if s < 0:
+            # Above the tracked region and not the head, so the stack
+            # still reaches past the region once the item is on top:
+            # it stays untracked.
+            if bounds[m] is item:
+                bounds[m] = item.prev
+            return
+        for k in range(s + 1, m + 1):
+            node = bounds[k]
+            if node is None:
+                break
+            node.seg = k - 1
+            bounds[k] = node.prev
+        if bounds[s] is item:
+            bounds[s] = item.prev
+        d = self.n - 1  # the bottom-distance of the front
+        limit = self.limit
+        if d > limit:
+            item.seg = -1
+        elif d < limit:
+            seg_len = self.seg_len
+            item.seg = seg = d // seg_len
+            if d % seg_len == 0:
+                bounds[seg] = item
+        else:
+            item.seg = -1
+            bounds[m] = item
+
     # -- verification -------------------------------------------------------
     def check_invariants(self) -> None:
         """Compare against a brute-force recomputation (tests only)."""

@@ -93,7 +93,6 @@ class ShardSet:
         total = CacheStats()
         for cache in self.shards:
             s = cache.stats
-            total.gets += s.gets
             total.hits += s.hits
             total.misses += s.misses
             total.sets += s.sets

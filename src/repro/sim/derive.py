@@ -6,8 +6,8 @@ hash pair (twice per request for Bloom-tracked policies), the size
 class of ``key_size + value_size`` (a memo-dict probe), and the penalty
 bin (another memo probe).  This module computes all of them **per trace
 window** as NumPy column operations, and the simulator threads the
-derived columns into :meth:`repro.cache.cache.SlabCache.lookup_hashed`
-/ :meth:`~repro.cache.cache.SlabCache.set` so the innermost loop does
+derived columns into :meth:`repro.cache.cache.SlabCache.lookup` /
+:meth:`~repro.cache.cache.SlabCache.set` so the innermost loop does
 table lookups only.
 
 Every array helper here agrees element-wise with its scalar reference
@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.bloom.hashing import (hash_key_array, hash_pair_arrays,
                                  key_shard_array)
+from repro.cache.cache import SlabCache
 from repro.traces.record import iter_windows
 
 __all__ = ["hash_key_array", "hash_pair_arrays", "key_shard_array",
@@ -113,11 +114,11 @@ def derive_unsupported_reason(cache, policy, *, faults=None, timeline=None,
                               hist=None, wants_tenants=False) -> str | None:
     """Why the derive pass cannot run this replay, or ``None`` if it can.
 
-    The derive loop covers the plain replay: a :class:`SlabCache`-style
-    cache exposing the precomputed entry points, a policy with static
-    penalty binning, and none of fault injection, timelines,
-    service-time histograms or tenant tagging, whose side channels the
-    scalar loops own.
+    The derive loop covers the plain replay: a :class:`SlabCache`
+    (its ``lookup`` and ``set`` take the derived columns; a cluster's
+    routed ones do not), a policy with static penalty binning, and none
+    of fault injection, timelines, service-time histograms or tenant
+    tagging, whose side channels the scalar loops own.
     """
     if wants_tenants:
         return "tenant-tagged replay uses the scalar tenant loop"
@@ -127,8 +128,8 @@ def derive_unsupported_reason(cache, policy, *, faults=None, timeline=None,
         return "timeline recording runs on the scalar kernel"
     if hist is not None:
         return "service-time histograms run on the scalar kernel"
-    if not hasattr(cache, "lookup_hashed"):
-        return f"{type(cache).__name__} has no derived-column fast path"
+    if not isinstance(cache, SlabCache):
+        return f"{type(cache).__name__} does not take derived columns"
     edges = getattr(policy, "bin_edges", lambda: None)()
     if edges is None:
         return (f"policy {policy.name!r} bins penalties dynamically "

@@ -267,17 +267,17 @@ class Simulator:
         """The derived replay loop over 10-column rows.
 
         Dispatches every request with its precomputed columns
-        (:meth:`~repro.cache.cache.SlabCache.lookup_hashed`, and
-        :meth:`~repro.cache.cache.SlabCache.set` given the class and
-        bin).  ``set`` takes a derive sentinel (unknown/invalid class,
-        invalid penalty) as "not given" and validates the row itself; a
+        (:meth:`~repro.cache.cache.SlabCache.lookup` and
+        :meth:`~repro.cache.cache.SlabCache.set`, each given them).
+        ``set`` takes a derive sentinel (unknown/invalid class, invalid
+        penalty) as "not given" and validates the row itself; a
         negative value size, which a SET must reject but which can sum
         to a valid class, is handed over as one — so validation errors
         raise exactly as the scalar loop raises them.
         """
         cache = self.cache
         fill = self.fill_on_miss
-        lookup_hashed = cache.lookup_hashed
+        lookup = cache.lookup
         cache_set = cache.set
         cache_delete = cache.delete
         record_hit = metrics.record_hit
@@ -287,8 +287,8 @@ class Simulator:
             for (op, key, key_size, value_size, penalty, miss_cost,
                  h1, h2, class_idx, bin_idx) in rows:
                 if op == 0:  # GET
-                    if lookup_hashed(key, key_size, value_size, penalty,
-                                     h1, h2, class_idx, bin_idx) is not None:
+                    if lookup(key, key_size, value_size, penalty,
+                              h1, h2, class_idx, bin_idx) is not None:
                         record_hit(hit_cost)
                     else:
                         record_miss(miss_cost)
@@ -307,8 +307,8 @@ class Simulator:
             for (op, key, key_size, value_size, penalty, miss_cost,
                  h1, h2, class_idx, bin_idx) in rows:
                 if op == 0:  # GET
-                    item = lookup_hashed(key, key_size, value_size, penalty,
-                                         h1, h2, class_idx, bin_idx)
+                    item = lookup(key, key_size, value_size, penalty,
+                                  h1, h2, class_idx, bin_idx)
                     if item is not None:
                         record_hit(service_hit(item.total_size))
                     else:
@@ -428,8 +428,9 @@ class Simulator:
         """The fault-free kernel: cache operations and one outcome per GET.
 
         Per trace window, the rows up to the next *closing row* run in
-        a loop that records nothing; their GET costs are then one array
-        (the window's miss costs, the hit cost written over the hits)
+        the cache's own loop (``cache.apply_rows``), which records
+        nothing but one outcome per GET; their GET costs are then one
+        array (the window's miss costs, the hit cost written over the hits)
         that the collector, the histograms and the timeline reduce
         through their ``record_many``.  A closing row is one on which a
         metrics window or a timeline row closes — the
@@ -442,7 +443,7 @@ class Simulator:
         """
         cache = self.cache
         fill = self.fill_on_miss
-        lookup, cache_set, cache_delete = cache.lookup, cache.set, cache.delete
+        apply_rows = cache.apply_rows
         # hit costs need the item's size only when they depend on it
         sized = (service.bandwidth is not None
                  or type(service).hit is not ServiceTimeModel.hit)
@@ -465,20 +466,7 @@ class Simulator:
                     stop = int(get_rows[closing_get])
                 if timeline is not None:
                     stop = min(stop, max(at, timeline.next_close - base))
-                for op, key, key_size, value_size, penalty in islice(
-                        rows, stop - at):
-                    if op == 0:  # GET
-                        item = lookup(key, key_size, value_size, penalty)
-                        if item is not None:
-                            note(item.total_size if sized else 0)
-                        else:
-                            note(-1)
-                            if fill:
-                                cache_set(key, key_size, value_size, penalty)
-                    elif op == 1:  # SET
-                        cache_set(key, key_size, value_size, penalty)
-                    else:  # DELETE
-                        cache_delete(key)
+                apply_rows(islice(rows, stop - at), fill, note, sized)
                 if got:
                     outcome = np.array(got)
                     got.clear()

@@ -255,3 +255,96 @@ class TestPropertyBasedWorkload:
                 cache.delete(key)
         cache.check_invariants()
         assert cache.stats.gets == sum(1 for o in ops if o[0] == "get")
+
+
+class TestOneEntryPointPerOperation:
+    """``lookup`` takes the derive pass's columns as optional arguments;
+    what is absent it computes, so the outcome does not depend on them."""
+
+    def twins(self):
+        return small_cache(policy=PamaPolicy()), small_cache(policy=PamaPolicy())
+
+    def test_derived_columns_change_nothing(self):
+        plain, derived = self.twins()
+        for cache in (plain, derived):
+            cache.set("k", 4, 100, 0.05)
+        class_idx = plain.size_classes.class_for_size(104)
+        bin_idx = plain.policy.bin_for(0.05)
+        assert plain.lookup("k", 4, 100, 0.05) is not None
+        assert derived.lookup("k", 4, 100, 0.05, 0, 0,
+                              class_idx, bin_idx) is not None
+        assert plain.lookup("absent", 4, 100, 0.05) is None
+        assert derived.lookup("absent", 4, 100, 0.05, 0, 0,
+                              class_idx, bin_idx) is None
+        # too large: class -1, no queue accounted; NaN penalty: bin 0
+        assert plain.lookup("huge", 4, 1 << 20, math.nan) is None
+        assert derived.lookup("huge", 4, 1 << 20, math.nan, 0, 0, -1, -1) is None
+        assert plain.stats == derived.stats
+        assert ({q: s.stats for q, s in plain.queues.items()}
+                == {q: s.stats for q, s in derived.queues.items()})
+
+    def test_the_invalid_size_sentinel_raises_the_scalar_error(self):
+        plain, derived = self.twins()
+        with pytest.raises(InvalidItemError):
+            plain.lookup("absent", 4, -4, 0.05)
+        with pytest.raises(InvalidItemError):
+            derived.lookup("absent", 4, -4, 0.05, 0, 0, -2, 0)
+        assert plain.stats == derived.stats
+        assert not plain._in_operation and not derived._in_operation
+
+    def test_a_negative_bin_asks_the_policy(self):
+        plain, derived = self.twins()
+        with pytest.raises(ValueError):
+            plain.lookup("absent", 4, 100, -1.0)
+        with pytest.raises(ValueError):
+            derived.lookup("absent", 4, 100, -1.0, 0, 0, 1, -1)
+
+
+class TestWhatAHitReads:
+    def test_gets_is_hits_plus_misses_and_cannot_be_assigned(self):
+        cache = small_cache()
+        cache.set("k", 4, 100, 0.05)
+        cache.get("k")
+        cache.lookup("absent", 4, 100, 0.05)
+        queue = cache.index["k"].queue
+        assert (cache.stats.hits, cache.stats.misses, cache.stats.gets) == (1, 1, 2)
+        assert (queue.stats.hits, queue.stats.misses, queue.stats.gets) == (1, 1, 2)
+        assert cache.stats.snapshot()["gets"] == 2
+        with pytest.raises(AttributeError):
+            cache.stats.gets = 5
+        with pytest.raises(AttributeError):
+            queue.stats.gets = 5
+
+    def test_an_item_carries_its_queue(self):
+        cache = small_cache()
+        cache.set("k", 4, 100, 0.05)
+        item = cache.index["k"]
+        assert item.queue is cache.queues[(item.class_idx, item.bin_idx)]
+        cache.set("k", 4, 1000, 0.05)   # replaced into another class
+        moved = cache.index["k"]
+        assert moved.queue is not item.queue
+        assert moved.queue is cache.queues[(moved.class_idx, moved.bin_idx)]
+        cache.check_invariants()
+
+    def test_hooks_are_bound_at_attach_and_none_when_inherited(self):
+        static = small_cache()
+        assert (static._on_hit, static._on_miss, static._on_insert) \
+            == (None, None, None)
+        policy = PamaPolicy()
+        pama = small_cache(policy=policy)
+        assert pama._on_hit == policy.on_hit
+        assert pama._on_miss == policy.on_miss
+        assert pama._on_insert == policy.on_insert
+
+        class CountsHits(StaticMemcachedPolicy):
+            hits = 0
+
+            def on_hit(self, queue, item, h1=0, h2=0):
+                self.hits += 1
+
+        counting = small_cache(policy=CountsHits())
+        counting.set("k", 4, 100, 0.05)
+        counting.get("k")
+        counting.apply_rows(iter([(0, "k", 4, 100, 0.05)]), True,
+                            [].append, False)
+        assert counting.policy.hits == 2 and counting._on_miss is None

@@ -101,6 +101,9 @@ class RecordingObserver:
         assert item.prev is not None or item.next is not None or True
         self.events.append(("remove", item.key))
 
+    def on_promote(self, item):
+        self.events.append(("promote", item.key))
+
 
 class TestObserver:
     def test_events_fire(self):
@@ -114,7 +117,7 @@ class TestObserver:
         lru.remove(b)
         assert obs.events == [
             ("push", "a"), ("push", "b"),
-            ("remove", "a"), ("push", "a"),
+            ("promote", "a"),
             ("remove", "b"),
         ]
 
@@ -149,16 +152,25 @@ class TestObserver:
             def on_remove(self, item):
                 seen.append(("remove", item.prev, item.next, lru.size))
 
+            def on_promote(self, item):
+                seen.append(("promote", item.prev, item.next, lru.head,
+                             lru.size))
+
         a, b, c = make_item("a"), make_item("b"), make_item("c")
         for it in (a, b, c):
             lru.push_front(it)
         lru.observer = Probe()
         lru.move_to_front(b)
-        # removed while still between c and a, pushed once linked at the
-        # front; the length is the list's at both moments
-        assert seen == [("remove", c, a, 3), ("push", None, c, 3)]
+        # one callback for the removal and the push together, while the
+        # item is still between c and a and c is still the head
+        assert seen == [("promote", c, a, c, 3)]
+        assert [it.key for it in lru] == ["b", "c", "a"]
         lru.move_to_front(b)  # already the head: nothing to tell
-        assert len(seen) == 2
+        assert len(seen) == 1
+        lru.move_to_front(a)  # the tail: told before the tail moves
+        assert seen[1:] == [("promote", c, None, b, 3)]
+        assert lru.back is c
+        lru.check_invariants()
 
     def test_a_run_tells_the_observer_per_item_lru_first(self):
         lru = LRUList()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro._util import MIB
-from repro.cache import SizeClassConfig
+from repro.cache import SizeClassConfig, SlabCache
 from repro.cluster import CacheCluster
 from repro.core import PamaPolicy
 from repro.policies import StaticMemcachedPolicy
@@ -128,3 +128,24 @@ class TestClusterSimulation:
         four = run(["a", "b", "c", "d"], 2 * MIB)
         # sharding costs a little (per-node fragmentation) but not much
         assert four > one - 0.15
+
+    def test_a_one_node_cluster_replays_like_its_node_alone(self):
+        # the kernel hands the cluster runs of rows; it applies them
+        # through its routed per-request operations
+        trace = generate(ETC.scaled(0.02), 20_000, seed=8)
+        classes = SizeClassConfig(slab_size=64 << 10)
+        cluster = CacheCluster(["a"], capacity_bytes=4 * MIB,
+                               policy_factory=PamaPolicy,
+                               size_classes=classes)
+        alone = SlabCache(4 * MIB, PamaPolicy(), classes)
+        routed = simulate(trace, cluster, window_gets=5_000)
+        direct = simulate(trace, alone, window_gets=5_000)
+        assert routed.windows == direct.windows
+        assert routed.cache_stats == direct.cache_stats
+        assert cluster.stats.gets == trace.num_gets
+
+    def test_the_derive_pass_names_the_cluster_as_its_reason(self):
+        cluster = small_cluster()
+        trace = generate(ETC.scaled(0.02), 2_000, seed=8)
+        with pytest.raises(ValueError, match="CacheCluster"):
+            simulate(trace, cluster, derive=True)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cache.item import Item
 from repro.cache.lru import LRUList
 from repro.core.segments import SegmentTracker
+from tests.reference_pressure import two_callback_move_to_front
 
 
 def make_item(key):
@@ -240,4 +241,57 @@ class TestFusedMoveToFront:
         assert lru.back is b and b.next is None and a.prev is None
         assert (a.seg, b.seg) == (1, 0)
         lru.check_invariants()
+        tracker.check_invariants()
+
+
+class TestOnPromote:
+    """``on_promote`` against the ``on_remove`` + ``on_push_front`` it
+    stands for: two tracked lists in lockstep, one promoted by
+    ``move_to_front``, the other the two-callback way, for every stack
+    length up to past the tracked region and every pair of positions —
+    so short stacks (n <= limit), an item sitting on each boundary, the
+    first untracked item and ``seg_len == 1`` are all among them.
+    (``TestFusedMoveToFront`` mixes promotions with pushes, pops, removals
+    and runs at random, against ``remove`` + ``push_front``.)"""
+
+    @pytest.mark.parametrize("seg_len", [1, 2, 3])
+    @pytest.mark.parametrize("num_segments", [1, 2, 3])
+    def test_every_length_and_pair_of_positions(self, seg_len, num_segments):
+        limit = seg_len * num_segments
+        for n in range(1, limit + 4):
+            for first in range(n):
+                for second in range(n):
+                    one, one_tracker = tracked_list(seg_len, num_segments)
+                    two, two_tracker = tracked_list(seg_len, num_segments)
+                    ones = [make_item(i) for i in range(n)]
+                    twos = [make_item(i) for i in range(n)]
+                    for a, b in zip(ones, twos):
+                        one.push_front(a)
+                        two.push_front(b)
+                    for at in (first, second):
+                        one.move_to_front(ones[at])
+                        two_callback_move_to_front(two, twos[at])
+                        one.check_invariants()
+                        one_tracker.check_invariants()
+                        assert (tracked_state(one, one_tracker)
+                                == tracked_state(two, two_tracker))
+
+    def test_the_first_untracked_item_hands_the_boundary_up(self):
+        lru, tracker = tracked_list(seg_len=2, num_segments=2)
+        items = [make_item(i) for i in range(7)]
+        for it in items:
+            lru.push_front(it)
+        assert tracker.bounds[2] is items[4]
+        lru.move_to_front(items[4])
+        assert tracker.bounds[2] is items[5] and items[4].seg == -1
+        tracker.check_invariants()
+
+    def test_a_short_stack_keeps_its_top_item_tracked(self):
+        lru, tracker = tracked_list(seg_len=2, num_segments=2)
+        items = [make_item(i) for i in range(3)]
+        for it in items:
+            lru.push_front(it)
+        lru.move_to_front(items[0])     # n == 3 <= limit: lands in segment 1
+        assert [it.seg for it in lru] == [1, 0, 0]
+        assert tracker.bounds == [items[1], items[0], None]
         tracker.check_invariants()

@@ -14,7 +14,12 @@ Nothing here is a test; the differential suites import it.
   full, under a policy whose ``ghost_owner`` maps key -> queue state and
   is kept in step with those indexes by hand.
 
-``reference_cache`` puts them together per policy name.
+* :func:`two_callback_move_to_front` — a promotion that tells the
+  list's observer ``on_remove`` before the unlink and ``on_push_front``
+  after the relink (PR 22), where ``LRUList.move_to_front`` now tells it
+  ``on_promote`` once.
+
+``cache_pair`` puts the first three together per policy name.
 """
 
 from __future__ import annotations
@@ -24,6 +29,28 @@ from repro.cache.errors import OutOfMemoryError, PolicyError
 from repro.core.pama import PamaPolicy, PamaQueueState
 from repro.core.prepama import PrePamaPolicy
 from repro.tenancy import TenantArbiter
+
+
+def two_callback_move_to_front(lru, item):
+    """``LRUList.move_to_front`` as of PR 22."""
+    head = lru.head
+    if head is item:
+        return
+    observer = lru.observer
+    if observer is not None:
+        observer.on_remove(item)
+    prev, nxt = item.prev, item.next
+    prev.next = nxt
+    if nxt is not None:
+        nxt.prev = prev
+    else:
+        lru.tail = prev
+    item.prev = None
+    item.next = head
+    head.prev = item
+    lru.head = item
+    if observer is not None:
+        observer.on_push_front(item)
 
 
 def eq2(weights, masses):
