@@ -24,28 +24,37 @@ Quickstart::
     print(result.hit_ratio, result.avg_service_time)
 """
 
-from repro.cache import SlabCache, SizeClassConfig
-from repro.core import PamaConfig, PamaPolicy, PrePamaPolicy
-from repro.policies import (AllocationPolicy, AutoMovePolicy, FacebookPolicy,
-                            LamaPolicy, POLICY_NAMES, PSAPolicy,
-                            StaticMemcachedPolicy, TwemcachePolicy,
-                            make_policy)
-from repro.sim import (ExperimentSpec, ServiceTimeModel, SimulationResult,
-                       Simulator, run_comparison, simulate,
-                       sweep_cache_sizes)
-from repro.traces import (Op, Request, Trace, WorkloadProfile, generate,
-                          get_profile)
+import importlib
+
+#: the module each re-exported name lives in.  Importing ``repro``
+#: loads none of them: a name is imported the first time it is asked
+#: for (PEP 562), so a process that uses part of the package — the
+#: server needs neither NumPy nor the replay stack — loads only that.
+_EXPORTS = {
+    "repro.cache": ("SlabCache", "SizeClassConfig"),
+    "repro.core": ("PamaPolicy", "PrePamaPolicy", "PamaConfig"),
+    "repro.policies": ("AllocationPolicy", "StaticMemcachedPolicy",
+                       "PSAPolicy", "FacebookPolicy", "TwemcachePolicy",
+                       "AutoMovePolicy", "LamaPolicy", "make_policy",
+                       "POLICY_NAMES"),
+    "repro.sim": ("Simulator", "SimulationResult", "simulate",
+                  "ServiceTimeModel", "ExperimentSpec", "run_comparison",
+                  "sweep_cache_sizes"),
+    "repro.traces": ("Trace", "Request", "Op", "WorkloadProfile",
+                     "generate", "get_profile"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "SlabCache", "SizeClassConfig",
-    "PamaPolicy", "PrePamaPolicy", "PamaConfig",
-    "AllocationPolicy", "StaticMemcachedPolicy", "PSAPolicy",
-    "FacebookPolicy", "TwemcachePolicy", "AutoMovePolicy", "LamaPolicy",
-    "make_policy", "POLICY_NAMES",
-    "Simulator", "SimulationResult", "simulate", "ServiceTimeModel",
-    "ExperimentSpec", "run_comparison", "sweep_cache_sizes",
-    "Trace", "Request", "Op", "WorkloadProfile", "generate", "get_profile",
-    "__version__",
-]
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 KIB = 1024
 MIB = 1024 * 1024
 GIB = 1024 * 1024 * 1024
@@ -74,6 +72,8 @@ def seq_sum(carry: float, values) -> float:
     per-request recorders accumulate with this, so a replay reduced per
     window equals the one recorded per request.
     """
+    import numpy as np
+
     buf = np.empty(len(values) + 1)
     buf[0] = carry
     buf[1:] = values

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import os
 
-import numpy as np
-
 from repro.cache.cache import SlabCache
 
 _FORMAT_VERSION = 1
@@ -27,6 +25,8 @@ def save_snapshot(cache: SlabCache, path: str | os.PathLike) -> int:
     and reproduces the recency order.  Only int keys are supported (the
     simulator's key space); payload values are not persisted.
     """
+    import numpy as np
+
     keys: list[int] = []
     key_sizes: list[int] = []
     value_sizes: list[int] = []
@@ -60,6 +60,8 @@ def load_snapshot(cache: SlabCache, path: str | os.PathLike) -> int:
     be smaller than the snapshotted one, in which case the replay's own
     evictions keep the most recently used tail — the right warm state).
     """
+    import numpy as np
+
     with np.load(path) as data:
         version = int(data["version"])
         if version != _FORMAT_VERSION:

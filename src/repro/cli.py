@@ -20,8 +20,9 @@ Subcommands:
   ``--dump-dir`` timeline + span dump)
 * ``report``   — render a dump directory as self-contained HTML
 * ``profile``  — cProfile a replay
-* ``serve``    — run the memcached-protocol server (async sharded by
-  default; ``--legacy`` for the threaded reference implementation)
+* ``serve``    — run the memcached-protocol server (asyncio front end
+  over one cache; ``--legacy`` for the threaded reference
+  implementation)
 * ``loadgen``  — memtier-style load generator (``--spawn`` self-hosts
   a server for one-command smoke runs)
 """
@@ -33,16 +34,15 @@ import sys
 
 from repro._util import fmt_bytes, fmt_seconds, parse_size
 from repro.policies import POLICY_NAMES
-from repro.sim.experiment import ExperimentSpec, run_comparison
-from repro.sim.parallel import run_grid, size_specs
-from repro.sim.report import ascii_chart, comparison_summary
-from repro.traces import analyze as analyze_trace
-from repro.traces import (generate as generate_trace, get_profile, load_csv,
-                          load_npz, save_csv, save_npz)
+
+# The replay stack (repro.sim, repro.traces) and NumPy with it are
+# imported by the subcommands that use them, so that ``serve`` does not
+# carry them.
 
 
 def _load_trace(path: str):
-    from repro.traces import CompiledTrace, is_compiled_trace
+    from repro.traces import (CompiledTrace, is_compiled_trace, load_csv,
+                              load_npz)
 
     if is_compiled_trace(path):
         return CompiledTrace(path)
@@ -52,6 +52,8 @@ def _load_trace(path: str):
 
 
 def _trace_from_args(args) -> "object":
+    from repro.traces import generate as generate_trace, get_profile
+
     if args.trace:
         return _load_trace(args.trace)
     profile = get_profile(args.workload)
@@ -92,6 +94,9 @@ def _add_jobs_arg(sub: argparse.ArgumentParser) -> None:
 
 
 def cmd_generate(args) -> int:
+    from repro.traces import (generate as generate_trace, get_profile,
+                              save_csv, save_npz)
+
     profile = get_profile(args.workload)
     if args.scale != 1.0:
         profile = profile.scaled(args.scale)
@@ -108,7 +113,8 @@ def cmd_generate(args) -> int:
 def cmd_trace_compile(args) -> int:
     from time import perf_counter
 
-    from repro.traces import compile_csv, compile_synthetic, compile_trace
+    from repro.traces import (compile_csv, compile_synthetic, compile_trace,
+                              get_profile, load_npz)
 
     started = perf_counter()
     if args.trace:
@@ -154,7 +160,7 @@ def cmd_trace_info(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    from repro.traces import is_compiled_trace
+    from repro.traces import analyze as analyze_trace, is_compiled_trace
 
     if is_compiled_trace(args.trace):
         # Whole-trace statistics would materialize the columns; the
@@ -171,6 +177,7 @@ def _simulate_tenants(args) -> int:
     from repro.sim.simulator import simulate
     from repro.tenancy import (TenantArbiter, TenantSpec, mix_tenants,
                                tenant_configs)
+    from repro.traces import get_profile
 
     if args.trace:
         raise SystemExit("--tenants synthesizes its own tenant-tagged "
@@ -215,6 +222,10 @@ def _simulate_tenants(args) -> int:
 def cmd_simulate(args) -> int:
     if args.tenants:
         return _simulate_tenants(args)
+    from repro.sim.experiment import ExperimentSpec
+    from repro.sim.parallel import run_grid, size_specs
+    from repro.sim.report import ascii_chart
+
     trace = _trace_from_args(args)
     sizes = [parse_size(s) for s in
              (part.strip() for part in args.cache_size.split(","))
@@ -263,6 +274,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from repro.sim.experiment import ExperimentSpec, run_comparison
+    from repro.sim.report import ascii_chart, comparison_summary
+
     trace = _trace_from_args(args)
     policies = args.policies.split(",")
     for name in policies:
@@ -329,6 +343,7 @@ def cmd_obs(args) -> int:
 
     # obs dump: replay a trace with observability on, then export the
     # registry (and event-trace tail) as JSON and/or Prometheus text.
+    from repro.sim.experiment import ExperimentSpec
     from repro.sim.report import tail_summary
     from repro.sim.service import ServiceTimeModel
     from repro.sim.simulator import Simulator
@@ -523,9 +538,12 @@ def cmd_serve(args) -> int:
     async def serve() -> None:
         server = AsyncCacheServer(shards)
         await server.start(args.host, args.port)
-        print(f"serving [async x{args.shards} shards] "
-              f"{shards.shards[0].describe()} per shard on "
-              f"{args.host}:{server.port} (ctrl-c to stop)", flush=True)
+        layout = (f"[async] {shards.shards[0].describe()}"
+                  if args.shards == 1 else
+                  f"[async x{args.shards} shards] "
+                  f"{shards.shards[0].describe()} per shard")
+        print(f"serving {layout} on {args.host}:{server.port} "
+              f"(ctrl-c to stop)", flush=True)
         try:
             await server.serve_forever()
         finally:
@@ -848,11 +866,14 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--cache-size", default="64MiB")
     v.add_argument("--slab-size", default="1MiB")
     v.add_argument("--policy", default="pama", choices=POLICY_NAMES)
-    v.add_argument("--shards", type=int, default=4,
-                   help="hash-partitioned shards of the async server")
+    v.add_argument("--shards", type=int, default=1,
+                   help="hash-partitioned caches of the async server "
+                        "(one event loop serves them all: more than one "
+                        "is the layout of a process-per-shard "
+                        "deployment, not a speed-up)")
     v.add_argument("--legacy", action="store_true",
                    help="run the threaded reference server instead of "
-                        "the async sharded front end")
+                        "the asyncio front end")
     v.set_defaults(func=cmd_serve)
 
     lg = subs.add_parser(
@@ -886,7 +907,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="(--spawn only) server slab size")
     lg.add_argument("--policy", default="pama", choices=POLICY_NAMES,
                     help="(--spawn only) server allocation policy")
-    lg.add_argument("--shards", type=int, default=4,
+    lg.add_argument("--shards", type=int, default=1,
                     help="(--spawn async only) shard count")
     lg.set_defaults(func=cmd_loadgen)
 

@@ -19,8 +19,6 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 
-import numpy as np
-
 from repro.core.config import PamaConfig
 from repro.core.pama import PamaPolicy
 
@@ -83,6 +81,8 @@ class AdaptivePamaPolicy(PamaPolicy):
         """Set bin edges at the reservoir's quantiles."""
         if len(self._reservoir) < 2 * self.config.num_bins:
             return  # not enough signal yet
+        import numpy as np
+
         num_bins = self.config.num_bins
         qs = [(i + 1) / num_bins for i in range(num_bins)]
         edges = np.quantile(np.asarray(self._reservoir), qs)

@@ -27,15 +27,25 @@ or attach explicitly with ``cache.attach_obs(Registry(), EventTrace())``.
 
 from __future__ import annotations
 
+import importlib
+
 from repro.obs.events import Event, EventTrace
 from repro.obs.export import (diff_snapshots, flat_items, format_diff,
                               snapshot, to_json, to_prometheus)
 from repro.obs.registry import Counter, Gauge, Histogram, Registry
-from repro.obs.report import (load_dump, render_html, render_report,
-                              validate_dump, write_dump)
 from repro.obs.spans import Span, SpanTracer, format_waterfall
-from repro.obs.timeline import (CsvSink, JsonlSink, TimelineRecorder,
-                                open_sink)
+
+#: re-exports imported the first time they are asked for (PEP 562): the
+#: timeline recorder and the report renderer load NumPy and are not
+#: needed by the server or by a replay with nothing attached.
+_LAZY = {
+    "repro.obs.timeline": ("TimelineRecorder", "JsonlSink", "CsvSink",
+                           "open_sink"),
+    "repro.obs.report": ("write_dump", "load_dump", "validate_dump",
+                         "render_html", "render_report"),
+}
+_MODULE_OF = {name: module for module, names in _LAZY.items()
+              for name in names}
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "Registry",
@@ -82,3 +92,12 @@ def get_registry() -> Registry | None:
 
 def get_event_trace() -> EventTrace | None:
     return _events
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-import numpy as np
-
 from repro._util import seq_sum
 
 
@@ -112,6 +110,8 @@ class Histogram:
     def record_many(self, values) -> None:
         """Array form of :meth:`record`: the state that recording each
         value in order leaves, ``sum`` bit for bit."""
+        import numpy as np
+
         values = np.asarray(values, dtype=np.float64)
         if np.isnan(values).any():
             # bisect_left files NaN under bucket 0 and leaves min/max

@@ -20,8 +20,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING
 
-from repro.cache.errors import PolicyError
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cache.cache import SlabCache
     from repro.cache.item import Item
@@ -55,6 +53,9 @@ class AllocationPolicy(ABC):
     def attach(self, cache: SlabCache) -> None:
         """Bind the policy to a cache. Called once by SlabCache.__init__."""
         if self.cache is not None:
+            # imported here: importing repro.cache imports this module
+            from repro.cache.errors import PolicyError
+
             raise PolicyError(f"policy {self.name!r} is already attached")
         self.cache = cache
 

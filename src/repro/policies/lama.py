@@ -14,8 +14,6 @@ optimisation falls short of PAMA's per-item penalties.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.policies.base import AllocationPolicy
 from repro.policies.mrc import DistanceHistogram, ReuseDistanceProfiler
 from repro.cache.queue import Queue
@@ -117,8 +115,11 @@ class LamaPolicy(AllocationPolicy):
             prof.requests //= 2
 
     def _class_cost_curve(self, class_idx: int, max_units: int,
-                          slabs_per_unit: int) -> np.ndarray:
-        """Predicted epoch cost for each allocation 0..max_units."""
+                          slabs_per_unit: int):
+        """Predicted epoch cost for each allocation 0..max_units, as a
+        NumPy array."""
+        import numpy as np
+
         prof = self._profiles.get(class_idx)
         classes = self.cache.size_classes
         slots_per_slab = classes.slots_per_slab(class_idx)
@@ -140,6 +141,8 @@ class LamaPolicy(AllocationPolicy):
         return costs
 
     def _reallocate(self) -> None:
+        import numpy as np
+
         cache = self.cache
         class_ids = sorted({q.class_idx for q in cache.iter_queues()})
         if len(class_ids) < 2:

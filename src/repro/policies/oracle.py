@@ -18,13 +18,14 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.cache.item import Item
 from repro.cache.queue import Queue
 from repro.policies.base import AllocationPolicy
-from repro.traces.record import Op, Trace
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.traces.record import Trace
 
 #: next-use value for keys never requested again.
 NEVER = float("inf")
@@ -51,6 +52,10 @@ class OraclePolicy(AllocationPolicy):
     name = "oracle"
 
     def __init__(self, trace: Trace, cost_aware: bool = False) -> None:
+        import numpy as np
+
+        from repro.traces.record import Op
+
         super().__init__()
         self.cost_aware = cost_aware
         if cost_aware:

@@ -46,8 +46,14 @@ class AsyncCacheServer:
         self.shards = shards
         self.tracer = tracing
         first = shards.shards[0]
-        self.registry = registry or first.obs or Registry()
-        self.events = events or first.events or EventTrace()
+        # ``is not None``: an empty Registry or EventTrace is falsy (both
+        # define ``__len__``) and a caller's fresh one must be kept.
+        self.registry = (registry if registry is not None
+                         else first.obs if first.obs is not None
+                         else Registry())
+        self.events = (events if events is not None
+                       else first.events if first.events is not None
+                       else EventTrace())
         shards.attach_obs(self.registry, self.events)
         counter = self.registry.counter
         self.c_connections = counter(

@@ -222,8 +222,14 @@ class CacheServer(socketserver.ThreadingTCPServer):
         self.lock = threading.Lock()
         # The server always runs instrumented (it is not the simulate
         # hot path); reuse whatever the cache already has attached.
-        self.registry = registry or cache.obs or Registry()
-        self.events = events or cache.events or EventTrace()
+        # ``is not None``: an empty Registry or EventTrace is falsy (both
+        # define ``__len__``) and a caller's fresh one must be kept.
+        self.registry = (registry if registry is not None
+                         else cache.obs if cache.obs is not None
+                         else Registry())
+        self.events = (events if events is not None
+                       else cache.events if cache.events is not None
+                       else EventTrace())
         if cache.obs is None:
             cache.attach_obs(self.registry, self.events)
         counter = self.registry.counter

@@ -24,8 +24,9 @@ import pytest
 
 from repro.cache import SlabCache, SizeClassConfig
 from repro.core import PamaPolicy
-from repro.obs import SpanTracer
-from repro.server import CacheClient, ShardSet, start_async_server, start_server
+from repro.obs import EventTrace, Registry, SpanTracer
+from repro.server import (AsyncCacheServer, CacheClient, CacheServer,
+                          ShardSet, start_async_server, start_server)
 
 
 @pytest.fixture
@@ -220,4 +221,32 @@ class TestTracerTickUnderLock:
             assert srv.tracer.finished_traces >= 20
         finally:
             srv.shutdown()
+            srv.server_close()
+
+
+class TestCallerRegistryKept:
+    """A fresh Registry / EventTrace is empty, hence falsy: both servers
+    must keep the caller's objects, not swap in new ones."""
+
+    def test_async_server(self):
+        shards = ShardSet(2 << 20, PamaPolicy,
+                          SizeClassConfig(slab_size=64 << 10), nshards=2)
+        registry, events = Registry(), EventTrace()
+        server = AsyncCacheServer(shards, registry=registry, events=events)
+        assert server.registry is registry
+        assert server.events is events
+        assert all(cache.obs is registry and cache.events is events
+                   for cache in shards.shards)
+
+    def test_legacy_server(self):
+        cache = SlabCache(2 << 20, PamaPolicy(),
+                          SizeClassConfig(slab_size=64 << 10))
+        registry, events = Registry(), EventTrace()
+        srv = CacheServer(("127.0.0.1", 0), cache, registry=registry,
+                          events=events)
+        try:
+            assert srv.registry is registry
+            assert srv.events is events
+            assert cache.obs is registry and cache.events is events
+        finally:
             srv.server_close()
