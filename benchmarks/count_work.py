@@ -1,7 +1,8 @@
 """Deterministic work counter — bytecodes and Python-level calls per row.
 
     PYTHONHASHSEED=0 python benchmarks/count_work.py \
-        [--workload replay-write-obs] [--seed 1] [--rows 614400:716800]
+        [--workload replay-write-obs] [--seed 1] [--rows 614400:716800] \
+        [--max-calls-per-row F]
 
 Replays an e2e replay workload's own input (``benchmarks/e2e``: same
 rows, the workload's passes chained as ``replay.py`` chains them, same
@@ -16,7 +17,10 @@ of a second total, because before the loop moved behind the cache it ran
 in ``_replay``'s frame and was not counted.  No clock is read: two runs
 of one commit print the same numbers, and two commits differ by the work
 they do, not by the host's mood.  C calls (``dict.get``, ``bisect``) are
-not frames and count as the one bytecode that makes them.
+not frames and count as the one bytecode that makes them.  With
+``--max-calls-per-row F`` the script exits 1, printing the excess, when
+the total of calls per row is above ``F`` (CPython 3.12 inlines
+comprehensions, so it counts no more calls than 3.11 does).
 """
 
 from __future__ import annotations
@@ -63,6 +67,8 @@ def main() -> None:
     ap.add_argument("--rows", default="614400:716800",
                     help="LO:HI, whole trace windows")
     ap.add_argument("--top", type=int, default=25)
+    ap.add_argument("--max-calls-per-row", type=float, default=None,
+                    metavar="F", help="exit 1 when the total is above F")
     args = ap.parse_args()
     ops: Counter[str] = Counter()
     calls: Counter[str] = Counter()
@@ -106,6 +112,11 @@ def main() -> None:
     print(f"{RUN_LOOP + ' (the run loop)':44} {ops[RUN_LOOP] / n:14.2f} "
           f"{calls[RUN_LOOP] / n:10.3f}")
     print(f"{'total':44} {total_ops / n:14.2f} {total_calls / n:10.3f}")
+    limit, per_row = args.max_calls_per_row, total_calls / n
+    if limit is not None and per_row > limit:
+        print(f"{per_row:.3f} calls per row: {per_row - limit:.3f} above "
+              f"--max-calls-per-row {limit}")
+        raise SystemExit(1)
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ observable behaviour to the paper's "discard bottom items and compact".
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Iterator
 
 from repro import obs as _obs
@@ -51,7 +52,8 @@ def apply_rows_per_request(cache, rows, fill: bool, note, sized: bool) -> None:
     What ``apply_rows`` means, for any cache with the per-request API
     (:class:`~repro.cluster.cluster.CacheCluster` runs exactly this over
     its routed operations), and the oracle :meth:`SlabCache.apply_rows`
-    is held equal to.  ``rows`` yields ``(op, key, key_size, value_size,
+    — which does a hit, a miss, its fill and a SET in its own frame — is
+    held equal to.  ``rows`` yields ``(op, key, key_size, value_size,
     penalty)``; every GET hands ``note`` its outcome — the hit item's
     size (0 unless ``sized``) or -1 for a miss, which is followed by the
     fill SET when ``fill``.
@@ -141,6 +143,12 @@ class SlabCache:
         self._on_hit = _overridden(policy, "on_hit")
         self._on_miss = _overridden(policy, "on_miss")
         self._on_insert = _overridden(policy, "on_insert")
+        self._on_remove = _overridden(policy, "on_remove")
+        #: the policy's static bin edges, which ``set`` and ``apply_rows``
+        #: bin by (``bin_for`` is "bisect_left, clamped to the last
+        #: bin"), or None when binning is dynamic and ``bin_for`` is asked.
+        self._bin_edges = policy.bin_edges()
+        self._last_bin = max(len(self._bin_edges or ()) - 1, 0)
 
     def attach_obs(self, registry, events=None) -> None:
         """Attach a metrics registry (and optional event trace).
@@ -336,57 +344,140 @@ class SlabCache:
     def apply_rows(self, rows, fill: bool, note, sized: bool) -> None:
         """Apply a run of trace rows — the loop the replay kernel runs.
 
-        :func:`apply_rows_per_request` with the plain GET hit handled in
-        this frame, from locals: after a probe of the index that only
-        reads, what :meth:`lookup` does for a hit, in its order, once
-        per hit.  Everything else — a miss, an item that can expire,
-        SET, DELETE — goes through :meth:`lookup` / :meth:`set` /
-        :meth:`delete` whole.  ``accesses`` is stored before any hook
-        runs; a migration requested from inside ``on_hit`` waits until
-        the item is promoted and stamped, as it does in :meth:`lookup`;
+        :func:`apply_rows_per_request` with a GET hit, a GET miss, its
+        fill and a SET handled in this frame, from locals: what
+        :meth:`lookup` and :meth:`set` do for them, in their order, once
+        per row — the fill reusing the miss's size class, bin and queue.
+        What goes through :meth:`lookup` / :meth:`set` whole is a GET of
+        an item that can expire, a row whose size no SET has classed
+        yet, an invalid row (a negative size, a NaN or negative
+        penalty), and every miss and SET under a policy without static
+        bin edges or one that hashes keys; DELETE goes through
+        :meth:`delete`.  ``accesses`` is stored before any hook runs; a
+        migration requested from inside a hook waits until the
+        operation is done, as it does in :meth:`lookup` and :meth:`set`;
         an exception leaves the rows before it applied and
         ``_in_operation`` clear.
         """
-        index_get = self.index.get
+        index = self.index
+        index_get = index.get
+        queues_get = self.queues.get
+        memo_get = self._class_memo.get
         stats = self.stats
-        on_hit = self._on_hit
+        on_hit, on_miss = self._on_hit, self._on_miss
+        on_insert, on_remove = self._on_insert, self._on_remove
         wants_hashes = self._wants_hashes
+        # None: every miss and SET goes through lookup / set
+        edges = None if wants_hashes else self._bin_edges
+        last_bin = self._last_bin
         lookup, cache_set, cache_delete = self.lookup, self.set, self.delete
         h1 = h2 = 0
         try:
             for op, key, key_size, value_size, penalty in rows:
-                if op == 0:  # GET
-                    item = index_get(key)
-                    if item is None or item.expires_at:
-                        item = lookup(key, key_size, value_size, penalty)
-                        if item is None:
-                            note(-1)
-                            if fill:
-                                cache_set(key, key_size, value_size, penalty)
-                            continue
-                    else:
-                        self.accesses = tick = self.accesses + 1
-                        if wants_hashes:
-                            h1 = hash_key(key, 0)
-                            h2 = hash_key(key, PAIR_SEED_DELTA) | 1
-                        queue = item.queue
-                        queue.stats.hits += 1
-                        stats.hits += 1
-                        if on_hit is not None:
-                            self._in_operation = True
-                            on_hit(queue, item, h1, h2)
-                            self._in_operation = False
+                if op > 1:  # DELETE
+                    cache_delete(key)
+                    continue
+                item = index_get(key)
+                if op == 0 and item is not None and not item.expires_at:
+                    # GET hit
+                    self.accesses = tick = self.accesses + 1
+                    if wants_hashes:
+                        h1 = hash_key(key, 0)
+                        h2 = hash_key(key, PAIR_SEED_DELTA) | 1
+                    queue = item.queue
+                    queue.stats.hits += 1
+                    stats.hits += 1
+                    if on_hit is not None:
+                        self._in_operation = True
+                        on_hit(queue, item, h1, h2)
+                        self._in_operation = False
+                    lru = queue.lru
+                    if lru.head is not item:
+                        lru.move_to_front(item)
+                    item.last_access = tick
+                    if self._pending_migrations:
+                        self._flush_migrations()
+                    note(item.key_size + item.value_size if sized else 0)
+                    continue
+                class_idx = (memo_get(key_size + value_size)
+                             if edges is not None and key_size >= 0
+                             and value_size >= 0 and penalty >= 0 else None)
+                if class_idx is None or op == 0 and item is not None:
+                    if op == 1:  # SET
+                        cache_set(key, key_size, value_size, penalty)
+                        continue
+                    item = lookup(key, key_size, value_size, penalty)
+                    if item is not None:
+                        note(item.key_size + item.value_size if sized else 0)
+                        continue
+                    note(-1)
+                    if fill:
+                        cache_set(key, key_size, value_size, penalty)
+                    continue
+                bin_idx = bisect_left(edges, penalty)
+                if bin_idx > last_bin:
+                    bin_idx = last_bin
+                queue = queues_get((class_idx, bin_idx))
+                if op == 0:  # GET miss
+                    self.accesses += 1
+                    stats.misses += 1
+                    stats.total_miss_penalty += penalty
+                    self._in_operation = True
+                    if queue is None:
+                        queue = self.queue_for(class_idx, bin_idx)
+                    queue.stats.misses += 1
+                    if on_miss is not None:
+                        on_miss(key, class_idx, penalty, 0, 0)
+                    self._in_operation = False
+                    if self._pending_migrations:
+                        self._flush_migrations()
+                    note(-1)
+                    if not fill:
+                        continue
+                # a SET, or the miss's fill: what set() does
+                self.accesses = tick = self.accesses + 1
+                self._in_operation = True
+                if item is not None:
+                    if item.queue is queue:
+                        if on_remove is not None:
+                            on_remove(queue, item)
                         lru = queue.lru
                         if lru.head is not item:
                             lru.move_to_front(item)
-                        item.last_access = tick
-                        if self._pending_migrations:
-                            self._flush_migrations()
-                    note(item.key_size + item.value_size if sized else 0)
-                elif op == 1:  # SET
-                    cache_set(key, key_size, value_size, penalty)
-                else:  # DELETE
-                    cache_delete(key)
+                        item.key_size = key_size
+                        item.value_size = value_size
+                        item.penalty = penalty
+                        item.value = None
+                        item.expires_at = 0.0
+                    else:
+                        self._unlink(item)
+                        item = None
+                if item is None:
+                    if queue is None:
+                        queue = self.queue_for(class_idx, bin_idx)
+                    lru = queue.lru
+                    if queue.slabs * queue.slots_per_slab - lru.size < 1:
+                        try:
+                            self._ensure_slot(queue)
+                        except OutOfMemoryError:
+                            stats.set_failures += 1
+                            self._in_operation = False
+                            if self._pending_migrations:
+                                self._flush_migrations()
+                            continue
+                    item = Item(key, key_size, value_size, penalty,
+                                class_idx, bin_idx, None, 0.0, queue)
+                    lru.push_front(item)
+                    index[key] = item
+                item.last_access = tick
+                self.cas_tick = item.cas = self.cas_tick + 1
+                queue.stats.sets += 1
+                stats.sets += 1
+                if on_insert is not None:
+                    on_insert(queue, item)
+                self._in_operation = False
+                if self._pending_migrations:
+                    self._flush_migrations()
         finally:
             self._in_operation = False
             if self._pending_migrations:
@@ -398,8 +489,13 @@ class SlabCache:
             class_idx: int = -1, bin_idx: int = -1) -> bool:
         """Store an item; returns False if it cannot be stored.
 
-        An existing item under the same key is replaced (its slot is
-        released first, so a same-class replacement never evicts).
+        A key that is live in the queue the item maps to is re-stored in
+        place: the policy hears ``on_remove`` for it, the item keeps its
+        slot and its object and is promoted (the tracker hears one
+        ``on_promote``), takes the new sizes, penalty, value, expiry,
+        access tick and CAS id, and the policy hears ``on_insert``.  A
+        live key that maps to another queue is unlinked first, so it
+        frees its old slot before the new queue is asked for one.
         ``expires_at`` is an absolute clock time (0.0 = never).
 
         ``class_idx`` / ``bin_idx`` are the size class of ``key_size +
@@ -426,33 +522,51 @@ class SlabCache:
                 except ItemTooLargeError:
                     self.stats.rejected_too_large += 1
                     return False
-            bin_idx = self.policy.bin_for(penalty)
+            edges = self._bin_edges
+            if edges is None:
+                bin_idx = self.policy.bin_for(penalty)
+            else:
+                bin_idx = bisect_left(edges, penalty)
+                if bin_idx > self._last_bin:
+                    bin_idx = self._last_bin
         else:
             self.accesses += 1
 
         self._in_operation = True
         try:
-            old = self.index.get(key)
-            if old is not None:
-                self._unlink(old)
-
             queue = self.queues.get((class_idx, bin_idx))
-            if queue is None:
-                queue = self.queue_for(class_idx, bin_idx)
-            item = Item(key, key_size, value_size, penalty, class_idx,
-                        bin_idx, value, expires_at, queue)
-            lru = queue.lru
-            if queue.slabs * queue.slots_per_slab - lru.size < 1:
-                try:
-                    self._ensure_slot(queue)
-                except OutOfMemoryError:
-                    self.stats.set_failures += 1
-                    return False
-            lru.push_front(item)
+            item = self.index.get(key)
+            if item is not None:
+                if item.queue is queue:
+                    if self._on_remove is not None:
+                        self._on_remove(queue, item)
+                    lru = queue.lru
+                    if lru.head is not item:
+                        lru.move_to_front(item)
+                    item.key_size = key_size
+                    item.value_size = value_size
+                    item.penalty = penalty
+                    item.value = value
+                    item.expires_at = expires_at
+                else:
+                    self._unlink(item)
+                    item = None
+            if item is None:
+                if queue is None:
+                    queue = self.queue_for(class_idx, bin_idx)
+                lru = queue.lru
+                if queue.slabs * queue.slots_per_slab - lru.size < 1:
+                    try:
+                        self._ensure_slot(queue)
+                    except OutOfMemoryError:
+                        self.stats.set_failures += 1
+                        return False
+                item = Item(key, key_size, value_size, penalty, class_idx,
+                            bin_idx, value, expires_at, queue)
+                lru.push_front(item)
+                self.index[key] = item
             item.last_access = self.accesses
-            self.cas_tick += 1
-            item.cas = self.cas_tick
-            self.index[key] = item
+            self.cas_tick = item.cas = self.cas_tick + 1
             queue.stats.sets += 1
             self.stats.sets += 1
             if self._on_insert is not None:
@@ -665,7 +779,8 @@ class SlabCache:
         queue = item.queue
         queue.lru.remove(item)
         del self.index[item.key]
-        self.policy.on_remove(queue, item)
+        if self._on_remove is not None:
+            self._on_remove(queue, item)
 
     def describe(self) -> str:
         """One-line summary used by the CLI and examples."""

@@ -37,7 +37,7 @@ class BloomSegmentTracker:
                  "rebuilds", "queries", "false_region_hits")
 
     def __init__(self, lru: LRUList, seg_len: int, num_segments: int,
-                 fp_rate: float = 0.01, seed: int = 0) -> None:
+                 fp_rate: float = 0.01) -> None:
         if seg_len <= 0 or num_segments <= 0:
             raise ValueError("seg_len and num_segments must be positive")
         if lru.observer is not None:
@@ -47,8 +47,7 @@ class BloomSegmentTracker:
         self.num_segments = num_segments
         # All filters hash with seed 0: probes use the request-level
         # hash pair the cache computes once, and the key-based filter
-        # API must agree with it bit-for-bit.  (``seed`` is accepted for
-        # backward compatibility but no longer selects a hash family.)
+        # API must agree with it bit-for-bit.
         self.filters = [BloomFilter(max(seg_len, 8), fp_rate, seed=0)
                         for _ in range(num_segments)]
         self.removal = RemovalFilter(max(seg_len * num_segments, 8),

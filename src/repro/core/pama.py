@@ -104,10 +104,9 @@ class PamaPolicy(AllocationPolicy):
         cfg = self.config
         seg_len = queue.slots_per_slab
         if cfg.tracker == "bloom":
-            tracker = BloomSegmentTracker(
-                queue.lru, seg_len, cfg.num_segments,
-                fp_rate=cfg.bloom_fp_rate,
-                seed=queue.class_idx * 101 + queue.bin_idx)
+            tracker = BloomSegmentTracker(queue.lru, seg_len,
+                                          cfg.num_segments,
+                                          fp_rate=cfg.bloom_fp_rate)
         else:
             tracker = SegmentTracker(queue.lru, seg_len, cfg.num_segments)
         # As deep as the tracked stack bottom: Eq. 2 sums one incoming

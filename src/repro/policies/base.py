@@ -109,7 +109,9 @@ class AllocationPolicy(ABC):
 
     def on_remove(self, queue: Queue, item: Item) -> None:
         """``item`` left ``queue`` for a non-pressure reason (DELETE, or a
-        SET replacing the key, possibly into a different queue)."""
+        SET storing the key again).  A SET into the queue the item lives
+        in re-stores it in place: ``on_insert`` follows for the same
+        object, which then carries a new ``cas``."""
 
     # -- eviction decisions -----------------------------------------------
     def choose_victim(self, queue: Queue) -> Item | None:

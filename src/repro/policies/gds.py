@@ -30,10 +30,12 @@ class _GdsQueueState:
     __slots__ = ("heap", "inflation", "current")
 
     def __init__(self) -> None:
-        # heap of (H, tiebreak, item); stale entries skipped lazily
-        self.heap: list[tuple[float, int, Item]] = []
+        # heap of (H, tiebreak, item.cas when pushed, item); stale
+        # entries skipped lazily
+        self.heap: list[tuple[float, int, int, Item]] = []
         self.inflation = 0.0
-        # item -> its live H (an entry is current iff it matches)
+        # item -> its live H (an entry is current iff it matches, and
+        # the item was not re-stored since: its cas is the entry's)
         self.current: dict[int, float] = {}
 
 
@@ -70,7 +72,7 @@ class GreedyDualSizePolicy(AllocationPolicy):
         state: _GdsQueueState = queue.policy_data
         h = self._priority(state, item)
         state.current[id(item)] = h
-        heapq.heappush(state.heap, (h, next(self._tiebreak), item))
+        heapq.heappush(state.heap, (h, next(self._tiebreak), item.cas, item))
 
     # -- events ---------------------------------------------------------
     def on_insert(self, queue: Queue, item: Item) -> None:
@@ -93,8 +95,8 @@ class GreedyDualSizePolicy(AllocationPolicy):
         state: _GdsQueueState = queue.policy_data
         heap = state.heap
         while heap:
-            h, _tb, item = heap[0]
-            if state.current.get(id(item)) == h:
+            h, _tb, cas, item = heap[0]
+            if item.cas == cas and state.current.get(id(item)) == h:
                 return h, item
             heapq.heappop(heap)
         return None

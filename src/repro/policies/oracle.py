@@ -34,15 +34,16 @@ NEVER = float("inf")
 class _OracleQueueState:
     """Max-heap of eviction priorities with lazy invalidation.
 
-    Entries are ``(-priority, tiebreak, item, next_use_snapshot)``; an
-    entry is live iff the item is still cached in this queue and its
+    Entries are ``(-priority, tiebreak, cas, item, next_use_snapshot)``;
+    an entry is live iff the item is still cached in this queue, has not
+    been re-stored (its ``cas`` is the one it was pushed with) and its
     next-use tick has not changed since the entry was pushed.
     """
 
     __slots__ = ("heap",)
 
     def __init__(self) -> None:
-        self.heap: list[tuple[float, int, Item, float]] = []
+        self.heap: list[tuple[float, int, int, Item, float]] = []
 
 
 class OraclePolicy(AllocationPolicy):
@@ -114,7 +115,8 @@ class OraclePolicy(AllocationPolicy):
         state: _OracleQueueState = queue.policy_data
         nxt = self._lookup_next(item.key)
         heapq.heappush(state.heap, (-self._priority(item, nxt),
-                                    next(self._tiebreak), item, nxt))
+                                    next(self._tiebreak), item.cas, item,
+                                    nxt))
 
     # -- events ---------------------------------------------------------
     def on_queue_created(self, queue: Queue) -> None:
@@ -139,8 +141,8 @@ class OraclePolicy(AllocationPolicy):
         heap = state.heap
         index = self.cache.index
         while heap:
-            neg_priority, _tb, item, nxt = heap[0]
-            live = (index.get(item.key) is item
+            neg_priority, _tb, cas, item, nxt = heap[0]
+            live = (item.cas == cas and index.get(item.key) is item
                     and (item.class_idx, item.bin_idx) == queue.qid
                     and self._next_use.get(item.key, NEVER) == nxt)
             if live:

@@ -1,15 +1,19 @@
 """Differential pin: ``SlabCache.apply_rows`` vs the per-request loop.
 
-``apply_rows`` handles the plain GET hit in its own frame and sends the
-rest through ``lookup`` / ``set`` / ``delete``;
-``apply_rows_per_request`` is the loop it replaced, one ``lookup`` per
-GET.  Two caches of equal geometry and policy are driven by the same
+``apply_rows`` handles a GET hit, a GET miss, its fill and a SET in its
+own frame — a re-store of a live key into its own queue keeps the item —
+and sends the rest (an item that can expire, an unseen size, an invalid
+row, dynamic binning, a policy that hashes keys, DELETE) through
+``lookup`` / ``set`` / ``delete``; ``apply_rows_per_request`` is the loop
+it replaced, one ``lookup`` / ``set`` / ``delete`` per request.  Two
+caches of equal geometry and policy are driven by the same
 rows, cut into the same runs, and compared after **every** run:
 everything either side holds, as plain data — the noted outcomes,
 ``accesses``, ``cas_tick``, the index order, per queue the LRU order
 with each item's ``seg`` / ``last_access`` / ``cas`` / expiry, its
 ``QueueStats``, slab count and the whole of its ``policy_data``
-(tracker bounds and filters, ghosts, value accumulators, GDS heaps), the
+(tracker bounds and filters, ghosts, value accumulators, GDS and
+oracle heaps with the ``cas`` each entry was pushed with), the
 policy object itself (PSA's windows, LAMA's profiles, learned edges,
 decision counters), ``CacheStats``, slab ownership and the
 ``EventTrace`` stream — and ``check_invariants`` runs on both.
@@ -22,6 +26,7 @@ with ``_in_operation`` clear.
 
 import dataclasses
 import itertools
+import math
 import random
 from collections import deque
 
@@ -100,8 +105,9 @@ def plain(obj, seen):
     if isinstance(obj, _GdsQueueState):
         # ``current`` is keyed by id(item): compare it through the heap
         return ("gds", obj.inflation,
-                [(h, tiebreak, item.key, obj.current.get(id(item)) == h)
-                 for h, tiebreak, item in obj.heap], len(obj.current))
+                [(h, tiebreak, cas, item.key, item.cas,
+                  obj.current.get(id(item)) == h)
+                 for h, tiebreak, cas, item in obj.heap], len(obj.current))
     if isinstance(obj, (list, tuple, deque)):
         return [plain(x, seen) for x in obj]
     if isinstance(obj, dict):
@@ -226,10 +232,27 @@ def put(key, size=40, penalty=0.05):
 
 
 KEYS = st.integers(min_value=0, max_value=40)
+#: keys stored again while they are live ...
+FEW = st.integers(min_value=0, max_value=5)
+#: ... with sizes in pairs that share a class (and a class apart), and
+#: penalties in pairs that share a PAMA bin (and a bin apart)
+RESTORE_SIZES = [40, 36, 100, 90, 120]
+RESTORE_PENALTIES = [0.05, 0.08, 2.0, 3.0]
+RESTORE = st.tuples(st.sampled_from([0, 1, 1]), FEW, st.just(8),
+                    st.sampled_from(RESTORE_SIZES).map(lambda size: size - 8),
+                    st.sampled_from(RESTORE_PENALTIES))
 ROW = st.one_of(
     st.tuples(st.sampled_from([0, 0, 0, 1, 1, 2]), KEYS, st.just(8),
               st.sampled_from(SIZES).map(lambda size: size - 8),
               st.sampled_from(PENALTIES)),
+    RESTORE,
+    # rows that go through lookup / set whole: a size not classed yet,
+    # one too large for any class, a penalty with no bin
+    st.tuples(st.sampled_from([0, 1]), FEW, st.just(8),
+              st.sampled_from([17, 333, 2000]),
+              st.sampled_from(PENALTIES)),
+    st.tuples(st.sampled_from([0, 1]), FEW, st.just(8), st.just(32),
+              st.just(math.nan)),
     # rows that raise where the cache validates them: a SET always, a
     # GET when it misses (sizes), or when its penalty has no bin
     st.tuples(st.sampled_from([0, 1]), KEYS, st.just(8), st.just(-8),
@@ -240,6 +263,7 @@ ROW = st.one_of(
 STEP = st.one_of(
     st.tuples(st.just("rows"), st.lists(ROW, max_size=40)),
     st.tuples(st.just("rows"), st.lists(ROW, max_size=40)),
+    st.tuples(st.just("rows"), st.lists(RESTORE, min_size=1, max_size=40)),
     st.tuples(st.just("expiring"), KEYS, st.sampled_from(SIZES),
               st.sampled_from(PENALTIES), st.sampled_from([0.5, 2.0, 50.0])),
     st.tuples(st.just("advance"), st.sampled_from([0.25, 1.0, 3.0])),

@@ -65,6 +65,24 @@ class TestBasicOps:
         assert len(cache) == 1
         cache.check_invariants()
 
+    def test_a_re_store_into_the_same_queue_keeps_the_item(self):
+        cache = small_cache(policy=PamaPolicy())
+        cache.set("k", 4, 100, 0.05, value="v1")
+        cache.set("other", 4, 100, 0.05)
+        item = cache.index["k"]
+        cas = item.cas
+        assert cache.set("k", 4, 90, 0.06, value="v2", expires_at=5.0)
+        assert cache.index["k"] is item           # same object, same slot
+        assert item.cas == cache.cas_tick > cas
+        assert (item.value_size, item.penalty, item.value, item.expires_at,
+                item.last_access) == (90, 0.06, "v2", 5.0, cache.accesses)
+        assert item.queue.lru.front is item       # promoted
+        assert cache.stats.sets == 3 and len(cache) == 2
+        cache.set("k", 4, 3000, 0.06)             # another class: a new item
+        assert cache.index["k"] is not item
+        cache.check_invariants()
+        cache.policy.check_ghost_sync()
+
     def test_item_too_large_rejected_not_fatal(self):
         cache = small_cache()
         assert not cache.set("big", 10, 10_000, 0.1)  # > 4096 slab

@@ -9,9 +9,13 @@ it is now the observer's ``on_remove``, the policy's ``on_evict``, the
 ghost's ``push`` and the entry's constructor, and everything else runs
 once per migration.  ``sys.setprofile`` counts frames entered, which
 repeats exactly — no clock, no tolerance (``benchmarks/count_work.py``
-is the same count over a benchmark input, with bytecodes).
+is the same count over a benchmark input, with bytecodes).  Garbage
+collection is off while a count runs: a collection can start on any
+allocation and runs whatever ``gc.callbacks`` holds (Hypothesis installs
+one), which would count frames that are not the cache's.
 """
 
+import gc
 import sys
 
 import pytest
@@ -22,12 +26,13 @@ from repro.core.pama import PamaPolicy
 
 #: frames a pressured SET enters besides its victims': ``set``, the size
 #: class of a size not seen before (``class_for_size``, ``max_item_size``),
-#: ``bin_for``, ``Item()``, ``_ensure_slot``, ``resolve_pressure``, the
-#: receiver's Eq. 2 sum (never taken before: ``incoming_value`` and four
-#: generator frames; the donor's is read in place), ``_record_decision``,
+#: ``Item()``, ``_ensure_slot``, ``resolve_pressure``, the receiver's
+#: Eq. 2 sum (never taken before: ``incoming_value`` and four generator
+#: frames; the donor's is read in place), ``_record_decision``,
 #: ``_migrate_slab``, ``pop_back_run``, ``pool.transfer``, ``push_front``,
-#: ``on_push_front`` and ``on_insert``.  It was 27.
-CALLS_PER_SET = 19
+#: ``on_push_front`` and ``on_insert``.  It was 27, then 19 while ``set``
+#: asked the policy's ``bin_for`` for the bin.
+CALLS_PER_SET = 18
 #: ... and per evicted item: on_remove, on_evict, push, GhostEntry().
 #: It was 8.
 CALLS_PER_VICTIM = 4
@@ -43,11 +48,16 @@ def calls_during(fn) -> int:
         if event == "call":
             entered += 1
 
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
     sys.setprofile(profile)
     try:
         fn()
     finally:
         sys.setprofile(None)
+        if enabled:
+            gc.enable()
     return entered - 1  # fn's own frame
 
 

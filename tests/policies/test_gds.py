@@ -48,6 +48,21 @@ class TestGdsEviction:
         assert inflations == sorted(inflations)
         assert inflations[-1] > 0
 
+    def test_a_re_stored_items_older_entry_is_stale_at_an_equal_priority(self):
+        cache = gds_cache(slabs=1)
+        per_slab = 4096 // 64
+        for i in range(per_slab):       # one H for all: pushed in key order
+            cache.set(i, 8, 50, 0.01)
+        first = cache.index[0]
+        cache.set(0, 8, 50, 0.01)       # re-stored in place: same item, same H
+        assert cache.index[0] is first
+        cache.set("overflow", 8, 50, 0.01)
+        # key 0's first entry still heads the heap at that H, but it
+        # predates the re-store: the victim is key 1
+        assert 0 in cache and 1 not in cache
+        assert cache.stats.evictions == 1
+        cache.check_invariants()
+
     def test_pressure_takes_from_cheapest_queue(self):
         cache = gds_cache(slabs=2)
         per_slab = 4096 // 64

@@ -72,6 +72,20 @@ class TestBeladyChoice:
         assert belady >= lru - 0.005
 
 
+    def test_a_re_stored_items_older_entry_is_stale_at_an_equal_priority(self):
+        cache = oracle_cache(manual_trace([9]))   # 1 and 2 are never read
+        cache.set(1, 8, 50, 0.1)
+        cache.set(2, 8, 50, 0.1)
+        first = cache.index[1]
+        cache.set(1, 8, 50, 0.1)    # re-stored in place: same item, same
+        assert cache.index[1] is first          # next use (never)
+        cache.set(3, 8, 50, 0.1)
+        # key 1's first entry still heads the heap at that priority, but
+        # it predates the re-store: the victim is key 2
+        assert 1 in cache and 2 not in cache
+        cache.check_invariants()
+
+
 class TestCostAwareOracle:
     def test_prefers_keeping_expensive_items(self):
         # keys 1 (cheap) and 2 (dear) recur equally; 1-slot pressure
