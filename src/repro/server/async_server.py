@@ -14,7 +14,9 @@ the lock, not serving.  This front end replaces all four costs:
   deployment on multi-core hosts;
 * **one pass per request**: an :class:`asyncio.Protocol` per connection
   feeds a :class:`repro.server.protocol.StreamDecoder`; each command is
-  decoded, routed, executed and timed once;
+  decoded, routed, executed and timed once, and a plain ``get`` /
+  ``set`` / ``delete`` line in one frame, with no call between decoding
+  and executing it;
 * **write coalescing**: the replies of a received chunk leave in one
   ``transport.write``, and a client that stops reading stops being read.
 
@@ -30,6 +32,7 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
+from math import nan
 
 from repro import __version__
 from repro.obs import EventTrace, Registry, flat_items
@@ -106,6 +109,15 @@ class AsyncCacheServer:
                 growth=1.5, cmd=verb, shard=shard)
             self._latency[(verb, shard)] = hist
         return hist
+
+    def _trace(self, verb: str, shard: str, elapsed: float) -> None:
+        """Offer one served command to the tracer.  Per-shard ticks are
+        only ever mutated from this loop, so the snapshot is naturally
+        race-free (unlike the threaded server, which must lock)."""
+        tick = sum(cache.accesses for cache in self.shards.shards)
+        if self.tracer.sampled(tick):
+            self.tracer.record_single(verb, tick, tick, duration_s=elapsed,
+                                      shard=shard)
 
     def gather_stats(self, arg: str | None) -> dict[str, object]:
         """The ``stats`` / ``stats detail`` payload (cross-shard)."""
@@ -191,6 +203,10 @@ class AsyncCacheServer:
         return self._labels[idx]
 
 
+#: how a line :meth:`_Connection._serve_plain` may take begins
+_PLAIN = (b"get ", b"set ", b"delete ")
+
+
 class _Connection(asyncio.Protocol):
     """One client connection: received bytes in, reply bytes out."""
 
@@ -227,30 +243,36 @@ class _Connection(asyncio.Protocol):
 
     def _serve(self) -> None:
         """Execute every complete command received so far; their
-        replies leave in one write."""
-        server = self.server
+        replies leave in one write.
+
+        A run of plain lines is served by :meth:`_serve_plain`.  Every
+        other item is an event of one :meth:`StreamDecoder.events` pass
+        and is run by ``_execute``; since each step of the pass reads
+        the decoder's position afresh, the pass goes on where
+        :meth:`_serve_plain` stopped.  Only a line that starts like a
+        plain one leaves the events loop, so a run of other commands
+        costs what the events loop alone costs, plus one ``startswith``
+        per command.
+        """
+        server, decoder = self.server, self.decoder
         execute, latency = server._execute, server._latency
         tracer, perf = server.tracer, time.perf_counter
+        buf = decoder.buf
         out = bytearray()
-        keep_going = True
-        for event in self.decoder.events():
+        if buf.startswith(_PLAIN, decoder.pos) and decoder.idle:
+            self._serve_plain(out)
+        for event in decoder.events():
             if event[0] == p.EV_COMMAND:
                 cmd = event[1]
                 if isinstance(cmd, p.QuitCommand):
-                    keep_going = False
-                    break
+                    decoder.closed = True  # nothing after it is served
+                    continue
                 started = perf()
                 try:
                     shard = execute(cmd, event[2], out)
                 except Exception as exc:  # noqa: BLE001
-                    # Same contract as the threaded server: an
-                    # unexpected failure answers SERVER_ERROR, then the
-                    # connection closes.
-                    server.c_server_errors.inc()
-                    out += p.format_server_error(
-                        str(exc) or type(exc).__name__)
-                    keep_going = False
-                    break
+                    self._fail(exc, out)
+                    continue
                 elapsed = perf() - started
                 verb = p.verb_of(cmd)
                 hist = latency.get((verb, shard))
@@ -258,24 +280,144 @@ class _Connection(asyncio.Protocol):
                     hist = server.latency_histogram(verb, shard)
                 hist.record(elapsed)
                 if tracer is not None:
-                    # Per-shard ticks are only ever mutated from this
-                    # loop, so the snapshot is naturally race-free
-                    # (unlike the threaded server, which must lock).
-                    tick = sum(c.accesses for c in server.shards.shards)
-                    if tracer.sampled(tick):
-                        tracer.record_single(
-                            verb, tick, tick, duration_s=elapsed, shard=shard)
-            else:  # EV_ERROR; EV_FATAL: reply, then close
+                    server._trace(verb, shard, elapsed)
+            else:  # EV_ERROR; EV_FATAL has closed the decoder
                 server.c_protocol_errors.inc()
                 out += p.format_error(event[1])
-                if event[0] == p.EV_FATAL:
-                    keep_going = False
-                    break
+            if buf.startswith(_PLAIN, decoder.pos) and decoder.idle:
+                self._serve_plain(out)
         if out:
             server.c_bytes_written.inc(len(out))
             self.transport.write(out)
-        if not keep_going:
+        if decoder.closed:
             self.transport.close()  # after the replies are flushed
+
+    def _serve_plain(self, out: bytearray) -> None:
+        """Serve the run of plain lines at the decoder's position, each
+        in this frame: ``get <key>...``, ``set <key> <flags> <exptime>
+        <bytes> [noreply]`` whose data block is buffered, and ``delete
+        <key> [noreply]``.
+
+        A line is taken only when ``parse_command`` and the decoder
+        would accept it as that command, and is then executed, answered,
+        timed and traced as ``_execute`` and :meth:`_serve` would.  The
+        run ends at the first line this loop does not take, at the end
+        of the complete lines, or at a command that fails (which closes
+        the decoder).
+        """
+        server, decoder = self.server, self.decoder
+        shards = server.shards
+        caches, labels = shards.shards, server._labels
+        route = shards.shard_index if shards.nshards > 1 else None
+        latency, tracer = server._latency, server.tracer
+        perf = time.perf_counter
+        max_line, max_item = decoder.MAX_LINE, decoder.max_item_size
+        buf, pos = decoder.buf, decoder.pos
+        with memoryview(buf) as view:
+            while True:
+                # decode and check the line as parse_command would
+                nl = buf.find(b"\n", pos)
+                if nl < 0 or nl - pos > max_line:
+                    break
+                try:
+                    parts = str(view[pos:nl], "utf-8").split()
+                except UnicodeDecodeError:
+                    break
+                n = len(parts)
+                if n < 2 or len(parts[1]) > p.MAX_KEY_LEN:
+                    break
+                verb, key = parts[0], parts[1]
+                if verb == "get":
+                    if n > 2 and max(map(len, parts)) > p.MAX_KEY_LEN:
+                        break
+                    end = nl + 1
+                elif verb == "set":
+                    if n == 5:
+                        noreply = False
+                    elif n == 6 and parts[5] == "noreply":
+                        noreply = True
+                    else:
+                        break
+                    try:
+                        flags, exptime, nbytes = (
+                            int(parts[2]), int(parts[3]), int(parts[4]))
+                    except ValueError:
+                        break
+                    if flags < 0 or nbytes < 0 or nbytes > max_item:
+                        break
+                    start = nl + 1
+                    end = start + nbytes
+                    if len(buf) < end + 2 or buf[end] != 13 \
+                            or buf[end + 1] != 10:
+                        break
+                    data = bytes(view[start:end])
+                    end += 2
+                elif verb == "delete":
+                    if n == 2:
+                        noreply = False
+                    elif n == 3 and parts[2] == "noreply":
+                        noreply = True
+                    else:
+                        break
+                    end = nl + 1
+                else:
+                    break
+                # route, execute and answer it as _execute would
+                started = perf()
+                try:
+                    if verb == "get":
+                        idx = -1  # recorded under the first key's shard
+                        for key in parts[1:]:
+                            i = 0 if route is None else route(key)
+                            if idx < 0:
+                                idx = i
+                            item = caches[i].lookup(key, -1, 0, nan)
+                            if item is not None and item.value is not None:
+                                flags, data = item.value
+                                out += (f"VALUE {key} {flags} {len(data)}"
+                                        "\r\n".encode())
+                                out += data
+                                out += b"\r\n"
+                        out += p.END
+                    else:
+                        idx = 0 if route is None else route(key)
+                        cache = caches[idx]
+                        if verb == "set":
+                            # apply_storage's plain set: resolve the
+                            # expiry, probe (stats count it), store
+                            now = cache.clock()
+                            expires = (0.0 if exptime == 0
+                                       else p.resolve_exptime(exptime, now))
+                            cache.lookup(key, -1, 0, nan)
+                            stored = cache.set(key, len(key), nbytes,
+                                               flags / 1e6, (flags, data),
+                                               expires)
+                            if not noreply:
+                                out += p.STORED if stored else p.NOT_STORED
+                        else:
+                            found = cache.delete(key)
+                            if not noreply:
+                                out += p.DELETED if found else p.NOT_FOUND
+                except Exception as exc:  # noqa: BLE001
+                    self._fail(exc, out)
+                    break
+                elapsed = perf() - started
+                pos = end
+                shard = labels[idx]
+                hist = latency.get((verb, shard))
+                if hist is None:
+                    hist = server.latency_histogram(verb, shard)
+                hist.record(elapsed)
+                if tracer is not None:
+                    server._trace(verb, shard, elapsed)
+        decoder.pos = pos
+
+    def _fail(self, exc: Exception, out: bytearray) -> None:
+        """Same contract as the threaded server: an unexpected failure
+        answers SERVER_ERROR, then the connection closes."""
+        self.server.c_server_errors.inc()
+        out += p.format_server_error(str(exc) or type(exc).__name__)
+        self.decoder.closed = True
 
 
 # -- background-thread harness (tests, benches, --spawn) ---------------------

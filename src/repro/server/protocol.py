@@ -285,6 +285,14 @@ class StreamDecoder:
     difference is purely operational: any number of pipelined commands
     arriving in one TCP segment decode in one pass with no per-command
     syscalls.
+
+    ``buf`` holds the bytes received and ``pos`` the end of the prefix
+    already consumed.  While the decoder is :attr:`idle`, ``pos`` starts
+    a request line, and a consumer may serve complete lines from ``buf``
+    itself and advance ``pos`` past them, between two steps of
+    :meth:`events` as well: each step reads ``pos`` afresh.  The async
+    server's ``_Connection._serve_plain`` does this for the plain
+    ``get`` / ``set`` / ``delete`` lines.
     """
 
     #: commands may not exceed this line length (a full-size key plus
@@ -293,8 +301,8 @@ class StreamDecoder:
 
     def __init__(self, max_item_size: float = float("inf")) -> None:
         self.max_item_size = max_item_size  # bytes; servers pass a slab's
-        self._buf = bytearray()
-        self._pos = 0  # consumed prefix of _buf
+        self.buf = bytearray()
+        self.pos = 0  # consumed prefix of buf
         self._pending: SetCommand | None = None  # awaiting its data block
         self._drain = 0  # block bytes still to discard
         self._drain_event: tuple | None = None  # yielded once they are
@@ -303,25 +311,32 @@ class StreamDecoder:
     def feed(self, chunk: bytes) -> None:
         """Append one received chunk (no decoding happens here)."""
         if not self.closed:
-            self._buf += chunk
+            self.buf += chunk
+
+    @property
+    def idle(self) -> bool:
+        """True when ``pos`` starts a request line: the decoder is open
+        and no data block is pending or being discarded.  It is so after
+        every event :meth:`events` yields, unless that closed it."""
+        return not self.closed and self._pending is None and not self._drain
 
     @property
     def buffered(self) -> int:
         """Bytes received but not yet consumed by :meth:`events`."""
-        return len(self._buf) - self._pos
+        return len(self.buf) - self.pos
 
     def events(self):
         """Yield decoded events until the buffer has no complete item.
         Finish or drop the iteration before the next :meth:`feed`: the
         buffer cannot grow while data blocks are copied out of a view."""
-        buf = self._buf
+        buf = self.buf
         with memoryview(buf) as view:
             while not self.closed:
                 # 1) discard a block nobody will read: the resync after a
                 #    malformed-but-countable storage line, an oversized item
                 if self._drain:
-                    take = min(self._drain, len(buf) - self._pos)
-                    self._pos += take
+                    take = min(self._drain, len(buf) - self.pos)
+                    self.pos += take
                     self._drain -= take
                     if self._drain:
                         break  # need more bytes
@@ -331,12 +346,12 @@ class StreamDecoder:
                 # 2) a storage command is waiting for its data block + CRLF
                 if self._pending is not None:
                     cmd = self._pending
-                    start = self._pos
+                    start = self.pos
                     end = start + cmd.nbytes
                     if len(buf) < end + 2:
                         break
                     self._pending = None
-                    self._pos = end + 2
+                    self.pos = end + 2
                     if buf[end] != 13 or buf[end + 1] != 10:  # not CRLF
                         # framing is lost: there is no way to know where
                         # the next command starts.
@@ -346,15 +361,15 @@ class StreamDecoder:
                     yield (EV_COMMAND, cmd, bytes(view[start:end]))
                     continue
                 # 3) otherwise: decode the next request line
-                nl = buf.find(b"\n", self._pos)
-                if (nl if nl >= 0 else len(buf)) - self._pos > self.MAX_LINE:
+                nl = buf.find(b"\n", self.pos)
+                if (nl if nl >= 0 else len(buf)) - self.pos > self.MAX_LINE:
                     self.closed = True
                     yield (EV_FATAL, "command line too long")
                     break
                 if nl < 0:
                     break
-                line = buf[self._pos:nl]  # parse_command ignores a final CR
-                self._pos = nl + 1
+                line = buf[self.pos:nl]  # parse_command ignores a final CR
+                self.pos = nl + 1
                 if not line or (line[0] == 13 and not line.strip(b"\r")):
                     continue
                 try:
@@ -381,8 +396,8 @@ class StreamDecoder:
                     self._drain_event = (EV_COMMAND, cmd, None)
                 else:
                     self._pending = cmd
-        del buf[:self._pos]  # compact: drop the consumed prefix
-        self._pos = 0
+        del buf[:self.pos]  # compact: drop the consumed prefix
+        self.pos = 0
 
 
 # -- response formatting -----------------------------------------------------
@@ -396,33 +411,44 @@ def format_value(key: str, flags: int, data: bytes,
     return head.encode() + CRLF + data + CRLF
 
 
+#: the fixed replies, built once: ``format_*`` returns these objects
+END = b"END" + CRLF
+STORED = b"STORED" + CRLF
+NOT_STORED = b"NOT_STORED" + CRLF
+DELETED = b"DELETED" + CRLF
+NOT_FOUND = b"NOT_FOUND" + CRLF
+EXISTS = b"EXISTS" + CRLF
+TOUCHED = b"TOUCHED" + CRLF
+OK = b"OK" + CRLF
+
+
 def format_get_tail() -> bytes:
-    return b"END" + CRLF
+    return END
 
 
 def format_stored() -> bytes:
-    return b"STORED" + CRLF
+    return STORED
 
 
 def format_not_stored() -> bytes:
-    return b"NOT_STORED" + CRLF
+    return NOT_STORED
 
 
 def format_deleted(found: bool) -> bytes:
-    return (b"DELETED" if found else b"NOT_FOUND") + CRLF
+    return DELETED if found else NOT_FOUND
 
 
 def format_not_found() -> bytes:
-    return b"NOT_FOUND" + CRLF
+    return NOT_FOUND
 
 
 def format_exists() -> bytes:
     """``cas`` reply: the item changed since its cas id was fetched."""
-    return b"EXISTS" + CRLF
+    return EXISTS
 
 
 def format_touched(found: bool) -> bytes:
-    return (b"TOUCHED" if found else b"NOT_FOUND") + CRLF
+    return TOUCHED if found else NOT_FOUND
 
 
 def format_number(value: int) -> bytes:
@@ -430,7 +456,7 @@ def format_number(value: int) -> bytes:
 
 
 def format_ok() -> bytes:
-    return b"OK" + CRLF
+    return OK
 
 
 #: memcached treats exptime values above this as absolute unix times.
@@ -463,7 +489,7 @@ def format_server_error(message: str) -> bytes:
 def format_stats(stats: dict[str, object]) -> bytes:
     body = b"".join(f"STAT {k} {v}".encode() + CRLF
                     for k, v in sorted(stats.items()))
-    return body + b"END" + CRLF
+    return body + END
 
 
 def format_version(version: str) -> bytes:

@@ -169,6 +169,8 @@ def apply_storage(cache: SlabCache, cmd: p.SetCommand,
     than any slab instead of reading it."""
     if data is None:
         return p.format_server_error(INCR_STORE_FAILED_MSG)
+    # The async server's ``_Connection._serve_plain`` repeats the plain
+    # ``set`` below (expiry, this probe, store): change the two together.
     expires = p.resolve_exptime(cmd.exptime, cache.clock())
     existing = cache.get(cmd.key)  # honours expiry
     if cmd.verb == "add" and existing is not None:

@@ -192,6 +192,47 @@ class TestItemSizeLimit:
         assert len(ev[2]) == 70000
 
 
+class TestIdle:
+    """``idle``: ``pos`` starts a request line, so a consumer may serve
+    lines from ``buf`` itself."""
+
+    def test_a_fresh_decoder_is_idle(self):
+        assert p.StreamDecoder().idle
+
+    def test_not_while_a_block_is_pending(self):
+        d = p.StreamDecoder()
+        d.feed(b"set k 0 0 3\r\nab")
+        assert drain(d) == [] and not d.idle
+        d.feed(b"c\r\nget k\r\n")
+        events = d.events()
+        assert next(events)[2] == b"abc"
+        assert d.idle and d.buf.startswith(b"get k", d.pos)
+        events.close()
+
+    def test_not_while_a_block_is_discarded(self):
+        d = p.StreamDecoder(max_item_size=4)
+        d.feed(b"set k 0 0 5\r\nabc")
+        assert drain(d) == [] and not d.idle
+        d.feed(b"de\r\n")
+        assert drain(d)[0][1].key == "k" and d.idle
+
+    def test_not_once_closed(self):
+        d = p.StreamDecoder()
+        d.feed(b"set k 0 0 1\r\nxy\r\n")
+        assert drain(d)[0][0] == p.EV_FATAL and not d.idle
+
+    def test_serving_a_line_between_two_steps(self):
+        """A line consumed by advancing ``pos`` between two steps of one
+        ``events()`` pass is not decoded again."""
+        d = p.StreamDecoder()
+        d.feed(b"version\r\nget a\r\nstats\r\n")
+        events = d.events()
+        assert isinstance(next(events)[1], p.VersionCommand)
+        d.pos = d.buf.index(b"stats")
+        assert [type(e[1]) for e in events] == [p.StatsCommand]
+        assert d.buffered == 0
+
+
 # -- fuzz ----------------------------------------------------------------
 
 _WORDS = st.sampled_from([
