@@ -13,18 +13,18 @@ import random
 import time
 
 from repro.backend import SimulatedBackend
-from repro.cache import SlabCache, SizeClassConfig
+from repro.cache import SizeClassConfig
 from repro.core import PamaPolicy
-from repro.server import CacheClient, start_server
+from repro.server import CacheClient, ShardSet, start_async_server
 
 
 def main() -> None:
-    cache = SlabCache(8 << 20, PamaPolicy(),
+    shards = ShardSet(8 << 20, PamaPolicy,
                       SizeClassConfig(slab_size=64 << 10))
-    server = start_server(cache)
+    server = start_async_server(shards)
     backend = SimulatedBackend()
     print(f"server listening on 127.0.0.1:{server.port} "
-          f"({cache.describe()})\n")
+          f"({shards.shards[0].describe()})\n")
 
     rng = random.Random(0)
     hits = misses = 0
@@ -57,7 +57,7 @@ def main() -> None:
                     "policy"):
             print(f"  {key:12s} {stats[key]}")
 
-    server.shutdown()
+    server.stop()
 
 
 if __name__ == "__main__":

@@ -20,9 +20,8 @@ Subcommands:
   ``--dump-dir`` timeline + span dump)
 * ``report``   — render a dump directory as self-contained HTML
 * ``profile``  — cProfile a replay
-* ``serve``    — run the memcached-protocol server (asyncio front end
-  over one cache; ``--legacy`` for the threaded reference
-  implementation)
+* ``serve``    — run the memcached-protocol server (one asyncio event
+  loop over one cache; ``--shards N`` hash-partitions it)
 * ``loadgen``  — memtier-style load generator (``--spawn`` self-hosts
   a server for one-command smoke runs)
 """
@@ -507,30 +506,14 @@ def cmd_report(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    from repro.cache import SlabCache, SizeClassConfig
-    from repro.policies import make_policy
-    from repro.server.server import CacheServer
-
-    classes = SizeClassConfig(slab_size=parse_size(args.slab_size))
-    if args.legacy:
-        cache = SlabCache(parse_size(args.cache_size),
-                          make_policy(args.policy), classes)
-        server = CacheServer((args.host, args.port), cache)
-        print(f"serving [legacy threaded] {cache.describe()} on "
-              f"{args.host}:{server.port} (ctrl-c to stop)", flush=True)
-        try:
-            server.serve_forever()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            server.server_close()
-        return 0
-
     import asyncio
 
+    from repro.cache import SizeClassConfig
+    from repro.policies import make_policy
     from repro.server.async_server import AsyncCacheServer
     from repro.server.shard import ShardSet
 
+    classes = SizeClassConfig(slab_size=parse_size(args.slab_size))
     shards = ShardSet(parse_size(args.cache_size),
                       lambda: make_policy(args.policy), classes,
                       nshards=args.shards)
@@ -538,9 +521,8 @@ def cmd_serve(args) -> int:
     async def serve() -> None:
         server = AsyncCacheServer(shards)
         await server.start(args.host, args.port)
-        layout = (f"[async] {shards.shards[0].describe()}"
-                  if args.shards == 1 else
-                  f"[async x{args.shards} shards] "
+        layout = (shards.shards[0].describe() if args.shards == 1 else
+                  f"[{args.shards} shards] "
                   f"{shards.shards[0].describe()} per shard")
         print(f"serving {layout} on {args.host}:{server.port} "
               f"(ctrl-c to stop)", flush=True)
@@ -574,24 +556,16 @@ def cmd_loadgen(args) -> int:
         from repro.cache import SizeClassConfig
         from repro.policies import make_policy
         from repro.server.async_server import start_async_server
-        from repro.server.server import start_server
         from repro.server.shard import ShardSet
 
-        classes = SizeClassConfig(slab_size=parse_size(args.slab_size))
-        if args.spawn == "legacy":
-            from repro.cache import SlabCache
-            cache = SlabCache(parse_size(args.cache_size),
-                              make_policy(args.policy), classes)
-            handle = start_server(cache)
-            handle.stop = lambda: (handle.shutdown(), handle.server_close())
-        else:
-            shards = ShardSet(parse_size(args.cache_size),
-                              lambda: make_policy(args.policy), classes,
-                              nshards=args.shards)
-            handle = start_async_server(shards)
+        shards = ShardSet(parse_size(args.cache_size),
+                          lambda: make_policy(args.policy),
+                          SizeClassConfig(
+                              slab_size=parse_size(args.slab_size)),
+                          nshards=args.shards)
+        handle = start_async_server(shards)
         host, port = "127.0.0.1", handle.port
-        print(f"spawned {args.spawn} server on port {port}",
-              file=sys.stderr)
+        print(f"spawned server on port {port}", file=sys.stderr)
     elif port is None:
         print("loadgen: --port is required (or use --spawn)",
               file=sys.stderr)
@@ -867,22 +841,19 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--slab-size", default="1MiB")
     v.add_argument("--policy", default="pama", choices=POLICY_NAMES)
     v.add_argument("--shards", type=int, default=1,
-                   help="hash-partitioned caches of the async server "
+                   help="hash-partitioned caches of the server "
                         "(one event loop serves them all: more than one "
                         "is the layout of a process-per-shard "
                         "deployment, not a speed-up)")
-    v.add_argument("--legacy", action="store_true",
-                   help="run the threaded reference server instead of "
-                        "the asyncio front end")
     v.set_defaults(func=cmd_serve)
 
     lg = subs.add_parser(
         "loadgen",
-        help="memtier-style load generator for the protocol servers")
+        help="memtier-style load generator for the protocol server")
     lg.add_argument("--host", default="127.0.0.1")
     lg.add_argument("--port", type=int, default=None,
                     help="target port (omit with --spawn)")
-    lg.add_argument("--spawn", choices=["async", "legacy"],
+    lg.add_argument("--spawn", action="store_true",
                     help="self-host a server in-process on an ephemeral "
                          "port for the duration of the run")
     lg.add_argument("--connections", type=int, default=64)
@@ -908,7 +879,7 @@ def build_parser() -> argparse.ArgumentParser:
     lg.add_argument("--policy", default="pama", choices=POLICY_NAMES,
                     help="(--spawn only) server allocation policy")
     lg.add_argument("--shards", type=int, default=1,
-                    help="(--spawn async only) shard count")
+                    help="(--spawn only) shard count")
     lg.set_defaults(func=cmd_loadgen)
 
     return parser

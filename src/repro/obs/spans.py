@@ -192,8 +192,9 @@ class SpanTracer:
                       status: str = "ok", **attrs) -> None:
         """Append a finished one-span trace without touching the stack.
 
-        Thread-safe under the GIL (one deque append), which is what the
-        multi-threaded protocol server needs for per-command spans.
+        The protocol server records its per-command spans this way:
+        one deque append, so it is also safe under the GIL from any
+        thread.
         """
         self.started_traces += 1
         span = Span(self._next_span_id, None, self.started_traces, name,

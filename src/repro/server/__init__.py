@@ -1,14 +1,11 @@
-"""Memcached-protocol serving: async sharded front end + legacy server.
+"""Memcached-protocol serving over the slab cache.
 
-Two interchangeable front ends speak the same wire protocol over the
-slab cache:
-
-* :class:`AsyncCacheServer` (``start_async_server``) — the asyncio
-  sharded server: pipelined parsing, write coalescing, hash-partitioned
-  :class:`~repro.server.shard.ShardSet`, no hot-path locks.
-* :class:`CacheServer` (``start_server``) — the original
-  thread-per-connection server with one coarse lock; kept as the
-  reference implementation and differential-test oracle.
+:class:`AsyncCacheServer` (``start_async_server`` runs one on a
+background thread) speaks the memcached text protocol: one event loop,
+pipelined parsing, write coalescing, and a hash-partitioned
+:class:`~repro.server.shard.ShardSet` (one cache by default) with no
+hot-path locks.  :class:`CacheClient` and the ``loadgen`` driver talk
+to it over real sockets.
 """
 
 from repro.server.async_server import (AsyncCacheServer, AsyncServerHandle,
@@ -18,11 +15,10 @@ from repro.server.loadgen import (LoadgenConfig, LoadgenResult, run_loadgen,
                                   run_loadgen_sync)
 from repro.server.protocol import (ProtocolError, StreamDecoder,
                                    format_request, parse_command)
-from repro.server.server import CacheServer, start_server
 from repro.server.shard import ShardSet, shard_of
 
-__all__ = ["CacheServer", "start_server", "AsyncCacheServer",
-           "AsyncServerHandle", "start_async_server", "ShardSet",
-           "shard_of", "CacheClient", "parse_command", "format_request",
-           "ProtocolError", "StreamDecoder", "LoadgenConfig",
-           "LoadgenResult", "run_loadgen", "run_loadgen_sync"]
+__all__ = ["AsyncCacheServer", "AsyncServerHandle", "start_async_server",
+           "ShardSet", "shard_of", "CacheClient", "parse_command",
+           "format_request", "ProtocolError", "StreamDecoder",
+           "LoadgenConfig", "LoadgenResult", "run_loadgen",
+           "run_loadgen_sync"]

@@ -1,14 +1,8 @@
-"""Asyncio front end: pipelined parsing over hash-partitioned shards.
+"""The memcached-protocol server: one event loop, hash-partitioned shards.
 
-The legacy :class:`~repro.server.server.CacheServer` is a thread per
-connection, a blocking ``readline`` per command, an unbuffered write per
-reply, and one coarse lock around every cache operation — at 64
-connections the process spends its time context-switching and fighting
-the lock, not serving.  This front end replaces all four costs:
-
-* **one event loop** owns every connection — no thread switches, no
-  lock: each shard is only ever touched from the loop, so the hot path
-  is plain function calls;
+* **one event loop** owns every connection — no thread per connection,
+  no lock: each shard is only ever touched from the loop, so the hot
+  path is plain function calls;
 * **hash-partitioned shards** (:mod:`repro.server.shard`, splitmix64 on
   the key) bound per-shard state and map 1:1 onto a process-per-shard
   deployment on multi-core hosts;
@@ -20,11 +14,9 @@ the lock, not serving.  This front end replaces all four costs:
 * **write coalescing**: the replies of a received chunk leave in one
   ``transport.write``, and a client that stops reading stops being read.
 
-Reply bytes are identical to the legacy server's — both delegate
-storage and incr/decr semantics to :mod:`repro.server.shard`, and the
-differential suite replays full protocol scripts against both servers
-asserting byte equality.  The legacy server remains available as the
-``--legacy`` reference implementation.
+Storage and incr/decr semantics live in :mod:`repro.server.shard`.  The
+differential suite (``tests/server/test_differential.py``) holds the
+reply bytes of full protocol scripts to committed transcripts.
 """
 
 from __future__ import annotations
@@ -112,8 +104,8 @@ class AsyncCacheServer:
 
     def _trace(self, verb: str, shard: str, elapsed: float) -> None:
         """Offer one served command to the tracer.  Per-shard ticks are
-        only ever mutated from this loop, so the snapshot is naturally
-        race-free (unlike the threaded server, which must lock)."""
+        only ever mutated from this loop, so the snapshot needs no
+        lock."""
         tick = sum(cache.accesses for cache in self.shards.shards)
         if self.tracer.sampled(tick):
             self.tracer.record_single(verb, tick, tick, duration_s=elapsed,
@@ -267,11 +259,12 @@ class _Connection(asyncio.Protocol):
                 if isinstance(cmd, p.QuitCommand):
                     decoder.closed = True  # nothing after it is served
                     continue
+                mark = len(out)
                 started = perf()
                 try:
                     shard = execute(cmd, event[2], out)
                 except Exception as exc:  # noqa: BLE001
-                    self._fail(exc, out)
+                    self._fail(exc, out, mark)
                     continue
                 elapsed = perf() - started
                 verb = p.verb_of(cmd)
@@ -363,6 +356,7 @@ class _Connection(asyncio.Protocol):
                 else:
                     break
                 # route, execute and answer it as _execute would
+                mark = len(out)
                 started = perf()
                 try:
                     if verb == "get":
@@ -399,7 +393,7 @@ class _Connection(asyncio.Protocol):
                             if not noreply:
                                 out += p.DELETED if found else p.NOT_FOUND
                 except Exception as exc:  # noqa: BLE001
-                    self._fail(exc, out)
+                    self._fail(exc, out, mark)
                     break
                 elapsed = perf() - started
                 pos = end
@@ -412,22 +406,24 @@ class _Connection(asyncio.Protocol):
                     server._trace(verb, shard, elapsed)
         decoder.pos = pos
 
-    def _fail(self, exc: Exception, out: bytearray) -> None:
-        """Same contract as the threaded server: an unexpected failure
-        answers SERVER_ERROR, then the connection closes."""
+    def _fail(self, exc: Exception, out: bytearray, mark: int) -> None:
+        """An unexpected failure answers SERVER_ERROR, then the
+        connection closes.  The failing command's reply began at
+        ``out[mark]``: what it had appended (the found keys of a
+        multi-key ``get``) is dropped, so the error is all it answers."""
         self.server.c_server_errors.inc()
+        del out[mark:]
         out += p.format_server_error(str(exc) or type(exc).__name__)
         self.decoder.closed = True
 
 
-# -- background-thread harness (tests, benches, --spawn) ---------------------
+# -- background-thread harness (tests, examples, loadgen --spawn) ------------
 
 class AsyncServerHandle:
     """A running :class:`AsyncCacheServer` on a background event loop.
 
-    The synchronous counterpart of ``start_server`` for the async
-    server: tests and benchmarks get a bound ``port`` immediately and
-    call :meth:`stop` when done.
+    Synchronous code (tests, examples, ``loadgen --spawn``) gets a bound
+    ``port`` immediately and calls :meth:`stop` when done.
     """
 
     def __init__(self, server: AsyncCacheServer, loop: asyncio.AbstractEventLoop,
@@ -465,7 +461,7 @@ class AsyncServerHandle:
 
 def start_async_server(shards: ShardSet, host: str = "127.0.0.1",
                        port: int = 0, tracing=None) -> AsyncServerHandle:
-    """Start an async sharded server on a background thread.
+    """Start a server over ``shards`` on a background thread.
 
     Returns once the socket is bound; the bound port is
     ``handle.port``.  Call ``handle.stop()`` to shut down.

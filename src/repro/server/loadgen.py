@@ -1,4 +1,4 @@
-"""memtier-style load generator for the memcached-protocol servers.
+"""memtier-style load generator for the memcached-protocol server.
 
 Drives a server with ``connections`` concurrent asyncio connections,
 each keeping ``pipeline`` requests on the wire, over a deterministic
@@ -7,15 +7,12 @@ splitmix64 function of ``(seed, connection, op index)`` — identical
 seeds replay identical request streams).  Reports ops/s and batch
 round-trip latency quantiles.
 
-Used three ways:
+Used two ways:
 
 * ``repro-kv loadgen`` — CLI against any host:port (or ``--spawn`` to
   self-host a server for a one-command smoke test);
-* ``benchmarks/record_server.py`` — the tracked ops/s + p99 trajectory
-  (``BENCH_server.json``) comparing the async sharded front end to the
-  legacy threaded server;
-* the loadgen e2e test, which replays a tiny run against the async
-  server and checks the accounting adds up.
+* the loadgen e2e test, which replays a tiny run against the server
+  and checks the accounting adds up.
 """
 
 from __future__ import annotations

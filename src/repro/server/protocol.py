@@ -277,12 +277,10 @@ class StreamDecoder:
       trailer, or a storage line whose byte count is unknowable); reply
       and close.  The decoder refuses further input afterwards.
 
-    Semantics mirror the threaded server's blocking loop exactly — the
-    same recovery rules documented in docs/protocol.md (drain the data
-    block of a malformed-but-countable storage line, close when the
-    count is unknowable or the trailer is not CRLF) — so the async
-    server's replies stay byte-identical to the legacy server's.  The
-    difference is purely operational: any number of pipelined commands
+    The recovery rules are those documented in docs/protocol.md (drain
+    the data block of a malformed-but-countable storage line, close when
+    the count is unknowable or the trailer is not CRLF), and they hold
+    however the bytes are cut: any number of pipelined commands
     arriving in one TCP segment decode in one pass with no per-command
     syscalls.
 

@@ -3,16 +3,15 @@
 Two things live here:
 
 * :func:`shard_of` / :class:`ShardSet` — the partitioning layer of the
-  async server: N independent :class:`~repro.cache.cache.SlabCache`
+  server: N independent :class:`~repro.cache.cache.SlabCache`
   instances, keys routed by splitmix64.  Each shard is only ever touched
   from one event loop, so the hot path needs no locks; a shard is also
   exactly the unit you would pin to a process in a multi-core
   deployment.
 
 * :func:`apply_storage` / :func:`apply_incr_decr` — the storage-verb
-  and incr/decr semantics shared by the legacy threaded server and the
-  async sharded server, so the two front ends cannot drift apart on
-  reply bytes (the differential suite holds them byte-identical).
+  and incr/decr semantics the server applies to a shard (the
+  differential suite holds its reply bytes to committed transcripts).
 """
 
 from __future__ import annotations
@@ -157,8 +156,7 @@ class StoreFailed:
 STORE_FAILED = StoreFailed()
 
 #: the SERVER_ERROR message for a value no slab can hold (a storage
-#: block over the item size, a failed incr/decr store), shared so the
-#: two servers reply identically.
+#: block over the item size, a failed incr/decr store).
 INCR_STORE_FAILED_MSG = "object too large for cache"
 
 

@@ -14,7 +14,7 @@ from repro.core import PamaPolicy
 from repro.policies import (GreedyDualSizePolicy, OraclePolicy,
                             StaticMemcachedPolicy)
 from repro.policies.base import AllocationPolicy
-from repro.server import start_server
+from repro.server import CacheClient, ShardSet, start_async_server
 from repro.sim import simulate
 from repro.traces import ETC, generate, load_npz
 
@@ -147,23 +147,20 @@ class TestMisbehavingPolicy:
 class TestServerRobustness:
     @pytest.fixture
     def server(self):
-        cache = SlabCache(1 << 20, PamaPolicy(),
-                          SizeClassConfig(slab_size=64 << 10))
-        srv = start_server(cache)
-        yield srv
-        srv.shutdown()
-        srv.server_close()
+        handle = start_async_server(ShardSet(
+            1 << 20, PamaPolicy, SizeClassConfig(slab_size=64 << 10)))
+        yield handle
+        handle.stop()
 
     def test_abrupt_disconnect_mid_set(self, server):
         # announce 100 bytes, send 10, slam the connection
         with socket.create_connection(("127.0.0.1", server.port)) as sock:
             sock.sendall(b"set k 0 0 100\r\n" + b"x" * 10)
         # the server must survive and keep serving other clients
-        from repro.server import CacheClient
         with CacheClient(port=server.port) as client:
             assert client.set("ok", b"fine")
             assert client.get("ok") == b"fine"
-        assert "k" not in server.cache
+        assert "k" not in server.shards.shards[0]
 
     def test_garbage_bytes(self, server):
         with socket.create_connection(("127.0.0.1", server.port)) as sock:

@@ -5,19 +5,7 @@ import socket
 
 import pytest
 
-from repro.cache import SlabCache, SizeClassConfig
-from repro.core import PamaPolicy
-from repro.server import CacheClient, start_server
-
-
-@pytest.fixture
-def server():
-    cache = SlabCache(2 << 20, PamaPolicy(),
-                      SizeClassConfig(slab_size=64 << 10))
-    srv = start_server(cache)
-    yield srv
-    srv.shutdown()
-    srv.server_close()
+from repro.server import CacheClient
 
 
 def make_client(server, **kwargs):

@@ -2,28 +2,14 @@
 
 import threading
 
-import pytest
-
-from repro.cache import SlabCache, SizeClassConfig
-from repro.core import PamaPolicy
-from repro.server import CacheClient, start_server
-
-
-@pytest.fixture
-def server():
-    cache = SlabCache(4 << 20, PamaPolicy(),
-                      SizeClassConfig(slab_size=64 << 10))
-    srv = start_server(cache)
-    yield srv
-    srv.shutdown()
-    srv.server_close()
+from repro.server import CacheClient
 
 
 class TestConcurrentClients:
     N_THREADS = 8
     OPS_PER_THREAD = 150
 
-    def test_parallel_mixed_workload(self, server):
+    def test_parallel_mixed_workload(self, server, cache):
         errors: list[Exception] = []
 
         def worker(tid: int) -> None:
@@ -50,7 +36,7 @@ class TestConcurrentClients:
         for t in threads:
             t.join(timeout=60)
         assert not errors, errors
-        server.cache.check_invariants()
+        cache.check_invariants()
 
     def test_shared_counter_under_contention(self, server):
         with CacheClient(port=server.port) as seed:
@@ -73,6 +59,6 @@ class TestConcurrentClients:
             t.join(timeout=60)
         assert not errors, errors
         with CacheClient(port=server.port) as check:
-            # incr is atomic under the server's lock: no lost updates
+            # one event loop runs each incr whole: no lost updates
             assert check.get("counter") == str(
                 6 * increments_per_thread).encode()

@@ -9,33 +9,6 @@ import socket
 
 import pytest
 
-from repro.cache import SlabCache, SizeClassConfig
-from repro.core import PamaPolicy
-from repro.server import CacheClient, start_server
-
-
-@pytest.fixture
-def server():
-    cache = SlabCache(2 << 20, PamaPolicy(),
-                      SizeClassConfig(slab_size=64 << 10))
-    srv = start_server(cache)
-    yield srv
-    srv.shutdown()
-    srv.server_close()
-
-
-@pytest.fixture
-def client(server):
-    with CacheClient(port=server.port) as c:
-        yield c
-
-
-@pytest.fixture
-def raw(server):
-    with socket.create_connection(("127.0.0.1", server.port),
-                                  timeout=5.0) as sock:
-        yield sock, sock.makefile("rb")
-
 
 class TestGetsCas:
     def test_gets_returns_cas_that_changes_on_store(self, client):
@@ -142,17 +115,49 @@ class TestStrictIncrDecr:
             client.incr("n")
 
 
-class TestServerErrorPath:
-    def test_unexpected_exception_replies_then_closes(self, server, raw):
-        sock, f = raw
-
-        def boom(*_a, **_k):
+def raising_on(key, method):
+    """``method``, except that it raises ``RuntimeError("boom")`` when
+    called for ``key``."""
+    def call(k, *args, **kwargs):
+        if k == key:
             raise RuntimeError("boom")
+        return method(k, *args, **kwargs)
+    return call
 
-        server.cache.get = boom
+
+class TestServerErrorPath:
+    # A plain ``get k`` line is served by the connection's own frame,
+    # which calls ``lookup``; ``gets k`` goes through ``_execute``,
+    # which calls ``get``.
+
+    def test_unexpected_exception_replies_then_closes(self, server, cache,
+                                                      raw):
+        sock, f = raw
+        cache.lookup = raising_on("k", cache.lookup)
         sock.sendall(b"get k\r\n")
         assert f.readline() == b"SERVER_ERROR boom\r\n"
         assert f.readline() == b""  # closed after the reply
+        assert server.registry.get("server_errors_total").value == 1
+
+    def test_gets_replies_then_closes(self, server, cache, raw):
+        sock, f = raw
+        cache.get = raising_on("k", cache.get)
+        sock.sendall(b"gets k\r\n")
+        assert f.readline() == b"SERVER_ERROR boom\r\n"
+        assert f.readline() == b""
+        assert server.registry.get("server_errors_total").value == 1
+
+    @pytest.mark.parametrize("verb,method", [(b"get", "lookup"),
+                                             (b"gets", "get")])
+    def test_failing_multi_key_read_answers_only_the_error(
+            self, server, cache, raw, verb, method):
+        # the first key was found and formatted before the second
+        # raised: none of that reply may precede the error
+        sock, f = raw
+        setattr(cache, method, raising_on("b", getattr(cache, method)))
+        sock.sendall(b"set a 0 0 1\r\nx\r\n" + verb + b" a b\r\n")
+        sock.shutdown(socket.SHUT_WR)
+        assert f.read() == b"STORED\r\nSERVER_ERROR boom\r\n"
         assert server.registry.get("server_errors_total").value == 1
 
 
@@ -168,8 +173,9 @@ class TestStatsDetail:
         client.get("k")
         stats = client.stats("detail")
         assert int(stats["cache_hits_total"]) >= 1
-        assert int(stats["server_cmd_latency_seconds{cmd=get}_count"]) >= 1
-        assert "server_cmd_latency_seconds{cmd=get}_p99" in stats
+        assert int(stats[
+            "server_cmd_latency_seconds{cmd=get,shard=0}_count"]) >= 1
+        assert "server_cmd_latency_seconds{cmd=get,shard=0}_p99" in stats
         assert int(stats["events_recorded"]) >= 0
 
     def test_stats_rejects_unknown_argument(self, raw):

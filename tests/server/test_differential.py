@@ -1,11 +1,15 @@
-"""Differential testing: the async front end vs the legacy server.
+"""Differential testing: the server against committed reply transcripts.
 
 Each script is a raw byte stream sent over a fresh connection; the
-complete reply stream (read to EOF) must be **byte-identical** between
-the two servers.  Scripts that exercise ``gets``/``cas`` run at
-``shards=1`` only: the sharded server allocates cas ids per shard, so
-multi-shard cas ids legitimately diverge from the legacy server's
-single global counter — those scripts mask the cas field instead.
+complete reply stream (read to EOF) must be **byte-identical** to the
+transcript written under it.  The transcripts are the replies of the
+thread-per-connection server this package used to ship (one cache, one
+global cas counter, a blocking ``readline`` per command), recorded
+before it was retired.  Unlike a live reference server, a transcript
+shares no parser, storage semantics or reply formatting with the
+server under test, so a defect in that shared code fails here too.
+At ``shards=4`` cas ids are allocated per shard and legitimately differ
+from one global counter's: the ``gets`` script masks them there.
 """
 
 import re
@@ -13,12 +17,15 @@ import socket
 
 import pytest
 
-from repro.cache import SizeClassConfig, SlabCache
+from repro import __version__
+from repro.cache import SizeClassConfig
 from repro.core import PamaPolicy
-from repro.server import ShardSet, start_async_server, start_server
+from repro.server import ShardSet, start_async_server
 
 CLASSES = SizeClassConfig(slab_size=64 << 10)
 CAPACITY = 8 << 20
+
+VERSION = b"VERSION repro-pama/%b\r\n" % __version__.encode()
 
 
 def replay(port: int, script: bytes, chunk: int = 0) -> bytes:
@@ -38,25 +45,20 @@ def replay(port: int, script: bytes, chunk: int = 0) -> bytes:
             reply += data
 
 
-def differential(script: bytes, nshards: int, chunk: int = 0,
-                 mask_cas: bool = False) -> None:
-    cache = SlabCache(CAPACITY, PamaPolicy(), CLASSES)
-    legacy = start_server(cache)
+def differential(script: bytes, expected: bytes, nshards: int,
+                 chunk: int = 0, mask_cas: bool = False) -> None:
     shards = ShardSet(CAPACITY, PamaPolicy, CLASSES, nshards=nshards)
     handle = start_async_server(shards)
     try:
-        expected = replay(legacy.port, script, chunk=chunk)
         actual = replay(handle.port, script, chunk=chunk)
-        if mask_cas:
-            # VALUE <key> <flags> <bytes> <cas> -> cas id blanked
-            blank = re.compile(rb"(VALUE \S+ \d+ \d+) \d+\r\n")
-            expected = blank.sub(rb"\1 *\r\n", expected)
-            actual = blank.sub(rb"\1 *\r\n", actual)
-        assert actual == expected
     finally:
         handle.stop()
-        legacy.shutdown()
-        legacy.server_close()
+    if mask_cas:
+        # VALUE <key> <flags> <bytes> <cas> -> cas id blanked
+        blank = re.compile(rb"(VALUE \S+ \d+ \d+) \d+\r\n")
+        expected = blank.sub(rb"\1 *\r\n", expected)
+        actual = blank.sub(rb"\1 *\r\n", actual)
+    assert actual == expected
 
 
 BASIC_SCRIPT = (
@@ -74,6 +76,20 @@ BASIC_SCRIPT = (
     b"get alpha\r\n"
     b"quit\r\n"
 )
+BASIC_REPLY = (
+    VERSION
+    + b"STORED\r\n"
+    b"VALUE alpha 7 3\r\nabc\r\nEND\r\n"
+    b"VALUE alpha 7 3\r\nabc\r\nEND\r\n"
+    b"NOT_STORED\r\n"
+    b"STORED\r\n"
+    b"STORED\r\n"
+    b"STORED\r\n"
+    b"VALUE alpha 9 14\r\npre-hello-tail\r\nEND\r\n"
+    b"DELETED\r\n"
+    b"NOT_FOUND\r\n"
+    b"END\r\n"
+)
 
 NUMERIC_SCRIPT = (
     b"set n 0 0 2\r\n10\r\n"
@@ -87,6 +103,17 @@ NUMERIC_SCRIPT = (
     b"incr padded 1\r\n"
     b"quit\r\n"
 )
+NUMERIC_REPLY = (
+    b"STORED\r\n"
+    b"15\r\n"
+    b"0\r\n"
+    b"18446744073709551615\r\n"
+    b"NOT_FOUND\r\n"
+    b"STORED\r\n"
+    b"CLIENT_ERROR cannot increment or decrement non-numeric value\r\n"
+    b"STORED\r\n"
+    b"CLIENT_ERROR cannot increment or decrement non-numeric value\r\n"
+)
 
 NOREPLY_SCRIPT = (
     b"set a 0 0 1 noreply\r\nx\r\n"
@@ -98,6 +125,10 @@ NOREPLY_SCRIPT = (
     b"get b\r\n"
     b"quit\r\n"
 )
+NOREPLY_REPLY = (
+    b"VALUE b 0 1\r\ny\r\nEND\r\n"
+    b"END\r\n"
+)
 
 CAS_SCRIPT = (
     b"set k 0 0 2\r\nv1\r\n"
@@ -108,6 +139,14 @@ CAS_SCRIPT = (
     b"gets k\r\n"
     b"quit\r\n"
 )
+CAS_REPLY = (
+    b"STORED\r\n"
+    b"VALUE k 0 2 1\r\nv1\r\nEND\r\n"
+    b"STORED\r\n"
+    b"EXISTS\r\n"
+    b"NOT_FOUND\r\n"
+    b"VALUE k 0 2 2\r\nv2\r\nEND\r\n"
+)
 
 ERROR_SCRIPT = (
     b"bogus command\r\n"
@@ -117,11 +156,22 @@ ERROR_SCRIPT = (
     b"incr k notanumber\r\n"
     b"quit\r\n"
 )
+ERROR_REPLY = (
+    b"CLIENT_ERROR unknown command 'bogus'\r\n"
+    b"CLIENT_ERROR set numeric fields must be integers\r\n"
+    + VERSION
+    + b"CLIENT_ERROR get expects at least one key\r\n"
+    b"CLIENT_ERROR incr delta must be an unsigned decimal integer\r\n"
+)
 
 FATAL_SCRIPT = (
     b"set ok 0 0 1\r\nx\r\n"
     b"set k 0 0 zzz\r\n"                # unknowable count: must close
     b"version\r\n"                      # never answered
+)
+FATAL_REPLY = (
+    b"STORED\r\n"
+    b"CLIENT_ERROR set numeric fields must be integers\r\n"
 )
 
 TOUCH_SCRIPT = (
@@ -131,12 +181,21 @@ TOUCH_SCRIPT = (
     b"get k\r\n"
     b"quit\r\n"
 )
+TOUCH_REPLY = (
+    b"STORED\r\n"
+    b"TOUCHED\r\n"
+    b"NOT_FOUND\r\n"
+    b"VALUE k 3 5\r\nhello\r\nEND\r\n"
+)
 
 BINARY_SCRIPT = (
     b"set bin 0 0 12\r\na\r\nEND\r\nb\r\n\r\n"
     b"get bin\r\n"
     b"quit\r\n"
 )
+# the block is 12 bytes, so its trailer is "b\r": framing is lost and
+# the connection closes after the error
+BINARY_REPLY = b"CLIENT_ERROR bad data chunk\r\n"
 
 # one byte more than a 64 KiB slab holds: answered SERVER_ERROR once the
 # block has gone by, and the payload (which spells commands) is not run
@@ -149,27 +208,48 @@ OVERSIZED_SCRIPT = (
     + b"version\r\n"
     b"quit\r\n"
 )
+OVERSIZED_REPLY = (
+    b"SERVER_ERROR object too large for cache\r\n"
+    b"END\r\n"
+    b"STORED\r\n"
+    + VERSION
+)
+
+MANY_KEYS_SCRIPT = (
+    b"".join(b"set key-%d 0 0 4\r\nv%03d\r\n" % (i, i) for i in range(60))
+    + b"".join(b"get key-%d\r\n" % i for i in range(60))
+    + b"quit\r\n"
+)
+MANY_KEYS_REPLY = (
+    b"STORED\r\n" * 60
+    + b"".join(b"VALUE key-%d 0 4\r\nv%03d\r\nEND\r\n" % (i, i)
+               for i in range(60))
+)
 
 
 class TestSingleShardByteIdentical:
     """shards=1: the full protocol, cas ids included, byte for byte."""
 
-    @pytest.mark.parametrize("script", [
-        BASIC_SCRIPT, NUMERIC_SCRIPT, NOREPLY_SCRIPT, CAS_SCRIPT,
-        ERROR_SCRIPT, FATAL_SCRIPT, TOUCH_SCRIPT, BINARY_SCRIPT,
-        OVERSIZED_SCRIPT,
+    @pytest.mark.parametrize("script,expected", [
+        (BASIC_SCRIPT, BASIC_REPLY), (NUMERIC_SCRIPT, NUMERIC_REPLY),
+        (NOREPLY_SCRIPT, NOREPLY_REPLY), (CAS_SCRIPT, CAS_REPLY),
+        (ERROR_SCRIPT, ERROR_REPLY), (FATAL_SCRIPT, FATAL_REPLY),
+        (TOUCH_SCRIPT, TOUCH_REPLY), (BINARY_SCRIPT, BINARY_REPLY),
+        (OVERSIZED_SCRIPT, OVERSIZED_REPLY),
     ], ids=["basic", "numeric", "noreply", "cas", "error", "fatal",
             "touch", "binary", "oversized"])
-    def test_replies_match(self, script):
-        differential(script, nshards=1)
+    def test_replies_match(self, script, expected):
+        differential(script, expected, nshards=1)
 
     def test_chunked_send_equals_one_shot(self):
         # drip-feed the bytes: the incremental decoder must produce the
-        # same replies as the blocking readline server
-        differential(BASIC_SCRIPT + NUMERIC_SCRIPT, nshards=1, chunk=3)
+        # transcript the blocking readline server produced (the first
+        # script's quit is dropped, or nothing after it is answered)
+        differential(BASIC_SCRIPT.removesuffix(b"quit\r\n") + NUMERIC_SCRIPT,
+                     BASIC_REPLY + NUMERIC_REPLY, nshards=1, chunk=3)
 
     def test_error_script_chunked(self):
-        differential(ERROR_SCRIPT, nshards=1, chunk=5)
+        differential(ERROR_SCRIPT, ERROR_REPLY, nshards=1, chunk=5)
 
     def test_oversized_reply(self):
         shards = ShardSet(CAPACITY, PamaPolicy, CLASSES, nshards=1)
@@ -178,32 +258,26 @@ class TestSingleShardByteIdentical:
             reply = replay(handle.port, OVERSIZED_SCRIPT, chunk=4096)
         finally:
             handle.stop()
-        assert reply.startswith(
-            b"SERVER_ERROR object too large for cache\r\nEND\r\nSTORED\r\n"
-            b"VERSION ")
+        assert reply == OVERSIZED_REPLY
         assert shards.stats_snapshot()["sets"] == 1
 
 
 class TestMultiShard:
-    """shards=4: identical replies modulo per-shard cas ids."""
+    """shards=4: the same transcripts, modulo per-shard cas ids."""
 
-    @pytest.mark.parametrize("script", [
-        BASIC_SCRIPT, NUMERIC_SCRIPT, NOREPLY_SCRIPT, ERROR_SCRIPT,
-        TOUCH_SCRIPT, BINARY_SCRIPT, OVERSIZED_SCRIPT,
+    @pytest.mark.parametrize("script,expected", [
+        (BASIC_SCRIPT, BASIC_REPLY), (NUMERIC_SCRIPT, NUMERIC_REPLY),
+        (NOREPLY_SCRIPT, NOREPLY_REPLY), (ERROR_SCRIPT, ERROR_REPLY),
+        (TOUCH_SCRIPT, TOUCH_REPLY), (BINARY_SCRIPT, BINARY_REPLY),
+        (OVERSIZED_SCRIPT, OVERSIZED_REPLY),
     ], ids=["basic", "numeric", "noreply", "error", "touch", "binary",
             "oversized"])
-    def test_replies_match(self, script):
-        differential(script, nshards=4)
+    def test_replies_match(self, script, expected):
+        differential(script, expected, nshards=4)
 
     def test_gets_with_cas_masked(self):
-        differential(CAS_SCRIPT, nshards=4, mask_cas=True)
+        differential(CAS_SCRIPT, CAS_REPLY, nshards=4, mask_cas=True)
 
     def test_many_keys_across_shards(self):
-        script = bytearray()
-        for i in range(60):
-            script += b"set key-%d 0 0 4\r\nv%03d\r\n" % (i, i)
-        for i in range(60):
-            script += b"get key-%d\r\n" % i
-        script += b"quit\r\n"
-        differential(bytes(script), nshards=4)
-        differential(bytes(script), nshards=4, chunk=17)
+        differential(MANY_KEYS_SCRIPT, MANY_KEYS_REPLY, nshards=4)
+        differential(MANY_KEYS_SCRIPT, MANY_KEYS_REPLY, nshards=4, chunk=17)

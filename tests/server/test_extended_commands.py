@@ -2,26 +2,7 @@
 
 import pytest
 
-from repro.cache import SlabCache, SizeClassConfig
-from repro.core import PamaPolicy
-from repro.server import CacheClient, start_server
 from repro.server import protocol as p
-
-
-@pytest.fixture
-def server():
-    cache = SlabCache(2 << 20, PamaPolicy(),
-                      SizeClassConfig(slab_size=64 << 10))
-    srv = start_server(cache)
-    yield srv
-    srv.shutdown()
-    srv.server_close()
-
-
-@pytest.fixture
-def client(server):
-    with CacheClient(port=server.port) as c:
-        yield c
 
 
 class TestParseExtended:
@@ -111,11 +92,11 @@ class TestIncrDecr:
 
 
 class TestTouchFlush:
-    def test_touch_over_wire(self, server, client):
+    def test_touch_over_wire(self, cache, client):
         client.set("k", b"v", exptime=1)
         assert client.touch("k", 3600)
-        item = server.cache.index["k"]
-        assert item.expires_at > server.cache.clock() + 3000
+        item = cache.index["k"]
+        assert item.expires_at > cache.clock() + 3000
 
     def test_touch_absent(self, client):
         assert not client.touch("missing", 60)

@@ -10,9 +10,6 @@ Each test here fails on the pre-fix code:
   (the handler returned before the counter increment).
 * ``CacheClient.incr`` raised a bare ``ValueError`` on a
   ``SERVER_ERROR``/``ERROR`` reply (``int(b"SERVER_ERROR ...")``).
-* the threaded server's tracer sampling path read
-  ``cache.accesses`` **without the lock** — a data race against every
-  other handler thread.
 """
 
 import socket
@@ -22,21 +19,11 @@ import time
 
 import pytest
 
-from repro.cache import SlabCache, SizeClassConfig
+from repro.cache import SizeClassConfig
 from repro.core import PamaPolicy
-from repro.obs import EventTrace, Registry, SpanTracer
-from repro.server import (AsyncCacheServer, CacheClient, CacheServer,
-                          ShardSet, start_async_server, start_server)
-
-
-@pytest.fixture
-def server():
-    cache = SlabCache(2 << 20, PamaPolicy(),
-                      SizeClassConfig(slab_size=64 << 10))
-    srv = start_server(cache)
-    yield srv
-    srv.shutdown()
-    srv.server_close()
+from repro.obs import EventTrace, Registry
+from repro.server import (AsyncCacheServer, CacheClient, ShardSet,
+                          start_async_server)
 
 
 class ScriptedServer:
@@ -113,15 +100,6 @@ class TestIncrStoreFailure:
     def _break_set(self, cache):
         cache.set = lambda *a, **k: False
 
-    def test_threaded_server_replies_server_error(self, server):
-        with CacheClient(port=server.port) as c:
-            c.set("n", b"10")
-            self._break_set(server.cache)
-            with pytest.raises(RuntimeError, match="SERVER_ERROR"):
-                c.incr("n", 5)
-            # orderly reply: the connection stays usable
-            assert c.get("n") is not None
-
     def test_async_server_replies_server_error(self):
         shards = ShardSet(2 << 20, PamaPolicy,
                           SizeClassConfig(slab_size=64 << 10), nshards=2)
@@ -135,10 +113,10 @@ class TestIncrStoreFailure:
         finally:
             handle.stop()
 
-    def test_store_failure_does_not_fake_the_counter(self, server):
+    def test_store_failure_does_not_fake_the_counter(self, server, cache):
         with CacheClient(port=server.port) as c:
             c.set("n", b"10")
-            self._break_set(server.cache)
+            self._break_set(cache)
             with pytest.raises(RuntimeError):
                 c.decr("n", 1)
 
@@ -178,54 +156,8 @@ class TestClientIncrErrorReplies:
             fake.stop()
 
 
-class LockCheckedCache(SlabCache):
-    """SlabCache whose ``accesses`` reads record lock violations."""
-
-    def __init__(self, *args, **kwargs):
-        self._accesses = 0
-        self._guard = None
-        self.unlocked_reads = 0
-        super().__init__(*args, **kwargs)
-
-    @property
-    def accesses(self):
-        guard = self._guard
-        if guard is not None and not guard.locked():
-            self.unlocked_reads += 1
-        return self._accesses
-
-    @accesses.setter
-    def accesses(self, value):
-        self._accesses = value
-
-
-class TestTracerTickUnderLock:
-    def test_sampling_tick_snapshot_holds_the_lock(self):
-        cache = LockCheckedCache(2 << 20, PamaPolicy(),
-                                 SizeClassConfig(slab_size=64 << 10))
-        srv = start_server(cache, tracing=SpanTracer(sample=1.0))
-        cache._guard = srv.lock
-        try:
-            with CacheClient(port=srv.port) as c:
-                for i in range(10):
-                    c.set(f"k{i}", b"v")
-                    c.get(f"k{i}")
-            # the handler records the trace *after* replying, so wait
-            # for the final command's span to land before asserting
-            deadline = time.time() + 5
-            while srv.tracer.finished_traces < 20 and time.time() < deadline:
-                time.sleep(0.01)
-            # every accesses read on the serving path (ops under the
-            # dispatch lock, tracer tick snapshot) must hold the lock
-            assert cache.unlocked_reads == 0
-            assert srv.tracer.finished_traces >= 20
-        finally:
-            srv.shutdown()
-            srv.server_close()
-
-
 class TestCallerRegistryKept:
-    """A fresh Registry / EventTrace is empty, hence falsy: both servers
+    """A fresh Registry / EventTrace is empty, hence falsy: the server
     must keep the caller's objects, not swap in new ones."""
 
     def test_async_server(self):
@@ -237,16 +169,3 @@ class TestCallerRegistryKept:
         assert server.events is events
         assert all(cache.obs is registry and cache.events is events
                    for cache in shards.shards)
-
-    def test_legacy_server(self):
-        cache = SlabCache(2 << 20, PamaPolicy(),
-                          SizeClassConfig(slab_size=64 << 10))
-        registry, events = Registry(), EventTrace()
-        srv = CacheServer(("127.0.0.1", 0), cache, registry=registry,
-                          events=events)
-        try:
-            assert srv.registry is registry
-            assert srv.events is events
-            assert cache.obs is registry and cache.events is events
-        finally:
-            srv.server_close()

@@ -65,10 +65,13 @@ class Reference:
                 if isinstance(cmd, p.QuitCommand):
                     decoder.closed = True
                     break
+                mark = len(out)
                 try:
                     shard = server._execute(cmd, event[2], out)
                 except Exception as exc:  # noqa: BLE001
+                    # a failing command answers the error alone
                     server.c_server_errors.inc()
+                    del out[mark:]
                     out += p.format_server_error(str(exc))
                     decoder.closed = True
                     break

@@ -4,26 +4,9 @@ import socket
 
 import pytest
 
-from repro.cache import SlabCache, SizeClassConfig
-from repro.core import PamaPolicy
+from repro.cache import SizeClassConfig
 from repro.policies import StaticMemcachedPolicy
-from repro.server import CacheClient, start_server
-
-
-@pytest.fixture
-def server():
-    cache = SlabCache(2 << 20, PamaPolicy(),
-                      SizeClassConfig(slab_size=64 << 10))
-    srv = start_server(cache)
-    yield srv
-    srv.shutdown()
-    srv.server_close()
-
-
-@pytest.fixture
-def client(server):
-    with CacheClient(port=server.port) as c:
-        yield c
+from repro.server import CacheClient, ShardSet, start_async_server
 
 
 class TestServerRoundTrip:
@@ -34,12 +17,12 @@ class TestServerRoundTrip:
         assert client.get("alpha") is None
         assert not client.delete("alpha")
 
-    def test_penalty_rides_in_flags(self, server, client):
+    def test_penalty_rides_in_flags(self, cache, client):
         client.set("k", b"data", penalty=0.25)
-        item = server.cache.index["k"]
+        item = cache.index["k"]
         assert item.penalty == pytest.approx(0.25)
         # penalty bin routed through PAMA's config
-        assert item.bin_idx == server.cache.policy.bin_for(0.25)
+        assert item.bin_idx == cache.policy.bin_for(0.25)
 
     def test_binary_safe_values(self, client):
         payload = bytes(range(256)) + b"\r\nEND\r\n"
@@ -79,14 +62,10 @@ class TestServerRoundTrip:
 
 class TestServerWithStaticPolicy:
     def test_static_policy_server(self):
-        cache = SlabCache(1 << 20, StaticMemcachedPolicy(),
-                          SizeClassConfig(slab_size=64 << 10))
-        srv = start_server(cache)
-        try:
+        with start_async_server(ShardSet(
+                1 << 20, StaticMemcachedPolicy,
+                SizeClassConfig(slab_size=64 << 10))) as srv:
             with CacheClient(port=srv.port) as c:
                 for i in range(50):
                     c.set(f"k{i}", b"y" * 100)
                 assert int(c.stats()["sets"]) == 50
-        finally:
-            srv.shutdown()
-            srv.server_close()
