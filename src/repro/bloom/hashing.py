@@ -117,10 +117,11 @@ def hash_pair_arrays(keys):
 def key_shard(key: object, nshards: int) -> int:
     """Deterministic partition index for any cache key (int/str/bytes).
 
-    The one key-partitioning function in the repo: the async server
-    routes connections' keys with it and the sharded replay engine
-    splits a trace with it, so a simulated shard sees exactly the keys
-    the equivalent server shard would.  Uses :func:`hash_key` under the
+    The async server routes connections' keys with it and the sharded
+    replay engine splits a trace with it, so a simulated shard sees
+    exactly the keys the equivalent server shard would
+    (:class:`~repro.cluster.cluster.CacheCluster` routes by its hash
+    ring instead).  Uses :func:`hash_key` under the
     dedicated :data:`SHARD_SEED` so routing stays uncorrelated with
     filter probes and stable across processes and runs.
     """

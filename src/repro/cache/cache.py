@@ -237,23 +237,11 @@ class SlabCache:
     # ------------------------------------------------------------------
     # operations
     # ------------------------------------------------------------------
-    def get(self, key: object,
-            miss_info: tuple[int, int, float] | None = None) -> Item | None:
-        """Look up ``key``; returns the Item on a hit, None on a miss.
-
-        ``miss_info`` is ``(key_size, value_size, penalty)`` for the key,
-        when the caller (the trace simulator) knows it; it feeds policy
-        miss accounting and the service-time statistics.  A real server
-        calls ``get(key)`` plain and penalties are accounted on the
-        subsequent fill SET instead.
-
-        This is the compatibility wrapper; :meth:`lookup` is the same
-        operation with scalar arguments (no tuple to build or unpack).
-        """
-        if miss_info is None:
-            return self.lookup(key, -1, 0, math.nan)
-        key_size, value_size, penalty = miss_info
-        return self.lookup(key, key_size, value_size, penalty)
+    def get(self, key: object) -> Item | None:
+        """A server's GET: the Item on a hit, None on a miss.  Sizes and
+        penalty are unknown here, so a miss is accounted on the fill SET
+        that follows; a caller that knows them calls :meth:`lookup`."""
+        return self.lookup(key, -1, 0, math.nan)
 
     def lookup(self, key: object, key_size: int, value_size: int,
                penalty: float, h1: int = 0, h2: int = 0,

@@ -142,13 +142,10 @@ class CacheCluster:
         return self.nodes[self.ring.node_for(key)]
 
     # -- cache surface (simulator-compatible) --------------------------------
-    def get(self, key: object,
-            miss_info: tuple[int, int, float] | None = None) -> Item | None:
+    def get(self, key: object) -> Item | None:
         if self.faults is None:
-            return self.node_for(key).get(key, miss_info)
-        return self._routed(key,
-                            lambda node: node.get(key, miss_info), None,
-                            "get")
+            return self.node_for(key).get(key)
+        return self._routed(key, lambda node: node.get(key), None, "get")
 
     def lookup(self, key: object, key_size: int, value_size: int,
                penalty: float) -> Item | None:

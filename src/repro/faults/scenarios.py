@@ -175,11 +175,20 @@ class ChaosReport:
                      f"{fmt_seconds(sample.degraded_time)}")
         if "pama" in self.outcomes and "pre-pama" in self.outcomes:
             base_adv, fault_adv = self.advantage()
+            # "narrowed" would misread a growing negative advantage:
+            # once pama trails, say who leads under faults.
+            if min(base_adv, fault_adv) >= 0:
+                trend = "widened" if fault_adv > base_adv else "narrowed"
+            elif fault_adv:
+                trend = (f"{'pama' if fault_adv > 0 else 'pre-pama'} "
+                         "ahead under faults")
+            else:
+                trend = "tied under faults"
             lines.append(
                 "pama advantage over pre-pama: "
                 f"{base_adv * 1e3:+.3f} ms fault-free -> "
                 f"{fault_adv * 1e3:+.3f} ms under faults "
-                f"({'widened' if fault_adv > base_adv else 'narrowed'})")
+                f"({trend})")
         return "\n".join(lines)
 
 

@@ -173,9 +173,9 @@ class TimelineRecorder:
         """One GET outcome at ``tick``; rolls the window when crossed.
 
         ``tenant >= 0`` additionally accumulates the outcome into that
-        tenant's per-window cell (the multi-tenant replay loop passes
-        the request's tenant id; single-tenant loops leave the default
-        and pay nothing).
+        tenant's per-window cell (a tenant-tagged replay passes the
+        request's tenant id; an untagged one leaves the default and
+        pays nothing).
         """
         if tick >= self._window_start + self.stride:
             self._close(tick)
@@ -184,25 +184,18 @@ class TimelineRecorder:
         self._hist.record(cost)
         if hit:
             self._hits += 1
-            miss_penalty = 0.0
         elif penalty == penalty:  # miss; skip NaN (unknown penalty)
             self._penalty += penalty
-            miss_penalty = penalty
-        else:
-            miss_penalty = 0.0
         if tenant >= 0:
-            cell = self._tenants.get(tenant)
-            if cell is None:
-                cell = self._tenants[tenant] = [0, 0, 0.0, 0.0]
-            cell[0] += 1
-            cell[1] += hit
-            cell[2] += cost
-            cell[3] += miss_penalty
+            tally_tenants(self._tenants, np.array([tenant]),
+                          np.array([hit], dtype=bool), np.array([cost]),
+                          np.array([penalty]))
 
-    def record_many(self, hits, costs, penalties) -> None:
-        """Array form of :meth:`record_get` for a run of untagged GETs
-        that all fall inside the open window (``hits`` a bool array;
-        NaN penalties of misses are skipped, as there).
+    def record_many(self, hits, costs, penalties, tenants=None) -> None:
+        """Array form of :meth:`record_get` for a run of GETs that all
+        fall inside the open window (``hits`` a bool array; NaN
+        penalties of misses are skipped, as there; ``tenants``, when
+        given, the GETs' tenant ids for the per-tenant cells).
 
         Rolling the window stays with :meth:`record_get` and
         :meth:`advance`: the caller ends its run before the request at
@@ -216,6 +209,8 @@ class TimelineRecorder:
         self._hist.record_many(costs)
         missed = penalties[~hits]
         self._penalty = seq_sum(self._penalty, missed[missed == missed])
+        if tenants is not None:
+            tally_tenants(self._tenants, tenants, hits, costs, penalties)
 
     @property
     def next_close(self) -> int:
@@ -324,6 +319,28 @@ class TimelineRecorder:
         """Per-window slab count of one size class (a Fig 3 line)."""
         key = str(class_idx)
         return [row["class_slabs"].get(key, 0) for row in self.rows]
+
+
+def tally_tenants(cells: dict, tenants, hits, costs, penalties) -> list:
+    """Add a run of GET outcomes (arrays per GET) to per-tenant
+    ``[gets, hits, service_sum, penalty_sum]`` cells, summed left to
+    right; a miss's NaN penalty is skipped.  Returns ``(tenant, mask)``
+    per tenant of the run, in the order the tenants first appear.
+    """
+    ids, first = np.unique(tenants, return_index=True)
+    out = []
+    for tenant in ids[np.argsort(first)].tolist():
+        mine = tenants == tenant
+        cell = cells.get(tenant)
+        if cell is None:
+            cell = cells[tenant] = [0, 0, 0.0, 0.0]
+        cell[0] += int(np.count_nonzero(mine))
+        cell[1] += int(np.count_nonzero(hits[mine]))
+        cell[2] = seq_sum(cell[2], costs[mine])
+        missed = penalties[mine & ~hits]
+        cell[3] = seq_sum(cell[3], missed[missed == missed])
+        out.append((tenant, mine))
+    return out
 
 
 def merge_rows(a: dict, b: dict) -> dict:

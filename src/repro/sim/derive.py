@@ -111,17 +111,16 @@ def derived_rows(source, service, size_classes, edges, want_hashes):
 
 
 def derive_unsupported_reason(cache, policy, *, faults=None, timeline=None,
-                              hist=None, wants_tenants=False) -> str | None:
+                              hist=None) -> str | None:
     """Why the derive pass cannot run this replay, or ``None`` if it can.
 
     The derive loop covers the plain replay: a :class:`SlabCache`
     (its ``lookup`` and ``set`` take the derived columns; a cluster's
-    routed ones do not), a policy with static penalty binning, and none
-    of fault injection, timelines, service-time histograms or tenant
-    tagging, whose side channels the scalar loops own.
+    routed ones do not), a policy with static penalty binning (which
+    a tenant arbiter's is not), and none of fault injection, timelines
+    or service-time histograms, whose side channels the scalar loops
+    own.
     """
-    if wants_tenants:
-        return "tenant-tagged replay uses the scalar tenant loop"
     if faults is not None:
         return "fault injection uses the scalar fault-aware loop"
     if timeline is not None:

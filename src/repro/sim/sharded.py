@@ -173,8 +173,9 @@ def run_sharded(trace, spec: ExperimentSpec, policy: str, *,
     probe = make_policy(policy, **spec.policy_kwargs.get(policy, {}))
     if getattr(probe, "wants_tenants", False):
         raise ValueError(
-            f"policy {policy!r} arbitrates between tenants; the sharded "
-            "replay does not tag requests by tenant — run it unsharded")
+            f"policy {policy!r} arbitrates between tenants; per-tenant "
+            "metrics and reserves do not merge across shards — run it "
+            "unsharded")
     per_shard = spec.cache_bytes // shards
     if per_shard < spec.slab_size:
         raise ValueError(

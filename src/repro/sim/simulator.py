@@ -28,26 +28,82 @@ import numpy as np
 
 from repro import obs as _obs
 from repro.cache.cache import SlabCache
+from repro.obs.timeline import tally_tenants
 from repro.sim.derive import derive_unsupported_reason, derived_rows
 from repro.sim.metrics import MetricsCollector, WindowStats
 from repro.sim.service import ServiceTimeModel
 from repro.traces.record import iter_windows
 
 
-def _trace_rows(source, service, tenants: bool = False):
-    """Per-request scalars for the loops that record per request:
-    ``(op, key, key_size, value_size, penalty, miss_cost)`` plus the
-    tenant id when ``tenants``.  One window's columns are lists at a
-    time, and ``miss_array`` is element-wise, so neither peak memory
-    nor results depend on the length of the trace.
+def _trace_rows(source, service):
+    """Per-request scalars for the fault-aware loop: ``(op, key,
+    key_size, value_size, penalty, miss_cost)``.  One window's columns
+    are lists at a time, and ``miss_array`` is element-wise, so neither
+    peak memory nor results depend on the length of the trace.
     """
     for w in iter_windows(source):
-        columns = [w.ops.tolist(), w.keys.tolist(), w.key_sizes.tolist(),
-                   w.value_sizes.tolist(), w.penalties.tolist(),
-                   service.miss_array(w.penalties)]
-        if tenants:
-            columns.append(w.tenants.tolist())
-        yield from zip(*columns)
+        yield from zip(w.ops.tolist(), w.keys.tolist(),
+                       w.key_sizes.tolist(), w.value_sizes.tolist(),
+                       w.penalties.tolist(), service.miss_array(w.penalties))
+
+
+def _tagged(rows, tenants, policy):
+    """``rows``, with ``policy.current_tenant`` set to each row's tenant
+    as the row is pulled: everything the cache does for the row runs
+    under its tenant."""
+    for row, policy.current_tenant in zip(rows, tenants):
+        yield row
+
+
+class _TenantTotals:
+    """Per-tenant GET totals of a tenant-tagged replay, and one
+    service-time histogram per tenant when a registry is active."""
+
+    def __init__(self, policy, registry) -> None:
+        self.policy = policy
+        self.registry = registry
+        #: tenant -> [gets, hits, service_sum, penalty_sum]
+        self.cells: dict[int, list] = {}
+        self.hists: dict[int, object] = {}
+
+    def add(self, tenants, hits, costs, penalties) -> None:
+        """A run of GET outcomes, as :func:`tally_tenants` takes them."""
+        for tenant, mine in tally_tenants(self.cells, tenants, hits, costs,
+                                          penalties):
+            if self.registry is not None:
+                hist = self.hists.get(tenant)
+                if hist is None:
+                    hist = self.hists[tenant] = self.registry.histogram(
+                        "sim_tenant_service_time_seconds",
+                        "per-request GET service time by tenant",
+                        lo=1e-6, growth=1.25, policy=self.policy.name,
+                        tenant=str(tenant))
+                hist.record_many(costs[mine])
+
+    def summary(self) -> dict[int, dict]:
+        """``SimulationResult.tenant_metrics``."""
+        policy = self.policy
+        configs = getattr(policy, "tenants", ())
+        slabs = (policy.tenant_slabs()
+                 if hasattr(policy, "tenant_slabs") else [])
+        out: dict[int, dict] = {}
+        for tenant in sorted(self.cells):
+            gets, hits, service_sum, penalty_sum = self.cells[tenant]
+            cfg = configs[tenant] if tenant < len(configs) else None
+            hist = self.hists.get(tenant)
+            out[tenant] = {
+                "name": cfg.name if cfg is not None else f"t{tenant}",
+                "gets": gets,
+                "hits": hits,
+                "hit_ratio": hits / gets,
+                "service_sum": service_sum,
+                "avg_service_time": service_sum / gets,
+                "penalty_sum": penalty_sum,
+                "sla_weight": (cfg.sla_weight if cfg is not None else 1.0),
+                "slabs": slabs[tenant] if tenant < len(slabs) else 0,
+                "quantiles": hist.quantiles() if hist is not None else {},
+            }
+        return out
 
 
 @dataclass
@@ -71,8 +127,8 @@ class SimulationResult:
     #: same split by outcome (hit service times / miss penalties).
     hit_quantiles: dict[str, float] = field(default_factory=dict)
     miss_quantiles: dict[str, float] = field(default_factory=dict)
-    #: per-tenant outcome summaries, populated only by the tenant-tagged
-    #: replay loop (a policy with ``wants_tenants``): tenant id ->
+    #: per-tenant outcome summaries, populated only when the policy
+    #: arbitrates between tenants (``wants_tenants``): tenant id ->
     #: {name, gets, hits, hit_ratio, service_sum, avg_service_time,
     #:  penalty_sum, sla_weight, slabs, quantiles}.
     tenant_metrics: dict[int, dict] = field(default_factory=dict)
@@ -205,22 +261,23 @@ class Simulator:
         started = time.perf_counter()
 
         # One loop per kind of replay, chosen once: the derived replay,
-        # the tenant-tagged replay when the policy arbitrates between
-        # tenants, the fault-aware replay when an injector is attached;
-        # everything else — with or without a registry or a timeline —
-        # is the kernel.
-        tenant_metrics: dict[int, dict] = {}
-        wants_tenants = bool(getattr(cache.policy, "wants_tenants", False))
-        if wants_tenants and self.faults is not None:
-            raise ValueError(
-                "fault injection and tenant arbitration are not combinable "
-                "yet: the fault-aware loop does not tag requests by tenant")
+        # the fault-aware replay when an injector is attached; everything
+        # else — with or without a registry, a timeline or tenants — is
+        # the kernel.
+        tenants = None
+        if getattr(cache.policy, "wants_tenants", False):
+            if self.faults is not None:
+                raise ValueError(
+                    "fault injection and tenant arbitration are not "
+                    "combinable yet: the fault-aware loop does not tag "
+                    "requests by tenant")
+            tenants = _TenantTotals(cache.policy, registry)
         # The derive pass replaces the scalar row stream with one that
         # carries precomputed hash pairs / size classes / penalty bins
         # (repro.sim.derive); ==-identical results, vectorized setup.
         reason = derive_unsupported_reason(
             cache, cache.policy, faults=self.faults, timeline=timeline,
-            hist=hist, wants_tenants=wants_tenants)
+            hist=hist)
         if derive is True and reason is not None:
             raise ValueError(f"derive pass unavailable: {reason}")
         if derive is True or (derive is None and reason is None
@@ -229,16 +286,12 @@ class Simulator:
                 derived_rows(trace, service, cache.size_classes,
                              cache.policy.bin_edges(), cache._wants_hashes),
                 metrics, service)
-        elif wants_tenants:
-            tenant_metrics = self._replay_tenants(
-                _trace_rows(trace, service, tenants=True), metrics, service,
-                hist, hist_hit, hist_miss, timeline, registry)
         elif self.faults is not None:
             self._replay_faulty(_trace_rows(trace, service), metrics,
                                 service, hist, hist_hit, hist_miss)
         else:
             self._replay(trace, metrics, service, hist, hist_hit, hist_miss,
-                         timeline)
+                         timeline, tenants)
         elapsed = time.perf_counter() - started
         metrics.flush()
         if timeline is not None:
@@ -259,7 +312,7 @@ class Simulator:
                            if hist_hit is not None else {}),
             miss_quantiles=(hist_miss.quantiles()
                             if hist_miss is not None else {}),
-            tenant_metrics=tenant_metrics,
+            tenant_metrics=tenants.summary() if tenants is not None else {},
         )
 
     def _replay_derived(self, rows, metrics: MetricsCollector,
@@ -324,107 +377,9 @@ class Simulator:
                 else:  # DELETE
                     cache_delete(key)
 
-    def _replay_tenants(self, rows, metrics: MetricsCollector,
-                        service: ServiceTimeModel, hist, hist_hit,
-                        hist_miss, timeline, registry) -> dict[int, dict]:
-        """Tenant-tagged replay: rows carry a 7th tenant-id scalar.
-
-        Sets ``policy.current_tenant`` before every operation (the
-        arbiter's bin/miss dispatch keys on it), accumulates per-tenant
-        outcome totals, feeds the timeline's per-tenant window cells,
-        and — when an obs registry is active — keeps one service-time
-        histogram per tenant for tail quantiles.
-        """
-        cache = self.cache
-        policy = cache.policy
-        fill = self.fill_on_miss
-        cache_lookup = cache.lookup
-        cache_set = cache.set
-        cache_delete = cache.delete
-        record_hit = metrics.record_hit
-        record_miss = metrics.record_miss
-        service_hit = service.hit
-        record_get = timeline.record_get if timeline is not None else None
-        advance = timeline.advance if timeline is not None else None
-        #: tenant -> [gets, hits, service_sum, penalty_sum]
-        cells: dict[int, list] = {}
-        tenant_hists: dict[int, object] = {}
-        tick = -1
-        for op, key, key_size, value_size, penalty, miss_cost, tenant in rows:
-            tick += 1
-            policy.current_tenant = tenant
-            if op == 0:  # GET
-                item = cache_lookup(key, key_size, value_size, penalty)
-                if item is not None:
-                    hit = True
-                    cost = service_hit(item.total_size)
-                    record_hit(cost)
-                    if hist is not None:
-                        hist.record(cost)
-                        hist_hit.record(cost)
-                else:
-                    hit = False
-                    cost = miss_cost
-                    record_miss(cost)
-                    if hist is not None:
-                        hist.record(cost)
-                        hist_miss.record(cost)
-                    if fill:
-                        cache_set(key, key_size, value_size, penalty)
-                cell = cells.get(tenant)
-                if cell is None:
-                    cell = cells[tenant] = [0, 0, 0.0, 0.0]
-                cell[0] += 1
-                cell[1] += hit
-                cell[2] += cost
-                if not hit and penalty == penalty:
-                    cell[3] += penalty
-                if record_get is not None:
-                    record_get(tick, hit, cost,
-                               0.0 if hit else penalty, tenant)
-                if registry is not None:
-                    th = tenant_hists.get(tenant)
-                    if th is None:
-                        th = tenant_hists[tenant] = registry.histogram(
-                            "sim_tenant_service_time_seconds",
-                            "per-request GET service time by tenant",
-                            lo=1e-6, growth=1.25, policy=policy.name,
-                            tenant=str(tenant))
-                    th.record(cost)
-            elif op == 1:  # SET
-                cache_set(key, key_size, value_size, penalty)
-                if advance is not None:
-                    advance(tick)
-            else:  # DELETE
-                cache_delete(key)
-                if advance is not None:
-                    advance(tick)
-
-        configs = getattr(policy, "tenants", ())
-        slabs = (policy.tenant_slabs()
-                 if hasattr(policy, "tenant_slabs") else [])
-        out: dict[int, dict] = {}
-        for tenant in sorted(cells):
-            gets, hits, service_sum, penalty_sum = cells[tenant]
-            cfg = configs[tenant] if tenant < len(configs) else None
-            th = tenant_hists.get(tenant)
-            out[tenant] = {
-                "name": cfg.name if cfg is not None else f"t{tenant}",
-                "gets": gets,
-                "hits": hits,
-                "hit_ratio": hits / gets if gets else 0.0,
-                "service_sum": service_sum,
-                "avg_service_time": service_sum / gets if gets else 0.0,
-                "penalty_sum": penalty_sum,
-                "sla_weight": (cfg.sla_weight if cfg is not None else 1.0),
-                "slabs": slabs[tenant] if tenant < len(slabs) else 0,
-                "quantiles": th.quantiles() if th is not None else {},
-            }
-        return out
-
     def _replay(self, source, metrics: MetricsCollector,
                 service: ServiceTimeModel, hist, hist_hit, hist_miss,
-                timeline) -> None:
+                timeline, tenants=None) -> None:
         """The fault-free kernel: cache operations and one outcome per GET.
 
         Per trace window, the rows up to the next *closing row* run in
@@ -440,6 +395,11 @@ class Simulator:
         per request, so the per-request methods alone define when a
         window closes and what it snapshots.  The next window is pulled
         only when this one is fully reduced.
+
+        ``tenants`` (a :class:`_TenantTotals`, for a policy that
+        arbitrates between tenants) tags every row with its tenant as
+        the cache pulls it and adds each run's GETs to the per-tenant
+        totals and the timeline's tenant cells.
         """
         cache = self.cache
         fill = self.fill_on_miss
@@ -458,6 +418,8 @@ class Simulator:
                 service.miss_array(penalties), dtype=np.float64))
             get_rows = np.flatnonzero(w.ops == 0)
             rows = w.iter_rows()
+            if tenants is not None:
+                rows = _tagged(rows, w.tenants.tolist(), tenants.policy)
             at = gets = 0  # rows and GETs of this window already replayed
             while at < n:
                 stop = n
@@ -479,25 +441,34 @@ class Simulator:
                         hist.record_many(costs)
                         hist_hit.record_many(costs[hits])
                         hist_miss.record_many(costs[~hits])
+                    of_tenants = None
+                    if tenants is not None:
+                        of_tenants = w.tenants[of_gets]
+                        tenants.add(of_tenants, hits, costs,
+                                    penalties[of_gets])
                     if timeline is not None:
-                        timeline.record_many(hits, costs, penalties[of_gets])
+                        timeline.record_many(hits, costs, penalties[of_gets],
+                                             of_tenants)
                     gets += len(outcome)
                 if stop < n:
                     gets += self._closing_row(
                         base + stop, next(rows), float(miss_costs[stop]),
-                        metrics, service, hist, hist_hit, hist_miss, timeline)
+                        metrics, service, hist, hist_hit, hist_miss, timeline,
+                        tenants)
                 at = stop + 1
             base += n
             del rows  # this window's lists go before the next is pulled
 
     def _closing_row(self, tick, row, miss_cost, metrics, service,
-                     hist, hist_hit, hist_miss, timeline) -> bool:
+                     hist, hist_hit, hist_miss, timeline,
+                     tenants=None) -> bool:
         """One request recorded the per-request way; True for a GET.
 
         A metrics window closes inside ``record_hit``/``record_miss``,
         after the lookup and before the fill SET; a timeline row closes
         inside ``record_get`` before the GET is counted, or inside
-        ``advance`` after a SET/DELETE ran.
+        ``advance`` after a SET/DELETE ran.  A tagged row arrives with
+        ``policy.current_tenant`` already set to its tenant.
         """
         cache = self.cache
         op, key, key_size, value_size, penalty = row
@@ -513,8 +484,13 @@ class Simulator:
         hit = item is not None
         cost = service.hit(item.total_size) if hit else miss_cost
         (metrics.record_hit if hit else metrics.record_miss)(cost)
+        tenant = -1
+        if tenants is not None:
+            tenant = tenants.policy.current_tenant
+            tenants.add(np.array([tenant]), np.array([hit]),
+                        np.array([cost]), np.array([penalty]))
         if timeline is not None:
-            timeline.record_get(tick, hit, cost, penalty)
+            timeline.record_get(tick, hit, cost, penalty, tenant)
         if hist is not None:
             hist.record(cost)
             (hist_hit if hit else hist_miss).record(cost)

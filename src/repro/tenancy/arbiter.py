@@ -120,8 +120,9 @@ class TenantArbiter(AllocationPolicy):
 
     name = "tenant-arbiter"
 
-    #: duck-typed marker the simulator checks (no sim -> tenancy import)
-    #: to select the tenant-tagged replay loop.
+    #: duck-typed marker the simulator checks (no sim -> tenancy import):
+    #: its replay then tags every row with the row's tenant and keeps
+    #: per-tenant totals.
     wants_tenants = True
 
     #: the fallback donor ignores reserves; an empty queue with no
@@ -152,8 +153,8 @@ class TenantArbiter(AllocationPolicy):
         #: ``PamaPolicy._scan`` across the inners.
         self._scan: list[tuple[Queue, ValueAccumulator]] = []
         self.wants_key_hashes = self.config.tracker == "bloom"
-        #: tenant id of the request being served; the tenant-tagged
-        #: replay loop sets this before every operation.
+        #: tenant id of the request being served; the simulator sets it
+        #: as the cache pulls each row, before the row's operation.
         self.current_tenant = 0
         # steal accounting (cross-tenant decisions only; intra-tenant
         # migrations count on the usual cache.stats.migrations).

@@ -169,14 +169,14 @@ class TestAllocationMechanics:
 
     def test_miss_info_accumulates_penalty(self):
         cache = small_cache()
-        cache.get("a", miss_info=(8, 100, 0.25))
-        cache.get("b", miss_info=(8, 100, 0.5))
+        cache.lookup("a", 8, 100, 0.25)
+        cache.lookup("b", 8, 100, 0.5)
         assert math.isclose(cache.stats.total_miss_penalty, 0.75)
         assert math.isclose(cache.stats.avg_service_time(hit_time=0.0), 0.375)
 
     def test_miss_info_counts_class_stats(self):
         cache = small_cache()
-        cache.get("a", miss_info=(8, 100, 0.25))
+        cache.lookup("a", 8, 100, 0.25)
         cls = cache.size_classes.class_for_size(108)
         q = cache.queues[(cls, 0)]
         assert q.stats.misses == 1
@@ -266,7 +266,7 @@ class TestPropertyBasedWorkload:
         cache = small_cache(slabs=8, policy=TwemcachePolicy(seed=1))
         for op, key, size in ops:
             if op == "get":
-                cache.get(key, miss_info=(8, size, 0.1))
+                cache.lookup(key, 8, size, 0.1)
             elif op == "set":
                 cache.set(key, 8, size, 0.1)
             else:

@@ -82,7 +82,7 @@ class Pair:
         results = []
         for cache, _timeline, _events in self.sides:
             if op == "get":
-                hit = cache.get(key, miss_info=(8, size - 8, penalty))
+                hit = cache.lookup(key, 8, size - 8, penalty)
                 results.append(hit is not None)
             elif op == "set":
                 results.append(cache.set(key, 8, size - 8, penalty))

@@ -38,7 +38,7 @@ class TestClusterBasics:
         cluster = small_cluster()
         cluster.set(1, 8, 50, 0.1)
         cluster.get(1)
-        cluster.get(2, miss_info=(8, 50, 0.5))
+        cluster.lookup(2, 8, 50, 0.5)
         s = cluster.stats
         assert s.gets == 2 and s.hits == 1 and s.misses == 1
         assert s.total_miss_penalty == pytest.approx(0.5)
@@ -64,7 +64,7 @@ class TestTopologyChanges:
         assert len(cluster.nodes) == 4
         # new node starts cold but receives traffic
         for i in range(300):
-            cluster.get(i, miss_info=(8, 50, 0.1))
+            cluster.lookup(i, 8, 50, 0.1)
         cluster.check_invariants()
 
     def test_remove_node_loses_its_items(self):

@@ -81,7 +81,7 @@ class TestBehaviour:
             key = rng.randrange(400)
             size = rng.choice([40, 200, 900])
             pen = rng.lognormvariate(-3.0, 1.0)
-            if cache.get(key, (8, size, min(pen, 5.0))) is None:
+            if cache.lookup(key, 8, size, min(pen, 5.0)) is None:
                 cache.set(key, 8, size, min(pen, 5.0))
         cache.check_invariants()
         assert policy.learned_edges is not None
@@ -102,7 +102,7 @@ class TestBehaviour:
                 # all penalties inside the fixed (10ms,100ms] bin, but
                 # spanning a decade — room for penalty-aware decisions
                 pen = 0.011 * (9.0 ** rng.random())
-                if cache.get(key, (8, 50 if key % 2 else 800, pen)) is None:
+                if cache.lookup(key, 8, 50 if key % 2 else 800, pen) is None:
                     cache.set(key, 8, 50 if key % 2 else 800, pen)
             return cache.stats.total_miss_penalty
 

@@ -83,7 +83,7 @@ class TestBloomTrackerInPolicy:
             key = rng.randrange(300)
             size = rng.choice([40, 200, 900])
             pen = rng.choice([0.0005, 0.05, 2.0])
-            if cache.get(key, (8, size, pen)) is None:
+            if cache.lookup(key, 8, size, pen) is None:
                 cache.set(key, 8, size, pen)
         cache.check_invariants()
         # trackers must have been rebuilt by window rollovers
@@ -127,7 +127,7 @@ class TestBloomTrackerInPolicy:
                 key = rng.randrange(500)
                 size = rng.choice([40, 200, 900])
                 pen = rng.choice([0.0005, 0.05, 2.0])
-                if cache.get(key, (8, size, pen)) is None:
+                if cache.lookup(key, 8, size, pen) is None:
                     cache.set(key, 8, size, pen)
             return cache.stats.hit_ratio
 

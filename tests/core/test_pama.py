@@ -86,11 +86,11 @@ class TestBinning:
         for key in keys:
             cache.set(key, 8, 50, 0.05)
         for penalty in (0.0005, 0.005, 0.05, 0.5, 2.0):  # every queue
-            cache.get("absent", miss_info=(8, 50, penalty))
+            cache.lookup("absent", 8, 50, penalty)
         before = sized_state()
         for i in range(100_000):
             penalty = 1e-4 + i * 5e-6  # 100k distinct, bins 0 to 3
-            cache.get(("absent", i % 8), miss_info=(8, 50, penalty))
+            cache.lookup(("absent", i % 8), 8, 50, penalty)
             cache.set(i % 8, 8, 50, penalty)
         assert sized_state() == before
         assert {cache.index[key].bin_idx for key in keys} == {3}
@@ -115,7 +115,7 @@ class TestValueTracking:
         queue = next(iter(cache.iter_queues()))
         state: PamaQueueState = queue.policy_data
         assert len(state.ghost) == 3
-        cache.get(0, miss_info=(8, 50, 0.0005))  # ghost hit
+        cache.lookup(0, 8, 50, 0.0005)  # ghost hit
         assert state.values.incoming_value() > 0.0
 
     def test_ghost_entry_removed_on_reinsert(self):
@@ -137,7 +137,7 @@ class TestValueTracking:
 
     def test_miss_without_ghost_is_silent(self):
         cache, policy = pama_cache()
-        cache.get("never-seen", miss_info=(8, 50, 0.05))  # no crash
+        cache.lookup("never-seen", 8, 50, 0.05)  # no crash
 
 
 class TestMigrationDecision:
@@ -190,7 +190,7 @@ class TestWindowRollover:
         v0 = queue.policy_data.values.outgoing_value()
         assert v0 > 0
         for _ in range(25):  # push past several windows
-            cache.get("nothing", miss_info=None)
+            cache.get("nothing")
         v1 = queue.policy_data.values.outgoing_value()
         assert v1 < v0
 
@@ -217,7 +217,7 @@ class TestIntegrity:
             pen = rng.choice([0.0005, 0.005, 0.05, 0.5, 2.0])
             r = rng.random()
             if r < 0.7:
-                if cache.get(key, (8, size, pen)) is None:
+                if cache.lookup(key, 8, size, pen) is None:
                     cache.set(key, 8, size, pen)
             elif r < 0.95:
                 cache.set(key, 8, size, pen)
@@ -251,7 +251,7 @@ class TestGhostOwnerSync:
     @staticmethod
     def _apply(cache, op, key, penalty):
         if op == "get":
-            cache.get(key, miss_info=(8, 50, penalty))
+            cache.lookup(key, 8, 50, penalty)
         elif op == "set":
             cache.set(key, 8, 50, penalty)
         else:

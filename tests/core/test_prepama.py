@@ -39,7 +39,7 @@ class TestPrePama:
             key = rng.randrange(300)
             size = rng.choice([40, 200, 900, 3000])
             pen = rng.choice([0.0005, 0.05, 2.0])
-            if cache.get(key, (8, size, pen)) is None:
+            if cache.lookup(key, 8, size, pen) is None:
                 cache.set(key, 8, size, pen)
         cache.check_invariants()
         assert cache.stats.hits > 0

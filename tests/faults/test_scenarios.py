@@ -1,6 +1,7 @@
 """Named scenarios, the run_scenario harness, and the chaos CLI."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,6 +9,7 @@ from repro._util import MIB
 from repro.cli import main
 from repro.faults import (FaultPlan, make_plan, run_scenario,
                           scenario_names)
+from repro.faults.scenarios import ChaosReport, PolicyOutcome
 from repro.traces import ETC, generate
 
 
@@ -93,6 +95,44 @@ class TestBrownoutWidensAdvantage:
         assert outcome.counters["backend_error"] > 0
         assert outcome.counters["stale_served"] > 0
         assert outcome.degraded_time > 0
+
+
+def _stub_report(pama_ms: tuple[float, float],
+                 pre_pama_ms: tuple[float, float]) -> ChaosReport:
+    """A report over two stub outcomes: (fault-free, faulted) average
+    service times in ms, no replay behind them."""
+    def outcome(name, ms):
+        base, fault = (SimpleNamespace(hit_ratio=0.5,
+                                       avg_service_time=t / 1e3,
+                                       service_quantiles={})
+                       for t in ms)
+        return PolicyOutcome(name, base, fault)
+
+    return ChaosReport("backend-brownout", 7, ["n0", "n1"], FaultPlan(),
+                       {"pre-pama": outcome("pre-pama", pre_pama_ms),
+                        "pama": outcome("pama", pama_ms)})
+
+
+class TestAdvantageSummary:
+    @pytest.mark.parametrize("pama, pre_pama, says", (
+        # +0.17 -> +0.21 ms: pama ahead, by more
+        ((10.0, 20.0), (10.17, 20.21), "(widened)"),
+        # -1.15 -> -2.63 ms: pre-pama ahead, by more
+        ((10.0, 20.0), (8.85, 17.37), "(pre-pama ahead under faults)"),
+        # -2.44 -> -1.0 ms: pre-pama ahead, by less
+        ((10.0, 20.0), (7.56, 19.0), "(pre-pama ahead under faults)"),
+        # +0.5 -> -0.5 ms: the lead changes hands
+        ((10.0, 20.0), (10.5, 19.5), "(pre-pama ahead under faults)"),
+        # -0.5 -> +0.5 ms
+        ((10.0, 20.0), (9.5, 20.5), "(pama ahead under faults)"),
+    ), ids=("both-positive", "both-negative-wider", "both-negative-closer",
+            "positive-to-negative", "negative-to-positive"))
+    def test_names_the_leader_once_an_advantage_is_negative(
+            self, pama, pre_pama, says):
+        line = _stub_report(pama, pre_pama).format().splitlines()[-1]
+        assert line.startswith("pama advantage over pre-pama: ")
+        assert line.endswith(says)
+        assert "narrowed" not in line
 
 
 class TestChaosCli:

@@ -48,8 +48,8 @@ class CacheMachine(RuleBasedStateMachine):
     @rule(key=st.integers(0, 60))
     def do_get(self, key):
         entry = self.model.get(key)
-        miss_info = (8, entry[0], entry[1]) if entry else (8, 100, 0.1)
-        item = self.cache.get(key, miss_info)
+        size, pen = entry if entry else (100, 0.1)
+        item = self.cache.lookup(key, 8, size, pen)
         if item is not None:
             # a hit must return the stored attributes
             assert key in self.model

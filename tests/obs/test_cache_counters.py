@@ -39,7 +39,7 @@ def churn(cache: SlabCache, start: int = 0, n: int = 1_500) -> None:
     for i in range(start, start + n):
         key = (i * 7_919) % 600
         sizes = (3, 9_000 if key % 3 == 0 else 1_000, 0.1 * (1 + key % 4))
-        if cache.get(key, sizes) is None:
+        if cache.lookup(key, *sizes) is None:
             cache.set(key, *sizes)
 
 

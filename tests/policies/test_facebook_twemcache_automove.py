@@ -84,7 +84,7 @@ class TestAutoMovePolicy:
             cache.set(i, 8, 50, 0.1)
         # class 0 then never misses; the big class misses for 3+ windows
         for i in range(400):
-            cache.get(("big", i), miss_info=(8, 3000, 0.1))
+            cache.lookup(("big", i), 8, 3000, 0.1)
         assert cache.stats.migrations >= 1
         big_class = cache.size_classes.class_for_size(3008)
         assert cache.class_slab_distribution().get(big_class, 0) >= 1
@@ -97,6 +97,6 @@ class TestAutoMovePolicy:
             cache.set(i, 8, 50, 0.1)
         # both classes miss every window: no eligible donor
         for i in range(300):
-            cache.get(("small-miss", i), miss_info=(8, 50, 0.1))
-            cache.get(("big-miss", i), miss_info=(8, 3000, 0.1))
+            cache.lookup(("small-miss", i), 8, 50, 0.1)
+            cache.lookup(("big-miss", i), 8, 3000, 0.1)
         assert cache.stats.migrations == 0

@@ -82,7 +82,7 @@ class TestGdsEviction:
             key = rng.randrange(500)
             size = rng.choice([40, 200, 900, 3000])
             pen = rng.choice([0.0005, 0.05, 2.0])
-            if cache.get(key, (8, size, pen)) is None:
+            if cache.lookup(key, 8, size, pen) is None:
                 cache.set(key, 8, size, pen)
         cache.check_invariants()
         assert cache.stats.hits > 0
@@ -100,7 +100,7 @@ class TestGdsEviction:
             for _ in range(20_000):
                 key = rng.randrange(300)
                 pen = 2.0 if key % 2 else 0.001
-                if cache.get(key, (8, 50, pen)) is None:
+                if cache.lookup(key, 8, 50, pen) is None:
                     cache.set(key, 8, 50, pen)
             return cache.stats.total_miss_penalty
 

@@ -35,7 +35,7 @@ class TestLama:
         rng = random.Random(0)
         for _ in range(4000):
             i = rng.randrange(2 * per_slab)
-            if cache.get(("small", i), miss_info=(8, 50, 0.1)) is None:
+            if cache.lookup(("small", i), 8, 50, 0.1) is None:
                 cache.set(("small", i), 8, 50, 0.1)
         assert policy.reallocations >= 1
         dist = cache.class_slab_distribution()
@@ -54,7 +54,7 @@ class TestLama:
                 key, size, pen = ("cheap", i), 50, 0.001
             else:
                 key, size, pen = ("dear", i), 100, 2.0
-            if cache.get(key, (8, size, pen)) is None:
+            if cache.lookup(key, 8, size, pen) is None:
                 cache.set(key, 8, size, pen)
         dist = cache.class_slab_distribution()
         cheap_class = cache.size_classes.class_for_size(58)
@@ -69,6 +69,6 @@ class TestLama:
         for i in range(5000):
             key = rng.randrange(400)
             size = rng.choice([40, 200, 900, 3000])
-            if cache.get(key, (8, size, 0.1)) is None:
+            if cache.lookup(key, 8, size, 0.1) is None:
                 cache.set(key, 8, size, 0.1)
         cache.check_invariants()

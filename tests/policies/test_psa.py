@@ -26,7 +26,7 @@ class TestPSA:
         # misses hammer the large class; after M misses PSA relocates
         big_class = cache.size_classes.class_for_size(3008)
         for i in range(12):
-            cache.get(("big", i), miss_info=(8, 3000, 0.1))
+            cache.lookup(("big", i), 8, 3000, 0.1)
         assert cache.stats.migrations >= 1
         assert cache.class_slab_distribution().get(big_class, 0) >= 1
 
@@ -44,7 +44,7 @@ class TestPSA:
                 cache.get(("a", i))
         # drive misses on the big class to trigger relocation
         for i in range(25):
-            cache.get(("big", i), miss_info=(8, 3000, 0.1))
+            cache.lookup(("big", i), 8, 3000, 0.1)
         dist = cache.class_slab_distribution()
         assert dist.get(0, 0) == 1          # hot class kept its slab
         assert dist.get(1, 0) == 0          # idle class donated
@@ -56,7 +56,7 @@ class TestPSA:
         cache = SlabCache(2 * 4096, policy, classes)
         cache.set(0, 8, 50, 0.1)
         for i in range(5):
-            cache.get(("x", i), miss_info=(8, 50, 0.1))
+            cache.lookup(("x", i), 8, 50, 0.1)
         assert policy._window == {}  # cleared by the rebalance
 
     def test_pressure_evicts_within_class(self):

@@ -10,6 +10,13 @@ live on below as :func:`reference_run`, and the kernel must come out
 snapshot, every registry histogram's ``(count, sum, min, max, counts)``
 and every timeline row — whatever the source's windows look like and
 wherever a metrics window or a timeline row happens to close.
+
+A policy that arbitrates between tenants had a fifth body,
+``_replay_tenants``, which set ``policy.current_tenant`` per request
+and kept per-tenant totals.  The kernel now tags each row as the cache
+pulls it, and :func:`_reference_tenants` is that loop kept as the
+oracle for ``tenant_metrics``, the per-tenant histograms and the
+timeline's tenant cells.
 """
 
 import dataclasses
@@ -21,11 +28,16 @@ import numpy as np
 import pytest
 
 from repro.cache import SizeClassConfig, SlabCache
+from repro.core.config import PamaConfig
 from repro.obs import Registry, TimelineRecorder
 from repro.policies import make_policy
 from repro.sim.metrics import MetricsCollector
 from repro.sim.service import ServiceTimeModel
 from repro.sim.simulator import SimulationResult, Simulator
+from repro.tenancy import TenantArbiter
+from repro.tenancy.mix import mix_tenants, tenant_configs
+from repro.tenancy.scenarios import (arrival_departure_specs,
+                                     noisy_neighbor_specs)
 from repro.traces import compile_trace
 from repro.traces import record as trace_record
 from repro.traces.compile import CompiledTrace
@@ -100,10 +112,113 @@ def _reference_timeline(sim, rows, metrics, service, hist, hist_hit,
             advance(tick)
 
 
+def _reference_tenant_rows(trace, service):
+    """The tenant loop's rows: ``_reference_rows`` plus the tenant id."""
+    return (row for w in trace_record.iter_windows(trace)
+            for row in zip(w.ops.tolist(), w.keys.tolist(),
+                           w.key_sizes.tolist(), w.value_sizes.tolist(),
+                           w.penalties.tolist(),
+                           service.miss_array(w.penalties),
+                           w.tenants.tolist()))
+
+
+def _reference_tenants(sim, rows, metrics, service, hist, hist_hit,
+                       hist_miss, timeline, registry) -> dict[int, dict]:
+    """The retired ``Simulator._replay_tenants``, with one edit: a
+    missed GET's fill runs after ``record_get``, not before it, so a
+    timeline row that closes on that GET does not count the fill's
+    evictions, migrations and decisions — the closing-row rule every
+    other loop keeps."""
+    cache = sim.cache
+    policy = cache.policy
+    fill = sim.fill_on_miss
+    cache_lookup = cache.lookup
+    cache_set = cache.set
+    cache_delete = cache.delete
+    record_hit = metrics.record_hit
+    record_miss = metrics.record_miss
+    service_hit = service.hit
+    record_get = timeline.record_get if timeline is not None else None
+    advance = timeline.advance if timeline is not None else None
+    cells: dict[int, list] = {}
+    tenant_hists: dict[int, object] = {}
+    tick = -1
+    for op, key, key_size, value_size, penalty, miss_cost, tenant in rows:
+        tick += 1
+        policy.current_tenant = tenant
+        if op == 0:  # GET
+            item = cache_lookup(key, key_size, value_size, penalty)
+            if item is not None:
+                hit = True
+                cost = service_hit(item.total_size)
+                record_hit(cost)
+                if hist is not None:
+                    hist.record(cost)
+                    hist_hit.record(cost)
+            else:
+                hit = False
+                cost = miss_cost
+                record_miss(cost)
+                if hist is not None:
+                    hist.record(cost)
+                    hist_miss.record(cost)
+            cell = cells.get(tenant)
+            if cell is None:
+                cell = cells[tenant] = [0, 0, 0.0, 0.0]
+            cell[0] += 1
+            cell[1] += hit
+            cell[2] += cost
+            if not hit and penalty == penalty:
+                cell[3] += penalty
+            if record_get is not None:
+                record_get(tick, hit, cost, 0.0 if hit else penalty, tenant)
+            if not hit and fill:
+                cache_set(key, key_size, value_size, penalty)
+            if registry is not None:
+                th = tenant_hists.get(tenant)
+                if th is None:
+                    th = tenant_hists[tenant] = registry.histogram(
+                        "sim_tenant_service_time_seconds",
+                        "per-request GET service time by tenant",
+                        lo=1e-6, growth=1.25, policy=policy.name,
+                        tenant=str(tenant))
+                th.record(cost)
+        elif op == 1:  # SET
+            cache_set(key, key_size, value_size, penalty)
+            if advance is not None:
+                advance(tick)
+        else:  # DELETE
+            cache_delete(key)
+            if advance is not None:
+                advance(tick)
+
+    configs = getattr(policy, "tenants", ())
+    slabs = (policy.tenant_slabs()
+             if hasattr(policy, "tenant_slabs") else [])
+    out: dict[int, dict] = {}
+    for tenant in sorted(cells):
+        gets, hits, service_sum, penalty_sum = cells[tenant]
+        cfg = configs[tenant] if tenant < len(configs) else None
+        th = tenant_hists.get(tenant)
+        out[tenant] = {
+            "name": cfg.name if cfg is not None else f"t{tenant}",
+            "gets": gets,
+            "hits": hits,
+            "hit_ratio": hits / gets if gets else 0.0,
+            "service_sum": service_sum,
+            "avg_service_time": service_sum / gets if gets else 0.0,
+            "penalty_sum": penalty_sum,
+            "sla_weight": (cfg.sla_weight if cfg is not None else 1.0),
+            "slabs": slabs[tenant] if tenant < len(slabs) else 0,
+            "quantiles": th.quantiles() if th is not None else {},
+        }
+    return out
+
+
 def reference_run(sim: Simulator, trace) -> SimulationResult:
-    """The parent's ``Simulator.run`` for a fault-free, underived,
-    single-tenant replay: loop body chosen up front, every side channel
-    fed per request."""
+    """The parent's ``Simulator.run`` for a fault-free, underived
+    replay: loop body chosen up front, every side channel fed per
+    request."""
     cache = sim.cache
     metrics = sim.metrics = MetricsCollector(sim.window_gets, sim._snapshot)
     service = sim.service_model
@@ -125,7 +240,12 @@ def reference_run(sim: Simulator, trace) -> SimulationResult:
     rows = _reference_rows(trace, service)
     cache_lookup = cache.lookup
     cache_delete = cache.delete
-    if timeline is not None:
+    tenant_metrics: dict[int, dict] = {}
+    if getattr(cache.policy, "wants_tenants", False):
+        tenant_metrics = _reference_tenants(
+            sim, _reference_tenant_rows(trace, service), metrics, service,
+            hist, hist_hit, hist_miss, timeline, registry)
+    elif timeline is not None:
         _reference_timeline(sim, rows, metrics, service, hist, hist_hit,
                             hist_miss, timeline)
     elif hist is None:
@@ -195,7 +315,8 @@ def reference_run(sim: Simulator, trace) -> SimulationResult:
         service_quantiles=hist.quantiles() if hist is not None else {},
         hit_quantiles=hist_hit.quantiles() if hist_hit is not None else {},
         miss_quantiles=(hist_miss.quantiles()
-                        if hist_miss is not None else {}))
+                        if hist_miss is not None else {}),
+        tenant_metrics=tenant_metrics)
 
 
 # -- inputs ------------------------------------------------------------------
@@ -446,3 +567,168 @@ class TestSourceIsPulledLazily:
         result = sim.run(windows())
         assert len(pulls) == 7
         assert result.total_gets == TRACE.num_gets
+
+
+# -- tenant-tagged replays --------------------------------------------------
+
+TENANT_ROWS = 6_000
+TENANT_SOURCES = ("trace", "compiled-2048", "windows-7")
+MIXES = ("noisy-neighbor", "arrival-departure", "untagged")
+
+
+@functools.lru_cache(maxsize=None)
+def _mix(name: str) -> Trace:
+    if name == "untagged":
+        return TRACE
+    specs = (noisy_neighbor_specs() if name == "noisy-neighbor"
+             else arrival_departure_specs())
+    return mix_tenants(specs, TENANT_ROWS, seed=7)
+
+
+def _arbiter_cache(name: str) -> SlabCache:
+    capacity, slab = 1 << 20, 64 << 10
+    config = PamaConfig(value_window=1_500)
+    if name == "untagged":
+        arbiter = TenantArbiter(1, config=config)
+    else:
+        specs = (noisy_neighbor_specs() if name == "noisy-neighbor"
+                 else arrival_departure_specs())
+        arbiter = TenantArbiter(tenant_configs(specs, capacity // slab),
+                                config=config)
+    return SlabCache(capacity, arbiter, SizeClassConfig(slab_size=slab))
+
+
+@pytest.fixture(scope="module")
+def mix_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tenants")
+    paths = {}
+    for name in MIXES:
+        paths[name] = str(root / f"{name}.ctrc")
+        compile_trace(_mix(name), paths[name])
+    return paths
+
+
+def _mix_source(name: str, kind: str, paths):
+    if kind == "trace":
+        return _mix(name)
+    return CompiledTrace(paths[name], window=int(kind.split("-")[-1]))
+
+
+@functools.lru_cache(maxsize=None)
+def tenant_scout(name: str) -> tuple[tuple[int, bool, bool, int], ...]:
+    """Per row of the mix under the arbiter: (op, hit, the miss's fill
+    migrated a slab, tenant)."""
+    cache = _arbiter_cache(name)
+    trace = _mix(name)
+    out = []
+    for (op, key, key_size, value_size, penalty), tenant in zip(
+            trace.iter_rows(), trace.tenants.tolist()):
+        cache.policy.current_tenant = tenant
+        hit = filled = False
+        if op == 0:
+            hit = cache.lookup(key, key_size, value_size, penalty) is not None
+            if not hit:
+                before = cache.stats.migrations
+                cache.set(key, key_size, value_size, penalty)
+                filled = cache.stats.migrations > before
+        elif op == 1:
+            cache.set(key, key_size, value_size, penalty)
+        else:
+            cache.delete(key)
+        out.append((op, hit, filled, tenant))
+    return tuple(out)
+
+
+def tenant_row(name: str, want, start: int = 1_500) -> int:
+    """The first row at or after ``start`` for which ``want(op, hit,
+    filled)`` holds and, in a tagged mix, whose tenant is not the
+    previous row's."""
+    rows = tenant_scout(name)
+    for index in range(start, len(rows)):
+        op, hit, filled, tenant = rows[index]
+        switched = name == "untagged" or tenant != rows[index - 1][3]
+        if switched and want(op, hit, filled):
+            return index
+    raise AssertionError("the mix has no such row")
+
+
+def tenant_gets_through(name: str, row: int) -> int:
+    return sum(1 for op, *_ in tenant_scout(name)[:row + 1] if op == 0)
+
+
+def run_tenant_pair(name, mode, source_kind, paths, window_gets, stride):
+    """(reference, kernel) as (result, every histogram's state,
+    timeline rows) of one arbiter replay."""
+    sides = []
+    for runner in (reference_run, Simulator.run):
+        registry = Registry() if mode.startswith("registry") else None
+        timeline = (TimelineRecorder(stride=stride)
+                    if mode.endswith("timeline") else None)
+        service = ServiceTimeModel(
+            hit_time=1e-4, bandwidth=3e7 if mode == "bandwidth" else None)
+        sim = Simulator(_arbiter_cache(name), service,
+                        window_gets=window_gets, obs=registry,
+                        timeline=timeline)
+        result = runner(sim, _mix_source(name, source_kind, paths))
+        hists = [] if registry is None else [
+            (h.name, h.labels, h.count, h.sum, h.min, h.max, h.counts)
+            for h in registry.collect()]
+        sides.append((dataclasses.replace(result, elapsed_seconds=0.0),
+                      hists, timeline.rows if timeline else None))
+    return sides
+
+
+class TestTenantReplayEqualsTheTenantLoop:
+    @pytest.mark.parametrize("source_kind", TENANT_SOURCES)
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("name", MIXES)
+    def test_every_mix_mode_and_source(self, name, mode, source_kind,
+                                       mix_paths):
+        # a metrics window and a timeline row close on one GET miss
+        # whose fill migrates and whose tenant is not the last row's
+        row = tenant_row(name, lambda op, hit, filled: op == 0 and filled)
+        sides = run_tenant_pair(name, mode, source_kind, mix_paths,
+                                tenant_gets_through(name, row), stride=row)
+        assert_same(sides)
+        result, hists, rows = sides[1]
+        assert len(result.windows) >= 3
+        assert result.cache_stats["migrations"] > 50
+        tenants = set(_mix(name).tenants.tolist())
+        assert set(result.tenant_metrics) == tenants
+        if mode.startswith("registry"):
+            assert sum(h[0] == "sim_tenant_service_time_seconds"
+                       for h in hists) == len(tenants)
+        if rows is not None and name != "untagged":
+            assert all(len(r["tenants"]) >= 1 for r in rows)
+
+    @pytest.mark.parametrize("source_kind", ("trace", "windows-7"))
+    @pytest.mark.parametrize("closes, on", (
+        ("metrics", "hit"), ("timeline", "hit"), ("timeline", "set"),
+        ("metrics+timeline", "miss")))
+    def test_close_where_the_tenant_changes(self, closes, on, source_kind,
+                                            mix_paths):
+        name = "noisy-neighbor"
+        wanted = {"hit": lambda op, hit, filled: op == 0 and hit,
+                  "miss": lambda op, hit, filled: op == 0 and not hit,
+                  "set": lambda op, hit, filled: op == 1}[on]
+        row = tenant_row(name, wanted, start=2_500)
+        window_gets = (tenant_gets_through(name, row)
+                       if "metrics" in closes else 613)
+        stride = row if "timeline" in closes else 977
+        assert_same(run_tenant_pair(name, "registry+timeline", source_kind,
+                                    mix_paths, window_gets, stride))
+
+    def test_goes_through_apply_rows(self, monkeypatch):
+        pulled = []
+        apply_rows = SlabCache.apply_rows
+
+        def counting(cache, rows, fill, note, sized):
+            pulled.append(cache.policy.name)
+            return apply_rows(cache, rows, fill, note, sized)
+
+        monkeypatch.setattr(SlabCache, "apply_rows", counting)
+        sim = Simulator(_arbiter_cache("noisy-neighbor"), window_gets=613)
+        result = sim.run(_mix("noisy-neighbor"))
+        assert result.total_gets == _mix("noisy-neighbor").num_gets
+        assert len(pulled) >= len(result.windows)
+        assert set(pulled) == {"tenant-arbiter"}
