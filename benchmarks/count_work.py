@@ -2,7 +2,7 @@
 
     PYTHONHASHSEED=0 python benchmarks/count_work.py \
         [--workload replay-write-obs] [--seed 1] [--rows 614400:716800] \
-        [--max-calls-per-row F]
+        [--max-calls-per-row F] [--max-collections N]
 
 Replays an e2e replay workload's own input (``benchmarks/e2e``: same
 rows, the workload's passes chained as ``replay.py`` chains them, same
@@ -21,6 +21,13 @@ not frames and count as the one bytecode that makes them.  With
 ``--max-calls-per-row F`` the script exits 1, printing the excess, when
 the total of calls per row is above ``F`` (CPython 3.12 inlines
 comprehensions, so it counts no more calls than 3.11 does).
+
+It also prints the cyclic garbage collector's passes per generation
+that start inside the traced range, counted by a ``gc.callbacks`` hook
+(whose own frames are not counted as work).  They too repeat exactly
+for a given commit.  A replay runs with the collector paused
+(``Simulator.run``), so its count is 0; with ``--max-collections N``
+the script exits 1 when the total is above ``N``.
 
 ``--workload serve-miss-mixed`` counts the server's side of that
 workload per request (default rows ``[80000, 100000)``, after the rows
@@ -44,6 +51,7 @@ exactly.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -171,6 +179,9 @@ def main() -> None:
     ap.add_argument("--top", type=int, default=25)
     ap.add_argument("--max-calls-per-row", type=float, default=None,
                     metavar="F", help="exit 1 when the total is above F")
+    ap.add_argument("--max-collections", type=int, default=None,
+                    metavar="N", help="exit 1 when the cyclic collector "
+                    "runs more than N times in the traced range")
     args = ap.parse_args()
     from workloads import WORKLOADS
 
@@ -178,11 +189,18 @@ def main() -> None:
     run_loop = RUN_LOOP[kind]
     ops: Counter[str] = Counter()
     calls: Counter[str] = Counter()
+    collections = [0] * len(gc.get_stats())
+
+    def collected(phase, info):
+        if phase == "start" and sys.gettrace() is tracer:
+            collections[info["generation"]] += 1
 
     def tracer(frame, event, arg):
         if event == "opcode":
             ops[frame.f_code.co_qualname] += 1
         elif event == "call":
+            if frame.f_code is collected.__code__:
+                return None
             calls[frame.f_code.co_qualname] += 1
             frame.f_trace_opcodes, frame.f_trace_lines = True, False
         return tracer
@@ -200,6 +218,7 @@ def main() -> None:
 
     lo, hi = (int(x) for x in (args.rows or ROWS[kind]).split(":"))
     fills = 0
+    gc.callbacks.append(collected)
     with tempfile.TemporaryDirectory() as tmp:
         if kind == "serve":
             fills = serve_rows(args.workload, args.seed, tmp, lo, hi, tracer)
@@ -210,6 +229,7 @@ def main() -> None:
             hi = min(hi, -(-len(ct) // window_rows) * passes)
             sim.run(windows(ct, passes, lo, hi))
             lo, hi = lo * window_rows, hi * window_rows
+    gc.callbacks.remove(collected)
     n = hi - lo
     print(f"{args.workload} seed {args.seed} rows [{lo}, {hi})"
           + (f", {fills} fill SETs among them" if kind == "serve" else ""))
@@ -224,10 +244,20 @@ def main() -> None:
     print(f"{run_loop + ' (the run loop)':44} {ops[run_loop] / n:14.2f} "
           f"{calls[run_loop] / n:10.3f}")
     print(f"{'total':44} {total_ops / n:14.2f} {total_calls / n:10.3f}")
+    print("cyclic collections by generation: "
+          + " / ".join(map(str, collections)))
+    failed = False
     limit, per_row = args.max_calls_per_row, total_calls / n
     if limit is not None and per_row > limit:
         print(f"{per_row:.3f} calls per row: {per_row - limit:.3f} above "
               f"--max-calls-per-row {limit}")
+        failed = True
+    if (args.max_collections is not None
+            and sum(collections) > args.max_collections):
+        print(f"{sum(collections)} cyclic collections: above "
+              f"--max-collections {args.max_collections}")
+        failed = True
+    if failed:
         raise SystemExit(1)
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
+
 KIB = 1024
 MIB = 1024 * 1024
 GIB = 1024 * 1024 * 1024
@@ -78,3 +81,24 @@ def seq_sum(carry: float, values) -> float:
     buf[0] = carry
     buf[1:] = values
     return float(np.cumsum(buf, out=buf)[-1])
+
+
+@contextmanager
+def collector_paused():
+    """Run the ``with`` body with CPython's cyclic collector disabled.
+
+    For code that creates no reference cycles, so that everything it
+    drops is freed by reference counting and the collector's passes
+    over the live heap are pure cost.  The collector is re-enabled on
+    exit, an exception included, only if it was enabled on entry: a
+    caller's own pause stays in force.  Nothing is collected on exit;
+    the collector's thresholds take over again.  The switch is
+    process-wide, so other threads run without the collector too.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()

@@ -597,6 +597,26 @@ class SlabCache:
         self.stats.flushes += 1
         return len(keys)
 
+    def close(self) -> None:
+        """Tear the cache down for good, so reference counting frees it.
+
+        LRU neighbours, an item and its queue, a queue's list and the
+        tracker observing it, the cache and its policy all point at one
+        another, so a dropped cache would otherwise wait for CPython's
+        cyclic collector.  This unlinks every item, empties every queue
+        and has the policy drop its state (``policy.detach()``).  The
+        slab counts and stats stay readable; nothing else works after.
+        """
+        self.policy.detach()
+        for queue in self.queues.values():
+            lru = queue.lru
+            for item in lru:
+                item.prev = item.next = item.queue = None
+            lru.head = lru.tail = lru.observer = None
+            lru.size = 0
+            queue.policy_data = None
+        self.index.clear()
+
     def __contains__(self, key: object) -> bool:
         return key in self.index
 

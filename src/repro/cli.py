@@ -39,6 +39,26 @@ from repro.policies import POLICY_NAMES
 # carry them.
 
 
+def _at_least(lo: int):
+    """argparse type of a count argument: an int no smaller than
+    ``lo``, else a one-line usage error (exit 2) before any command
+    runs."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {lo}, got {value}")
+        return value
+    return parse
+
+
+_count = _at_least(1)
+
+
 def _load_trace(path: str):
     from repro.traces import (CompiledTrace, is_compiled_trace, load_csv,
                               load_npz)
@@ -68,7 +88,7 @@ def _add_trace_args(sub: argparse.ArgumentParser) -> None:
                      help="workload profile (etc/app/usr/sys/var, or the "
                           "Table V zoo: twitter-cache, twitter-cache15, "
                           "zippydb, udb, rtdata, dedup)")
-    sub.add_argument("--requests", type=int, default=500_000,
+    sub.add_argument("--requests", type=_count, default=500_000,
                      help="requests to synthesize")
     sub.add_argument("--scale", type=float, default=0.2,
                      help="key-universe scale factor for synthesis")
@@ -80,14 +100,14 @@ def _add_cache_args(sub: argparse.ArgumentParser) -> None:
                      help="total cache memory (e.g. 64MiB, 1GiB); "
                           "`simulate` accepts a comma-separated list")
     sub.add_argument("--slab-size", default="64KiB", help="slab size")
-    sub.add_argument("--window", type=int, default=50_000,
+    sub.add_argument("--window", type=_count, default=50_000,
                      help="GETs per metrics window")
     sub.add_argument("--hit-time", type=float, default=1e-4,
                      help="service time of a hit, seconds")
 
 
 def _add_jobs_arg(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--jobs", type=int, default=1,
+    sub.add_argument("--jobs", type=_at_least(0), default=1,
                      help="worker processes for independent replays "
                           "(0 = one per spare core; 1 = serial)")
 
@@ -654,7 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = subs.add_parser("generate", help="synthesize a workload trace")
     g.add_argument("--workload", default="etc")
-    g.add_argument("--requests", type=int, default=500_000)
+    g.add_argument("--requests", type=_count, default=500_000)
     g.add_argument("--scale", type=float, default=0.2)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True, help="output .npz or .csv path")
@@ -671,11 +691,11 @@ def build_parser() -> argparse.ArgumentParser:
     tc.add_argument("--workload", default="etc",
                     help="workload profile to synthesize (incl. the "
                          "Table V zoo)")
-    tc.add_argument("--requests", type=int, default=1_000_000)
+    tc.add_argument("--requests", type=_count, default=1_000_000)
     tc.add_argument("--scale", type=float, default=1.0,
                     help="key-universe scale factor for synthesis")
     tc.add_argument("--seed", type=int, default=0)
-    tc.add_argument("--chunk", type=int, default=1 << 20,
+    tc.add_argument("--chunk", type=_count, default=1 << 20,
                     help="rows generated/written per chunk")
     tc.add_argument("--out", required=True,
                     help="output directory (e.g. etc.ctrc)")
@@ -693,7 +713,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_args(s)
     _add_jobs_arg(s)
     s.add_argument("--policy", default="pama", choices=POLICY_NAMES)
-    s.add_argument("--replay-shards", type=int, default=1,
+    s.add_argument("--replay-shards", type=_count, default=1,
                    help="partition the single replay over N key shards "
                         "(repro.sim.sharded; capacity splits evenly, "
                         ">1 is the server's sharding approximation)")
@@ -758,7 +778,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_args(x)
     x.add_argument("--policies", default="pre-pama,pama",
                    help="comma-separated policies to compare under faults")
-    x.add_argument("--nodes", type=int, default=2,
+    x.add_argument("--nodes", type=_count, default=2,
                    help="cluster node count (--cache-size is the total)")
     x.add_argument("--fault-seed", type=int, default=0,
                    help="seed of the fault plan's RNG (identical seeds "
@@ -788,13 +808,13 @@ def build_parser() -> argparse.ArgumentParser:
                     help="scenario name (see --list), e.g. noisy-neighbor")
     tn.add_argument("--list", action="store_true",
                     help="list available scenarios and exit")
-    tn.add_argument("--requests", type=int, default=60_000)
+    tn.add_argument("--requests", type=_count, default=60_000)
     tn.add_argument("--seed", type=int, default=7)
     tn.add_argument("--scale", type=float, default=0.05,
                     help="key-universe scale factor per tenant profile")
     tn.add_argument("--cache-size", default="8MiB")
     tn.add_argument("--slab-size", default="64KiB")
-    tn.add_argument("--window", type=int, default=10_000,
+    tn.add_argument("--window", type=_count, default=10_000,
                     help="GETs per metrics window")
     tn.add_argument("--steal-margin", type=float, default=1.0,
                     help="cross-tenant steal threshold multiplier "
@@ -824,7 +844,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--tracker", default="bloom",
                     choices=["exact", "bloom"],
                     help="PAMA segment tracker (pama/pre-pama only)")
-    pr.add_argument("--replay-shards", type=int, default=1,
+    pr.add_argument("--replay-shards", type=_count, default=1,
                     help="profile the key-sharded replay engine with N "
                          "shards (run serially in-process so the "
                          "profiler sees the workers)")
@@ -840,7 +860,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--cache-size", default="64MiB")
     v.add_argument("--slab-size", default="1MiB")
     v.add_argument("--policy", default="pama", choices=POLICY_NAMES)
-    v.add_argument("--shards", type=int, default=1,
+    v.add_argument("--shards", type=_count, default=1,
                    help="hash-partitioned caches of the server "
                         "(one event loop serves them all: more than one "
                         "is the layout of a process-per-shard "
@@ -856,13 +876,13 @@ def build_parser() -> argparse.ArgumentParser:
     lg.add_argument("--spawn", action="store_true",
                     help="self-host a server in-process on an ephemeral "
                          "port for the duration of the run")
-    lg.add_argument("--connections", type=int, default=64)
-    lg.add_argument("--pipeline", type=int, default=8,
+    lg.add_argument("--connections", type=_count, default=64)
+    lg.add_argument("--pipeline", type=_count, default=8,
                     help="requests kept on the wire per connection")
-    lg.add_argument("--ops", type=int, default=50_000)
+    lg.add_argument("--ops", type=_count, default=50_000)
     lg.add_argument("--get-ratio", type=float, default=0.9,
                     help="fraction of ops that are GETs")
-    lg.add_argument("--keys", type=int, default=10_000,
+    lg.add_argument("--keys", type=_count, default=10_000,
                     help="key-universe size")
     lg.add_argument("--value-size", type=int, default=64)
     lg.add_argument("--hot-fraction", type=float, default=0.0,
@@ -878,7 +898,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="(--spawn only) server slab size")
     lg.add_argument("--policy", default="pama", choices=POLICY_NAMES,
                     help="(--spawn only) server allocation policy")
-    lg.add_argument("--shards", type=int, default=1,
+    lg.add_argument("--shards", type=_count, default=1,
                     help="(--spawn only) shard count")
     lg.set_defaults(func=cmd_loadgen)
 

@@ -180,7 +180,8 @@ class CacheCluster:
     # -- resilient routing ----------------------------------------------------
     def _sync_restart(self, name: str, tick: int) -> None:
         """Track down→up transitions; a rejoining node restarts cold
-        (fresh cache *and* fresh policy, like a process restart)."""
+        (fresh cache *and* fresh policy, like a process restart); the
+        cache it replaces is closed."""
         inj = self.faults
         if inj.plan.node_down(name, tick):
             if name not in self._down_seen:
@@ -188,6 +189,7 @@ class CacheCluster:
                 inj.event("node_crash", node=name)
         elif name in self._down_seen:
             self._down_seen.discard(name)
+            self.nodes[name].close()
             self.nodes[name] = self._fresh_cache()
             inj.count("node_rejoin")
             inj.event("node_rejoin", node=name)

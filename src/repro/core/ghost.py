@@ -197,10 +197,12 @@ class GhostList:
 
     def clear(self) -> None:
         """Forget every entry of this list (a shared directory keeps
-        its other lists' keys)."""
+        its other lists' keys).  The entries are unlinked, so each is
+        freed by reference counting."""
         index = self.index
         for entry in self:
             del index[entry.key]
+            entry.prev = entry.next = entry.ghost = None
         self.head = self.tail = None
         self.bounds = [None] * self.num_segments
         self.n = 0

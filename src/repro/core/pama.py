@@ -119,6 +119,14 @@ class PamaPolicy(AllocationPolicy):
         self._states[queue.qid] = state
         self._scan.append((queue, values))
 
+    def detach(self) -> None:
+        # A ghost list's entries link one another, and the list and its
+        # subclass state point at each other.
+        for state in self._states.values():
+            state.ghost.clear()
+            state.ghost.owner = None
+        super().detach()
+
     def _maybe_rollover(self) -> None:
         cfg = self.config
         if self.cache.accesses - self._last_rollover < self._value_window:

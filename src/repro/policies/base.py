@@ -59,6 +59,12 @@ class AllocationPolicy(ABC):
             raise PolicyError(f"policy {self.name!r} is already attached")
         self.cache = cache
 
+    def detach(self) -> None:
+        """Unbind the policy from its cache for good (run by
+        :meth:`SlabCache.close`).  A policy whose own state links
+        objects in reference cycles unlinks them here."""
+        self.cache = None
+
     def on_queue_created(self, queue: Queue) -> None:
         """A queue was lazily created; install per-queue state if needed."""
 

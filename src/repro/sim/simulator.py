@@ -27,6 +27,7 @@ from itertools import islice
 import numpy as np
 
 from repro import obs as _obs
+from repro._util import collector_paused
 from repro.cache.cache import SlabCache
 from repro.obs.timeline import tally_tenants
 from repro.sim.derive import derive_unsupported_reason, derived_rows
@@ -223,6 +224,11 @@ class Simulator:
         Each run gets a fresh :class:`MetricsCollector`: reusing the
         one from a previous run would carry its windows and totals into
         the new result and skew repeat-pass experiments (Fig 7 style).
+
+        The replay runs with CPython's cyclic collector paused
+        (:func:`repro._util.collector_paused`) and restores its
+        previous state when it returns or raises.  The pause is
+        process-wide: other threads see it too.
         """
         cache = self.cache
         metrics = self.metrics = MetricsCollector(self.window_gets,
@@ -280,18 +286,23 @@ class Simulator:
             hist=hist)
         if derive is True and reason is not None:
             raise ValueError(f"derive pass unavailable: {reason}")
-        if derive is True or (derive is None and reason is None
-                              and cache._wants_hashes):
-            self._replay_derived(
-                derived_rows(trace, service, cache.size_classes,
-                             cache.policy.bin_edges(), cache._wants_hashes),
-                metrics, service)
-        elif self.faults is not None:
-            self._replay_faulty(_trace_rows(trace, service), metrics,
-                                service, hist, hist_hit, hist_miss)
-        else:
-            self._replay(trace, metrics, service, hist, hist_hit, hist_miss,
-                         timeline, tenants)
+        # A replay creates no reference cycles (tests/sim/
+        # test_collector.py), so the cyclic collector would only re-walk
+        # the items and ghost entries the cache holds.
+        with collector_paused():
+            if derive is True or (derive is None and reason is None
+                                  and cache._wants_hashes):
+                self._replay_derived(
+                    derived_rows(trace, service, cache.size_classes,
+                                 cache.policy.bin_edges(),
+                                 cache._wants_hashes),
+                    metrics, service)
+            elif self.faults is not None:
+                self._replay_faulty(_trace_rows(trace, service), metrics,
+                                    service, hist, hist_hit, hist_miss)
+            else:
+                self._replay(trace, metrics, service, hist, hist_hit,
+                             hist_miss, timeline, tenants)
         elapsed = time.perf_counter() - started
         metrics.flush()
         if timeline is not None:

@@ -181,6 +181,11 @@ class TenantArbiter(AllocationPolicy):
         for inner in self._inners:
             inner.attach(_TenantView(cache))
 
+    def detach(self) -> None:
+        for inner in self._inners:
+            inner.detach()
+        super().detach()
+
     def inner_policy(self, tenant: int) -> PamaPolicy:
         """The per-tenant PAMA instance (diagnostics and tests)."""
         return self._inners[tenant]

@@ -20,6 +20,7 @@ import sys
 
 import pytest
 
+from repro._util import collector_paused
 from repro.cache import SizeClassConfig, SlabCache
 from repro.core.config import PamaConfig
 from repro.core.pama import PamaPolicy
@@ -49,15 +50,12 @@ def calls_during(fn) -> int:
             entered += 1
 
     gc.collect()
-    enabled = gc.isenabled()
-    gc.disable()
-    sys.setprofile(profile)
-    try:
-        fn()
-    finally:
-        sys.setprofile(None)
-        if enabled:
-            gc.enable()
+    with collector_paused():
+        sys.setprofile(profile)
+        try:
+            fn()
+        finally:
+            sys.setprofile(None)
     return entered - 1  # fn's own frame
 
 

@@ -190,6 +190,54 @@ class TestParser:
         with pytest.raises(SystemExit):
             main([])
 
+    # One bad count per argument that takes one; --jobs 0 means "one
+    # worker per spare core", so its bad value is -1.
+    BAD_COUNTS = [
+        ["generate", "--out", "x.npz", "--requests", "0"],
+        ["trace", "compile", "--out", "x.ctrc", "--requests", "0"],
+        ["trace", "compile", "--out", "x.ctrc", "--chunk", "0"],
+        ["simulate", "--requests", "0"],
+        ["simulate", "--window", "0"],
+        ["simulate", "--jobs", "-1"],
+        ["simulate", "--replay-shards", "0"],
+        ["simulate", "--replay-shards", "-3"],
+        ["compare", "--jobs", "-1"],
+        ["compare", "--window", "0"],
+        ["cluster", "--requests", "0"],
+        ["obs", "dump", "--window", "0"],
+        ["chaos", "node-flap", "--nodes", "0"],
+        ["chaos", "node-flap", "--window", "0"],
+        ["tenancy", "noisy-neighbor", "--requests", "0"],
+        ["tenancy", "noisy-neighbor", "--window", "0"],
+        ["profile", "--replay-shards", "0"],
+        ["serve", "--shards", "0"],
+        ["loadgen", "--ops", "0"],
+        ["loadgen", "--keys", "0"],
+        ["loadgen", "--connections", "0"],
+        ["loadgen", "--pipeline", "0"],
+        ["loadgen", "--shards", "0"],
+        ["simulate", "--window", "ten"],
+    ]
+
+    @pytest.mark.parametrize("argv", BAD_COUNTS, ids=" ".join)
+    def test_bad_count_is_a_usage_error(self, argv, monkeypatch, capsys):
+        import repro.cli as cli
+
+        for name in dir(cli):
+            if name.startswith("cmd_"):
+                monkeypatch.setattr(cli, name, pytest.fail)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1].startswith("repro-kv ")
+        assert f"argument {argv[-2]}:" in err[-1]
+
+    def test_jobs_zero_is_one_per_spare_core(self):
+        from repro.cli import build_parser
+
+        assert build_parser().parse_args(["simulate", "--jobs", "0"]).jobs == 0
+
 
 class TestTraceCompile:
     def test_compile_synthetic_info_and_simulate(self, tmp_path, capsys):
