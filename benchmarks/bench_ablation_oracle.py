@@ -32,7 +32,7 @@ def bench_ablation_oracle(benchmark, etc_trace, capsys):
 
     # jobs=1 on purpose: the oracle policies carry the trace inside
     # policy_kwargs, which a worker pool would re-pickle per task —
-    # exactly what the shared-memory transport exists to avoid.
+    # exactly what shipping the trace by path exists to avoid.
     cmp = benchmark.pedantic(
         lambda: run_comparison(etc_trace, spec, POLICIES, jobs=1),
         rounds=1, iterations=1)

@@ -21,9 +21,8 @@ _MASK64 = (1 << 64) - 1
 #: pair; shared by :func:`hash_pair` and :func:`double_hashes`.
 PAIR_SEED_DELTA = 0x5BD1E995
 
-#: seed separating key partitioning (server shards, sharded replay)
-#: from every other hash family in the repo (bloom probes, fault
-#: draws, backoff jitter).
+#: seed separating key partitioning (server shards) from every other
+#: hash family in the repo (bloom probes, fault draws, backoff jitter).
 SHARD_SEED = 0x51A8D
 
 # splitmix64 constants (Steele, Lea, Flood — "Fast splittable PRNGs").
@@ -117,9 +116,7 @@ def hash_pair_arrays(keys):
 def key_shard(key: object, nshards: int) -> int:
     """Deterministic partition index for any cache key (int/str/bytes).
 
-    The async server routes connections' keys with it and the sharded
-    replay engine splits a trace with it, so a simulated shard sees
-    exactly the keys the equivalent server shard would
+    The async server routes connections' keys with it
     (:class:`~repro.cluster.cluster.CacheCluster` routes by its hash
     ring instead).  Uses :func:`hash_key` under the
     dedicated :data:`SHARD_SEED` so routing stays uncorrelated with
@@ -128,22 +125,6 @@ def key_shard(key: object, nshards: int) -> int:
     if nshards <= 1:
         return 0
     return hash_key(key, SHARD_SEED) % nshards
-
-
-def key_shard_array(keys, nshards: int):
-    """Vectorized :func:`key_shard` over an integer key column.
-
-    Returns an int64 NumPy array agreeing element-wise with the scalar
-    routing (the derive pass uses it to mask one shard's rows out of a
-    trace window).
-    """
-    import numpy as np
-
-    keys = np.asarray(keys)
-    if nshards <= 1:
-        return np.zeros(len(keys), dtype=np.int64)
-    return (hash_key_array(keys, SHARD_SEED)
-            % np.uint64(nshards)).astype(np.int64)
 
 
 def hash_pair(key: object, seed: int = 0) -> tuple[int, int]:

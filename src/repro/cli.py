@@ -59,6 +59,12 @@ def _at_least(lo: int):
 _count = _at_least(1)
 
 
+def _count_list(text: str) -> list[int]:
+    """argparse type of a comma list of counts (``1,2,4``): every part
+    is a :data:`_count`."""
+    return [_count(part) for part in text.split(",")]
+
+
 def _load_trace(path: str):
     from repro.traces import (CompiledTrace, is_compiled_trace, load_csv,
                               load_npz)
@@ -255,29 +261,13 @@ def cmd_simulate(args) -> int:
                           slab_size=parse_size(args.slab_size),
                           hit_time=args.hit_time, window_gets=args.window)
     specs = size_specs(base, sizes) if len(sizes) > 1 else [base]
-    shards = getattr(args, "replay_shards", 1)
-    if shards > 1:
-        # The key-sharded engine partitions ONE replay across workers
-        # (repro.sim.sharded); --jobs sizes its pool instead of the grid.
-        from repro.sim.sharded import run_sharded
-
-        results = {spec.name: run_sharded(trace, spec, args.policy,
-                                          shards=shards,
-                                          jobs=args.jobs or None)
-                   for spec in specs}
-    else:
-        grid = run_grid(trace, specs, [args.policy], jobs=args.jobs or None)
-        grid.raise_failures()
-        results = {spec.name: grid.results[(spec.name, args.policy)]
-                   for spec in specs}
+    grid = run_grid(trace, specs, [args.policy], jobs=args.jobs or None)
+    grid.raise_failures()
     for i, spec in enumerate(specs):
-        result = results[spec.name]
+        result = grid.results[(spec.name, args.policy)]
         if i:
             print()
         print(f"policy           {result.policy}")
-        if shards > 1:
-            print(f"shards           {shards} "
-                  f"({fmt_bytes(spec.cache_bytes // shards)} each)")
         print(f"cache            {fmt_bytes(spec.cache_bytes)} "
               f"({spec.cache_bytes // spec.slab_size} slabs)")
         print(f"GETs             {result.total_gets}")
@@ -327,10 +317,9 @@ def cmd_cluster(args) -> int:
     trace = _trace_from_args(args)
     total = parse_size(args.cache_size)
     classes = SizeClassConfig(slab_size=parse_size(args.slab_size))
-    node_counts = [int(n) for n in args.nodes.split(",")]
     rows = []
-    for n in node_counts:
-        if n <= 0 or total // n < classes.slab_size:
+    for n in args.nodes:
+        if total // n < classes.slab_size:
             print(f"skipping {n} nodes: per-node share below one slab",
                   file=sys.stderr)
             continue
@@ -627,39 +616,19 @@ def cmd_profile(args) -> int:
     kwargs = {}
     if args.policy in ("pama", "pre-pama"):
         kwargs["tracker"] = args.tracker
-    shards = getattr(args, "replay_shards", 1)
+    cache = SlabCache(parse_size(args.cache_size),
+                      make_policy(args.policy, **kwargs),
+                      SizeClassConfig(slab_size=parse_size(args.slab_size)))
+    sim = Simulator(cache, ServiceTimeModel(hit_time=args.hit_time),
+                    window_gets=args.window)
     profiler = cProfile.Profile()
-    if shards > 1:
-        # Profile the sharded engine serially in-process (jobs=1):
-        # subprocess workers would run outside the profiler.
-        from repro.sim.experiment import ExperimentSpec
-        from repro.sim.sharded import run_sharded
-
-        spec = ExperimentSpec(name="profile",
-                              cache_bytes=parse_size(args.cache_size),
-                              slab_size=parse_size(args.slab_size),
-                              hit_time=args.hit_time,
-                              window_gets=args.window,
-                              policy_kwargs={args.policy: kwargs})
-        profiler.enable()
-        result = run_sharded(trace, spec, args.policy, shards=shards,
-                             jobs=1)
-        profiler.disable()
-    else:
-        cache = SlabCache(parse_size(args.cache_size),
-                          make_policy(args.policy, **kwargs),
-                          SizeClassConfig(
-                              slab_size=parse_size(args.slab_size)))
-        sim = Simulator(cache, ServiceTimeModel(hit_time=args.hit_time),
-                        window_gets=args.window)
-        profiler.enable()
-        result = sim.run(trace)
-        profiler.disable()
+    profiler.enable()
+    result = sim.run(trace)
+    profiler.disable()
     rate = len(trace) / result.elapsed_seconds if result.elapsed_seconds else 0
     tracker = f", {args.tracker} tracker" if kwargs else ""
-    sharded = f", {shards} shards" if shards > 1 else ""
     print(f"replayed {len(trace)} requests under {args.policy}{tracker}"
-          f"{sharded}: hit ratio {result.hit_ratio:.4f}, "
+          f": hit ratio {result.hit_ratio:.4f}, "
           f"{rate:,.0f} ops/s (with profiler overhead)")
     print()
     pstats.Stats(profiler).sort_stats(args.sort).print_stats(args.top)
@@ -713,10 +682,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_args(s)
     _add_jobs_arg(s)
     s.add_argument("--policy", default="pama", choices=POLICY_NAMES)
-    s.add_argument("--replay-shards", type=_count, default=1,
-                   help="partition the single replay over N key shards "
-                        "(repro.sim.sharded; capacity splits evenly, "
-                        ">1 is the server's sharding approximation)")
     s.add_argument("--chart", action="store_true", help="ASCII chart output")
     s.add_argument("--tenants",
                    help="comma-separated workload profiles (e.g. etc,app) "
@@ -740,7 +705,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trace_args(k)
     _add_cache_args(k)
     k.add_argument("--policy", default="pama", choices=POLICY_NAMES)
-    k.add_argument("--nodes", default="1,2,4",
+    k.add_argument("--nodes", type=_count_list, default="1,2,4",
                    help="comma-separated node counts to compare")
     k.set_defaults(func=cmd_cluster)
 
@@ -844,10 +809,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--tracker", default="bloom",
                     choices=["exact", "bloom"],
                     help="PAMA segment tracker (pama/pre-pama only)")
-    pr.add_argument("--replay-shards", type=_count, default=1,
-                    help="profile the key-sharded replay engine with N "
-                         "shards (run serially in-process so the "
-                         "profiler sees the workers)")
     pr.add_argument("--top", type=int, default=20,
                     help="how many functions to print")
     pr.add_argument("--sort", default="cumulative",

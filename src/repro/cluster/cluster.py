@@ -129,11 +129,16 @@ class CacheCluster:
         """Attach one :class:`~repro.obs.timeline.TimelineRecorder` to
         every node (cluster-wide flux notes, cluster-wide slab
         snapshots).  A node spawned later via :meth:`add_node` is *not*
-        auto-attached; re-call after topology changes."""
-        timeline.snapshot_fn = lambda: (self.class_slab_distribution(),
-                                        self.slab_distribution())
+        auto-attached; re-call after topology changes.
+
+        The cluster-wide snapshot is set after the nodes, each of which
+        points ``snapshot_fn`` at itself; it sums over whichever caches
+        are the nodes when a row closes, a rejoined node's fresh one
+        included."""
         for node in self.nodes.values():
             node.attach_timeline(timeline)
+        timeline.snapshot_fn = lambda: (self.class_slab_distribution(),
+                                        self.slab_distribution())
 
     def node_names(self) -> list[str]:
         return sorted(self.nodes)

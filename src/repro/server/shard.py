@@ -39,10 +39,8 @@ def shard_of(key: object, nshards: int) -> int:
     Key-type-agnostic: text keys hash via FNV-1a folded through
     splitmix64, int keys (the simulator's interned ids) take the
     splitmix64 fast path directly — no ``str()`` round-trip.  This is
-    :func:`repro.bloom.hashing.key_shard`, shared with the sharded
-    replay engine so a simulated shard and a server shard agree on
-    every key; assignments for ``str`` keys are unchanged (pinned by
-    the back-compat tests).
+    :func:`repro.bloom.hashing.key_shard`; assignments for ``str`` keys
+    are unchanged (pinned by the back-compat tests).
     """
     return key_shard(key, nshards)
 

@@ -11,10 +11,10 @@ derived columns into :meth:`repro.cache.cache.SlabCache.lookup` /
 table lookups only.
 
 Every array helper here agrees element-wise with its scalar reference
-(``hash_key`` / ``class_for_size`` / ``PamaConfig.bin_for`` /
-``shard_of``) — the property tests in ``tests/sim/test_derive.py`` pin
-that, and the replay differential suite pins the end-to-end results
-``==``-exact against the scalar loop.
+(``hash_key`` / ``class_for_size`` / ``PamaConfig.bin_for``) — the
+property tests in ``tests/sim/test_derive.py`` pin that, and the replay
+differential suite pins the end-to-end results ``==``-exact against the
+scalar loop.
 
 Rows the vector pass cannot prove valid carry sentinels (class ``-1``
 unknown/too-large, ``-2`` invalid sizes; bin ``-1`` NaN or negative
@@ -28,14 +28,12 @@ from itertools import repeat
 
 import numpy as np
 
-from repro.bloom.hashing import (hash_key_array, hash_pair_arrays,
-                                 key_shard_array)
+from repro.bloom.hashing import hash_key_array, hash_pair_arrays
 from repro.cache.cache import SlabCache
 from repro.traces.record import iter_windows
 
-__all__ = ["hash_key_array", "hash_pair_arrays", "key_shard_array",
-           "class_index_array", "penalty_bin_array", "derived_rows",
-           "derive_unsupported_reason"]
+__all__ = ["hash_key_array", "hash_pair_arrays", "class_index_array",
+           "penalty_bin_array", "derived_rows", "derive_unsupported_reason"]
 
 
 def class_index_array(key_sizes, value_sizes, size_classes):

@@ -3,12 +3,15 @@
 The paper reports hit ratio and average service time "in each time
 window (1 million GET requests)" plus per-class slab allocations over
 time.  :class:`MetricsCollector` closes a window every ``window_gets``
-GETs and snapshots whatever the caller registers.
+GETs and snapshots whatever the caller registers.  The snapshot
+callable lives as long as the collector, so it should reach the cache
+and not the collector's owner: a bound method of the simulator that
+holds the collector makes a reference cycle, and a dropped replay's
+cache then waits for the cyclic collector to be freed.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,53 +141,6 @@ class MetricsCollector:
         if self._gets:
             self._close_window()
 
-    @classmethod
-    def merge(cls, parts: list["MetricsCollector"]) -> "MetricsCollector":
-        """Merge flushed per-shard collectors into one, window-aligned.
-
-        Window ``i`` of the merged collector sums window ``i`` of every
-        part that closed one (shards drain at different rates, so the
-        tail windows may draw from fewer parts).  Integer counters add;
-        float sums combine with :func:`math.fsum`, whose exactly-rounded
-        result is independent of shard order — merging ``[a, b]`` and
-        ``[b, a]`` is bit-identical, and merging a single part is the
-        identity (the ``shards=1`` exactness contract of
-        :func:`repro.sim.sharded.run_sharded`).  Slab-snapshot dicts sum
-        per key over sorted keys, so per-shard allocations aggregate the
-        way :meth:`repro.server.shard.ShardSet.stats_snapshot` sums
-        per-shard cache stats.
-
-        Parts must be flushed; a part mid-window would silently lose its
-        open counts.  The merged collector is a read-only view (its
-        ``snapshot_fn`` is ``None``); ``window_gets`` is the parts' sum,
-        approximating the unsharded window the per-shard thresholds were
-        derived from.
-        """
-        if not parts:
-            raise ValueError("merge needs at least one collector")
-        for part in parts:
-            if part._gets:
-                raise ValueError("merge requires flushed collectors "
-                                 "(found an open window)")
-        merged = cls(window_gets=sum(p.window_gets for p in parts))
-        merged.total_gets = sum(p.total_gets for p in parts)
-        merged.total_hits = sum(p.total_hits for p in parts)
-        merged.total_penalty = math.fsum(p.total_penalty for p in parts)
-        merged.total_service = math.fsum(p.total_service for p in parts)
-        for index in range(max(len(p.windows) for p in parts)):
-            rows = [p.windows[index] for p in parts
-                    if index < len(p.windows)]
-            stats = WindowStats(
-                index=index,
-                gets=sum(w.gets for w in rows),
-                hits=sum(w.hits for w in rows),
-                penalty_sum=math.fsum(w.penalty_sum for w in rows),
-                service_sum=math.fsum(w.service_sum for w in rows))
-            stats.class_slabs = _sum_dicts(w.class_slabs for w in rows)
-            stats.queue_slabs = _sum_dicts(w.queue_slabs for w in rows)
-            merged.windows.append(stats)
-        return merged
-
     # -- aggregate views ---------------------------------------------------
     @property
     def overall_hit_ratio(self) -> float:
@@ -200,11 +156,3 @@ class MetricsCollector:
     def service_time_series(self) -> list[float]:
         return [w.avg_service_time for w in self.windows]
 
-
-def _sum_dicts(dicts) -> dict:
-    """Key-wise sum over mappings, keys emitted in sorted order."""
-    totals: dict = {}
-    for d in dicts:
-        for key, value in d.items():
-            totals[key] = totals.get(key, 0) + value
-    return {key: totals[key] for key in sorted(totals)}

@@ -9,26 +9,25 @@ is the one engine under all of them:
   matter which worker finishes first (deterministic merges);
 * ``jobs=1`` replays serially in-process — the exact code path the old
   serial runner used, so results are bit-identical to the seed;
-* ``jobs>1`` ships the trace's columnar NumPy arrays to the pool once
-  through POSIX shared memory (:class:`repro.traces.record.SharedTrace`)
-  instead of pickling them per task, then runs tasks on a
-  ``multiprocessing`` pool;
-* a :class:`~repro.traces.compile.CompiledTrace` needs no shared-memory
-  copy at all: it pickles by path, every worker mmaps the same files
-  (one physical copy in the page cache), and each cell replays through
-  the simulator's streaming window iterator in bounded memory;
+* ``jobs>1`` runs tasks on a process pool and ships the trace by
+  path: a :class:`~repro.traces.compile.CompiledTrace` pickles as its
+  directory, and an in-memory trace is compiled once into a temporary
+  directory, removed however the pool ends.  Every worker mmaps the
+  same column files (one physical copy in the page cache), and each
+  cell replays through the simulator's streaming window iterator in
+  bounded memory;
 * a task that raises (or a worker that dies) is recorded as a
   :class:`GridFailure` on the merged result — the rest of the sweep
   still completes and is returned.
 
 Oracle policies carry the trace inside ``spec.policy_kwargs``; that
-payload is pickled per task and defeats the shared-memory transport,
-so run those grids with ``jobs=1``.
+payload is pickled whole per task, so run those grids with ``jobs=1``.
 """
 
 from __future__ import annotations
 
 import os
+import tempfile
 import traceback
 from concurrent.futures import FIRST_COMPLETED, wait
 from concurrent.futures.process import (BrokenProcessPool,
@@ -39,8 +38,6 @@ from time import perf_counter
 from repro._util import fmt_bytes
 from repro.sim.experiment import ComparisonResult, ExperimentSpec
 from repro.sim.simulator import SimulationResult, simulate
-from repro.traces.record import (SharedTrace, Trace, TraceDescriptor,
-                                 attach_shared_trace, disable_shm_tracking)
 
 
 @dataclass(frozen=True)
@@ -113,46 +110,24 @@ def default_jobs() -> int:
     return max(1, (os.cpu_count() or 2) - 1)
 
 
-#: backward-compatible alias (pre-run_grid name).
-default_workers = default_jobs
-
-
 def _run_one(trace, spec: ExperimentSpec,
              policy: str) -> SimulationResult:
     """One grid cell — the exact replay the serial runner performs.
 
     ``trace`` is any :func:`repro.sim.simulator.simulate` source (an
-    in-memory trace, or a streaming compiled trace).
+    in-memory trace, or a streaming compiled trace; a pool task gets
+    the latter, re-opened from its path).  The cell's cache is closed
+    once its result is taken, so reference counting frees it before the
+    next cell builds one (a cache is full of reference cycles, and a
+    replay runs with the cyclic collector paused).
     """
     cache = spec.build_cache(policy)
-    return simulate(trace, cache, hit_time=spec.hit_time,
-                    window_gets=spec.window_gets,
-                    fill_on_miss=spec.fill_on_miss)
-
-
-# -- worker-side state -------------------------------------------------------
-# One attach per worker process: the initializer rebuilds the trace from
-# the shared-memory descriptor (or adopts a directly shipped trace —
-# a path-pickled CompiledTrace, or a whole Trace when shared memory is
-# unavailable) and tasks reference it by global.
-_worker_trace = None
-
-
-def _worker_init(payload) -> None:
-    global _worker_trace
-    if isinstance(payload, TraceDescriptor):
-        disable_shm_tracking()
-        _worker_trace = attach_shared_trace(payload)
-    else:
-        # A CompiledTrace arrives here freshly re-opened by unpickling
-        # (mmap views, no data copied); a plain Trace is the pickled
-        # fallback transport for odd hosts without /dev/shm.
-        _worker_trace = payload
-
-
-def _worker_run(spec: ExperimentSpec, policy: str) -> SimulationResult:
-    assert _worker_trace is not None, "worker used before initialization"
-    return _run_one(_worker_trace, spec, policy)
+    try:
+        return simulate(trace, cache, hit_time=spec.hit_time,
+                        window_gets=spec.window_gets,
+                        fill_on_miss=spec.fill_on_miss)
+    finally:
+        cache.close()
 
 
 def _build_tasks(specs: list[ExperimentSpec],
@@ -178,8 +153,8 @@ def run_grid(trace, specs: list[ExperimentSpec],
         trace: the workload to replay (shared across all cells) — a
             :class:`Trace`, or a
             :class:`~repro.traces.compile.CompiledTrace` whose cells
-            stream windows from the mmap (no shared-memory copy, no
-            whole-trace materialization in any process).
+            stream windows from the mmap (no whole-trace
+            materialization in any process).
         specs: experiment definitions; ``spec.name`` must be unique.
         policies: policy names, instantiated fresh per cell.
         jobs: worker processes; ``1`` (default) runs serially in-process
@@ -231,28 +206,21 @@ def run_grid(trace, specs: list[ExperimentSpec],
 
 def _run_grid_pool(trace, tasks: list[GridTask], jobs: int,
                    finish) -> None:
-    """Fan tasks over a process pool; record per-task failures."""
-    shared = None
-    from repro.traces.compile import CompiledTrace
-    if isinstance(trace, CompiledTrace):
-        # Pickles by path; every worker mmaps the same column files.
-        payload = trace
-    else:
-        try:
-            shared = SharedTrace(trace)
-            payload = shared.descriptor
-        except Exception:  # pragma: no cover - no /dev/shm etc.
-            payload = trace  # pickled once per worker, still not per task
-    try:
-        with ProcessPoolExecutor(max_workers=jobs,
-                                 initializer=_worker_init,
-                                 initargs=(payload,)) as pool:
-            futures = {pool.submit(_worker_run, t.spec, t.policy): t
+    """Fan tasks over a process pool; record per-task failures.
+
+    Each task pickles the trace by path.  An in-memory trace is
+    compiled once into a temporary directory first; the directory goes
+    when this returns or raises, a worker's death included.
+    """
+    from repro.traces.compile import CompiledTrace, compile_trace
+
+    with tempfile.TemporaryDirectory(prefix="repro-grid-") as spill:
+        if not isinstance(trace, CompiledTrace):
+            trace = compile_trace(trace, os.path.join(spill, "trace.ctrc"))
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            futures = {pool.submit(_run_one, trace, t.spec, t.policy): t
                        for t in tasks}
             _drain_futures(futures, finish)
-    finally:
-        if shared is not None:
-            shared.close()
 
 
 def _drain_futures(futures, finish) -> None:
@@ -298,26 +266,3 @@ def size_specs(base_spec: ExperimentSpec,
                     name=f"{base_spec.name}@{fmt_bytes(size)}")
             for size in cache_sizes]
 
-
-def run_comparison_parallel(trace: Trace, spec: ExperimentSpec,
-                            policies: list[str],
-                            max_workers: int | None = None
-                            ) -> ComparisonResult:
-    """Parallel one-spec comparison (thin :func:`run_grid` wrapper)."""
-    grid = run_grid(trace, [spec], policies,
-                    jobs=max_workers or default_jobs())
-    grid.raise_failures()
-    return grid.comparison(spec)
-
-
-def sweep_parallel(trace: Trace, base_spec: ExperimentSpec,
-                   policies: list[str], cache_sizes: list[int],
-                   max_workers: int | None = None
-                   ) -> dict[int, ComparisonResult]:
-    """Parallel cache-size sweep: all (size, policy) cells concurrently."""
-    specs = size_specs(base_spec, cache_sizes)
-    grid = run_grid(trace, specs, policies,
-                    jobs=max_workers or default_jobs())
-    grid.raise_failures()
-    return {size: grid.comparison(spec)
-            for size, spec in zip(cache_sizes, specs)}

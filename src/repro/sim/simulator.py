@@ -48,6 +48,15 @@ def _trace_rows(source, service):
                        w.penalties.tolist(), service.miss_array(w.penalties))
 
 
+def _slab_snapshot(cache):
+    """The per-window slab snapshot of ``cache``, as a closure over the
+    cache alone: the simulator holds the collector and the timeline that
+    keep it, so a bound method would make a cycle (repro.sim.metrics)."""
+    def snapshot():
+        return cache.class_slab_distribution(), cache.slab_distribution()
+    return snapshot
+
+
 def _tagged(rows, tenants, policy):
     """``rows``, with ``policy.current_tenant`` set to each row's tenant
     as the row is pulled: everything the cache does for the row runs
@@ -194,11 +203,7 @@ class Simulator:
         self.tracing = tracing
         # Rebuilt at the top of every run(); kept as an attribute so a
         # run's collector stays inspectable after it returns.
-        self.metrics = MetricsCollector(window_gets, self._snapshot)
-
-    def _snapshot(self):
-        return (self.cache.class_slab_distribution(),
-                self.cache.slab_distribution())
+        self.metrics = MetricsCollector(window_gets, _slab_snapshot(cache))
 
     def run(self, trace, derive: bool | None = None) -> SimulationResult:
         """Replay a trace source to completion and return the result.
@@ -231,8 +236,8 @@ class Simulator:
         process-wide: other threads see it too.
         """
         cache = self.cache
-        metrics = self.metrics = MetricsCollector(self.window_gets,
-                                                  self._snapshot)
+        snapshot = _slab_snapshot(cache)
+        metrics = self.metrics = MetricsCollector(self.window_gets, snapshot)
         service = self.service_model
         timeline = self.timeline
         if timeline is not None:
@@ -243,7 +248,7 @@ class Simulator:
                 # Re-bind unconditionally: a recorder reused across
                 # simulators must snapshot *this* run's cache, not the
                 # first cache it ever met.
-                timeline.snapshot_fn = self._snapshot
+                timeline.snapshot_fn = snapshot
         # Service-time histograms only when observability is on.
         registry = self.obs if self.obs is not None else _obs.get_registry()
         hist = hist_hit = hist_miss = None

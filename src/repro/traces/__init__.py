@@ -10,9 +10,7 @@ from repro.traces.io import (TraceMetaWarning, from_requests,
                              load_npz, save_csv, save_npz)
 from repro.traces.penalty import PenaltyModel, infer_penalties
 from repro.traces.record import (TENANT_COLUMN, TRACE_COLUMNS,
-                                 TRACE_COLUMNS_V2, Op, Request, SharedTrace,
-                                 Trace, TraceDescriptor, attach_shared_trace,
-                                 disable_shm_tracking)
+                                 TRACE_COLUMNS_V2, Op, Request, Trace)
 from repro.traces.stats import TraceStats, analyze, penalty_by_size_decade
 from repro.traces.synthetic import SyntheticTraceGenerator, generate, zipf_cdf
 from repro.traces.twitter import load_twitter
@@ -23,8 +21,6 @@ from repro.traces.workloads import (APP, DEDUP, ETC, PROFILES, RTDATA, SYS,
 
 __all__ = [
     "Op", "Request", "Trace",
-    "SharedTrace", "TraceDescriptor", "attach_shared_trace",
-    "disable_shm_tracking",
     "WorkloadProfile", "SizeMixture", "get_profile", "PROFILES",
     "ETC", "APP", "USR", "SYS", "VAR",
     "TWITTER_CACHE", "TWITTER_CACHE15", "ZIPPYDB", "UDB", "RTDATA", "DEDUP",

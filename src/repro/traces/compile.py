@@ -218,9 +218,10 @@ class CompiledTrace:
     the window, not the trace.
 
     Picklable by path: worker processes re-open their own mapping (the
-    OS page cache shares the physical pages), which is what lets
-    :func:`repro.sim.parallel.run_grid` skip the shared-memory copy for
-    compiled traces.
+    OS page cache shares the physical pages), which is how
+    :func:`repro.sim.parallel.run_grid` ships every trace to its pool
+    (an in-memory :class:`Trace` is compiled to a temporary directory
+    first).
     """
 
     def __init__(self, path: str | os.PathLike,

@@ -59,8 +59,8 @@ def _jsonable_value(key: str, value):
 def meta_to_jsonable(meta: dict) -> dict:
     """Restrict a trace meta dict to JSON-representable values.
 
-    Private keys (leading underscore, e.g. the shared-memory pin
-    ``"_shm"``) are dropped; numpy scalars are unwrapped; values with no
+    Private keys (leading underscore: process-local handles a caller
+    pins on ``meta``) are dropped; numpy scalars are unwrapped; values with no
     JSON form are stored as ``str(value)`` under a
     :class:`TraceMetaWarning`.
     """

@@ -1,11 +1,4 @@
-"""Trace containers: single requests and columnar request streams.
-
-Besides the in-process :class:`Trace`, this module owns the trace's
-shared-memory transport (:class:`SharedTrace`): the parallel experiment
-engine packs the columnar arrays into one ``multiprocessing``
-shared-memory block so worker processes attach zero-copy instead of
-re-pickling the trace per task.
-"""
+"""Trace containers: single requests and columnar request streams."""
 
 from __future__ import annotations
 
@@ -15,7 +8,7 @@ from typing import Iterator
 
 import numpy as np
 
-#: column attributes of a Trace, in shared-memory layout order.
+#: column attributes of a Trace, in compiled-trace column order.
 TRACE_COLUMNS = ("ops", "keys", "key_sizes", "value_sizes", "penalties",
                  "timestamps")
 
@@ -24,7 +17,7 @@ TRACE_COLUMNS = ("ops", "keys", "key_sizes", "value_sizes", "penalties",
 #: format) stay untouched, and threaded explicitly where it matters.
 TENANT_COLUMN = "tenants"
 
-#: every column a multi-tenant trace carries (shared-memory layout order).
+#: every column a multi-tenant trace carries (compiled-trace v2 order).
 TRACE_COLUMNS_V2 = TRACE_COLUMNS + (TENANT_COLUMN,)
 
 
@@ -200,121 +193,3 @@ def iter_windows(source) -> Iterator[Trace]:
     else:
         yield from source
 
-
-# ---------------------------------------------------------------------------
-# shared-memory transport
-# ---------------------------------------------------------------------------
-
-def _align8(n: int) -> int:
-    return (n + 7) & ~7
-
-
-@dataclass(frozen=True)
-class TraceDescriptor:
-    """Picklable handle to a trace packed in a shared-memory block.
-
-    Small enough to ship in worker-initializer args: block name, row
-    count, per-column ``(attr, dtype-str, offset)`` layout, and meta.
-    """
-
-    shm_name: str
-    n: int
-    columns: tuple[tuple[str, str, int], ...]
-    meta: dict
-
-
-class SharedTrace:
-    """Owner side of a trace shared across processes.
-
-    Packs every column of a :class:`Trace` into one POSIX shared-memory
-    block so a worker pool receives the (possibly multi-GB) trace once,
-    not once per task.  The creating process must keep this object alive
-    while workers run and call :meth:`close` (or use it as a context
-    manager) afterwards to release the block.
-    """
-
-    def __init__(self, trace: Trace) -> None:
-        from multiprocessing import shared_memory
-
-        arrays = [np.ascontiguousarray(getattr(trace, c))
-                  for c in TRACE_COLUMNS_V2]
-        offsets = []
-        size = 0
-        for arr in arrays:
-            size = _align8(size)
-            offsets.append(size)
-            size += arr.nbytes
-        self._shm = shared_memory.SharedMemory(create=True,
-                                               size=max(size, 8))
-        for arr, off in zip(arrays, offsets):
-            dst = np.ndarray(arr.shape, dtype=arr.dtype,
-                             buffer=self._shm.buf, offset=off)
-            dst[:] = arr
-        self.descriptor = TraceDescriptor(
-            shm_name=self._shm.name, n=len(trace),
-            columns=tuple((c, arr.dtype.str, off)
-                          for c, arr, off in zip(TRACE_COLUMNS_V2, arrays,
-                                                 offsets)),
-            meta=dict(trace.meta))
-
-    def close(self) -> None:
-        """Release the block (idempotent)."""
-        if self._shm is not None:
-            self._shm.close()
-            self._shm.unlink()
-            self._shm = None
-
-    def __enter__(self) -> "SharedTrace":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def disable_shm_tracking() -> None:
-    """Stop this process's resource tracker from touching shared memory.
-
-    Call once in a worker process before :func:`attach_shared_trace`.
-    CPython < 3.13 registers *attached* (not just created) blocks with
-    the process-local resource tracker, so a spawn-started worker's
-    tracker unlinks the owner's block when the worker exits, and a
-    fork-started worker unbalances the tracker it shares with the
-    owner.  The owning process keeps full responsibility for unlinking
-    (``SharedTrace.close``).
-    """
-    from multiprocessing import resource_tracker
-
-    def _ignore_shm(call):
-        def wrapped(name, rtype):
-            if rtype != "shared_memory":
-                call(name, rtype)
-        wrapped._shm_untracked = True  # idempotence marker
-        return wrapped
-
-    if not getattr(resource_tracker.register, "_shm_untracked", False):
-        resource_tracker.register = _ignore_shm(resource_tracker.register)
-        resource_tracker.unregister = _ignore_shm(resource_tracker.unregister)
-
-
-def attach_shared_trace(descriptor: TraceDescriptor) -> Trace:
-    """Worker side: rebuild a :class:`Trace` viewing the shared block.
-
-    The returned trace's arrays are zero-copy views into the block; the
-    attached ``SharedMemory`` object is pinned on ``trace.meta`` (under
-    ``"_shm"``) so the buffer outlives this call.  Worker processes
-    should call :func:`disable_shm_tracking` first — on CPython < 3.13
-    attaching registers the block with the attacher's resource tracker
-    (bpo-39959), which would tear the owner's block down when the
-    worker exits.
-    """
-    from multiprocessing import shared_memory
-
-    shm = shared_memory.SharedMemory(name=descriptor.shm_name)
-    cols = {attr: np.ndarray(descriptor.n, dtype=np.dtype(dt),
-                             buffer=shm.buf, offset=off)
-            for attr, dt, off in descriptor.columns}
-    meta = dict(descriptor.meta)
-    meta["_shm"] = shm  # keep the mapping alive as long as the trace
-    return Trace(cols["ops"], cols["keys"], cols["key_sizes"],
-                 cols["value_sizes"], cols["penalties"],
-                 cols["timestamps"], meta, cols.get("tenants"))

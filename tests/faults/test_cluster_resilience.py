@@ -8,12 +8,15 @@ The two load-bearing guarantees:
   trajectory, same counters.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.cache import SizeClassConfig
 from repro.cluster import CacheCluster
 from repro.faults import (FaultInjector, FaultPlan, FlakyConnection,
                           NodeCrash, ResilienceConfig, SlowNode)
+from repro.obs import TimelineRecorder
 from repro.policies import make_policy
 from repro.sim.simulator import simulate
 from repro.traces import ETC, generate
@@ -177,6 +180,41 @@ class TestNodeRejoin:
         assert cluster.nodes["n0"] is not old_cache
         assert len(cluster.nodes["n0"]) == 0
         assert inj.counters["node_rejoin"] == 1
+
+    def test_timeline_snapshots_every_node_across_a_rejoin(self):
+        def summed():
+            classes, queues = Counter(), Counter()
+            for node in cluster.nodes.values():
+                classes.update(node.class_slab_distribution())
+                queues.update(node.slab_distribution())
+            return dict(classes), dict(queues)
+
+        def fill(keys):
+            for key in keys:
+                inj.advance()
+                cluster.set(key, 16, 300, 0.1)
+
+        inj = FaultInjector(FaultPlan([NodeCrash("n0", 600, rejoin=700)]))
+        cluster = build_cluster(inj)
+        timeline = TimelineRecorder()
+        cluster.attach_timeline(timeline)
+        fill(range(600))
+        before = timeline.snapshot_fn()
+        assert before == summed()
+        last = cluster.nodes["n2"]
+        assert before[0] != last.class_slab_distribution()
+
+        key = keys_owned_by(cluster, "n0", 1)[0]
+        assert inj.advance() == 600
+        cluster.get(key)  # observed down
+        while inj.advance() < 700:
+            pass
+        cluster.get(key)  # rejoins with a fresh, empty cache
+        assert inj.counters["node_rejoin"] == 1
+        fill(keys_owned_by(cluster, "n0", 50))
+        after = timeline.snapshot_fn()
+        assert after == summed()
+        assert after != before  # the rejoined node counts afresh
 
 
 class TestTransientFaults:

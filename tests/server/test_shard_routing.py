@@ -1,17 +1,13 @@
 """Back-compat pins for the shared shard-routing function.
 
 ``shard_of`` moved from a server-local helper to the shared
-:func:`repro.bloom.hashing.key_shard` (so the simulator's key-sharded
-replay routes exactly like the async server).  These pins guarantee the
-move changed nothing observable: string keys land on the same shards
-they always did, the seed is unchanged, and the vectorized router
-agrees element-wise.
+:func:`repro.bloom.hashing.key_shard`.  These pins guarantee the move
+changed nothing observable: string keys land on the same shards they
+always did, and the seed is unchanged.
 """
 
-import numpy as np
-
 from repro.bloom.hashing import SHARD_SEED as HASHING_SHARD_SEED
-from repro.bloom.hashing import hash_key, key_shard, key_shard_array
+from repro.bloom.hashing import hash_key, key_shard
 from repro.server.shard import SHARD_SEED, shard_of
 
 # Captured from the pre-refactor server-local shard_of: any drift here
@@ -41,9 +37,3 @@ class TestShardOfBackCompat:
                 assert (shard_of(key, nshards)
                         == hash_key(key, SHARD_SEED) % nshards)
                 assert shard_of(key, nshards) == key_shard(key, nshards)
-
-    def test_vectorized_router_agrees(self):
-        keys = np.arange(-50, 50, dtype=np.int64)
-        for nshards in (1, 2, 4, 8):
-            got = key_shard_array(keys, nshards).tolist()
-            assert got == [shard_of(int(k), nshards) for k in keys]

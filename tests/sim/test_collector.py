@@ -36,7 +36,8 @@ from repro.faults.injector import FaultInjector
 from repro.faults.scenarios import default_policy_kwargs, make_plan
 from repro.obs import Registry, TimelineRecorder
 from repro.policies import POLICY_NAMES, StaticMemcachedPolicy, make_policy
-from repro.sim import Simulator
+from repro.sim import (ExperimentSpec, Simulator, run_comparison, simulate,
+                       sweep_cache_sizes)
 from repro.tenancy import TenantArbiter, mix_tenants, tenant_configs
 from repro.tenancy.scenarios import noisy_neighbor_specs
 from repro.traces import ETC, Trace, generate
@@ -201,6 +202,42 @@ class TestClose:
                          False)
         del cache
         assert gc.collect() > 0
+
+
+def live_caches() -> int:
+    return sum(type(o) is SlabCache for o in gc.get_objects())
+
+
+class TestADroppedReplayFreesItsCache:
+    """With the collector paused throughout, a replay whose result is
+    dropped leaves no ``SlabCache`` behind: the simulator holds no cycle
+    that would keep its cache, and the grid closes each cell's cache."""
+
+    SPEC = ExperimentSpec("drop", 1 * MIB, slab_size=16 * KIB,
+                          window_gets=5_000)
+
+    def test_simulate(self, paused, trace):
+        before = live_caches()
+        cache = small_cache(make_policy("pama"))
+        result = simulate(trace, cache, window_gets=5_000)
+        assert result.windows[0].class_slabs  # the snapshot ran
+        cache.close()
+        del cache, result
+        assert live_caches() == before
+        assert gc.collect() == 0
+
+    def test_run_comparison(self, paused, trace):
+        before = live_caches()
+        run_comparison(trace, self.SPEC, ["memcached", "pama"])
+        assert live_caches() == before
+        assert gc.collect() == 0
+
+    def test_sweep_cache_sizes(self, paused, trace):
+        before = live_caches()
+        sweep_cache_sizes(trace, self.SPEC, ["memcached", "pama"],
+                          [1 * MIB, 2 * MIB])
+        assert live_caches() == before
+        assert gc.collect() == 0
 
 
 class _Recording(StaticMemcachedPolicy):

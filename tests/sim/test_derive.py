@@ -17,8 +17,7 @@ from hypothesis import strategies as st
 
 from repro._util import MIB
 from repro.bloom.hashing import (PAIR_SEED_DELTA, hash_key, hash_key_array,
-                                 hash_pair, hash_pair_arrays, key_shard,
-                                 key_shard_array)
+                                 hash_pair, hash_pair_arrays)
 from repro.cache import SlabCache, SizeClassConfig
 from repro.cache.sizeclasses import InvalidItemError, ItemTooLargeError
 from repro.core.config import PamaConfig
@@ -113,16 +112,6 @@ class TestPenaltyBinParity:
         got = penalty_bin_array(np.array([0.0, 5.0, -1.0, float("nan")]),
                                 ()).tolist()
         assert got == [0, 0, -1, -1]
-
-
-class TestShardParity:
-    @given(st.lists(INT64, max_size=64),
-           st.integers(min_value=1, max_value=64))
-    @settings(max_examples=60, deadline=None)
-    def test_key_shard_array_matches_scalar(self, keys, nshards):
-        got = key_shard_array(np.array(keys, dtype=np.int64),
-                              nshards).tolist()
-        assert got == [key_shard(k, nshards) for k in keys]
 
 
 def _mixed_trace(n=20_000, seed=13):

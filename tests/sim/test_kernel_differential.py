@@ -33,7 +33,7 @@ from repro.obs import Registry, TimelineRecorder
 from repro.policies import make_policy
 from repro.sim.metrics import MetricsCollector
 from repro.sim.service import ServiceTimeModel
-from repro.sim.simulator import SimulationResult, Simulator
+from repro.sim.simulator import SimulationResult, Simulator, _slab_snapshot
 from repro.tenancy import TenantArbiter
 from repro.tenancy.mix import mix_tenants, tenant_configs
 from repro.tenancy.scenarios import (arrival_departure_specs,
@@ -220,7 +220,8 @@ def reference_run(sim: Simulator, trace) -> SimulationResult:
     replay: loop body chosen up front, every side channel fed per
     request."""
     cache = sim.cache
-    metrics = sim.metrics = MetricsCollector(sim.window_gets, sim._snapshot)
+    metrics = sim.metrics = MetricsCollector(sim.window_gets,
+                                             _slab_snapshot(cache))
     service = sim.service_model
     timeline = sim.timeline
     if timeline is not None:

@@ -1,6 +1,8 @@
-"""Tests for the parallel experiment engine (run_grid and wrappers)."""
+"""Tests for the parallel experiment engine (run_grid and the two
+wrappers over it, run_comparison and sweep_cache_sizes)."""
 
 import os
+import tempfile
 import time
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
@@ -8,11 +10,9 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from repro._util import MIB
-from repro.sim import ExperimentSpec, run_comparison
+from repro.sim import ExperimentSpec, run_comparison, sweep_cache_sizes
 from repro.sim.parallel import (GridFailure, GridTask, _drain_futures,
-                                default_jobs, default_workers,
-                                run_comparison_parallel, run_grid, size_specs,
-                                sweep_parallel)
+                                default_jobs, run_grid, size_specs)
 from repro.traces import ETC, compile_trace, generate
 
 
@@ -188,22 +188,64 @@ class TestBrokenPoolDrain:
         assert ("crash", "memcached") in grid.results
 
 
+class TestSpillDirectory:
+    """The pool ships an in-memory trace as a compiled trace in a
+    temporary directory; the directory is gone however run_grid ends."""
+
+    class _Raised(Exception):
+        pass
+
+    @pytest.fixture
+    def tmpdir_root(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        return tmp_path
+
+    @staticmethod
+    def spills(root):
+        return sorted(p.name for p in root.iterdir()
+                      if p.name.startswith("repro-grid-"))
+
+    @pytest.mark.parametrize("ending", ["returns", "a cell raises",
+                                        "a worker dies", "the caller raises"])
+    def test_gone_after(self, ending, tmpdir_root):
+        trace = generate(ETC.scaled(0.01), 500, seed=7)
+        spec = _CrashSpec(name="spill", cache_bytes=2 * MIB,
+                          slab_size=64 * 1024)
+        policies = {"returns": ["memcached", "pama"],
+                    "a cell raises": ["memcached", "no-such-policy"],
+                    "a worker dies": ["memcached", "die"],
+                    "the caller raises": ["memcached", "pama"]}[ending]
+        seen = []
+
+        def progress(task, result, failure):
+            seen.append(self.spills(tmpdir_root))
+            if ending == "the caller raises":
+                raise self._Raised
+
+        if ending == "the caller raises":
+            with pytest.raises(self._Raised):
+                run_grid(trace, [spec], policies, jobs=2, progress=progress)
+        else:
+            grid = run_grid(trace, [spec], policies, jobs=2,
+                            progress=progress)
+            assert grid.ok == (ending == "returns")
+        assert seen and all(len(names) == 1 for names in seen)
+        assert self.spills(tmpdir_root) == []
+
+
 class TestParallelWrappers:
     def test_matches_serial_results(self, trace, spec):
         policies = ["memcached", "psa", "pama"]
         serial = run_comparison(trace, spec, policies)
-        parallel = run_comparison_parallel(trace, spec, policies,
-                                           max_workers=2)
+        parallel = run_comparison(trace, spec, policies, jobs=2)
         for name in policies:
-            s, p = serial.results[name], parallel.results[name]
-            assert s.hit_ratio == p.hit_ratio, name
-            assert s.avg_service_time == pytest.approx(p.avg_service_time)
-            assert s.cache_stats["migrations"] == p.cache_stats["migrations"]
+            assert result_fingerprint(serial.results[name]) \
+                == result_fingerprint(parallel.results[name]), name
 
     def test_sweep_parallel_matches_shape(self, trace, spec):
         sizes = [1 * MIB, 2 * MIB]
-        out = sweep_parallel(trace, spec, ["memcached", "pama"], sizes,
-                             max_workers=2)
+        out = sweep_cache_sizes(trace, spec, ["memcached", "pama"], sizes,
+                                jobs=2)
         assert set(out) == set(sizes)
         for size in sizes:
             assert set(out[size].results) == {"memcached", "pama"}
@@ -211,4 +253,3 @@ class TestParallelWrappers:
 
     def test_default_workers_positive(self):
         assert default_jobs() >= 1
-        assert default_workers is default_jobs

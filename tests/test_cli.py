@@ -48,26 +48,6 @@ class TestSimulate:
         assert "memcached" in capsys.readouterr().out
 
 
-class TestReplayShards:
-    def test_simulate_sharded_replay(self, capsys):
-        assert main(["simulate", "--requests", "4000", "--scale", "0.02",
-                     "--cache-size", "2MiB", "--slab-size", "64KiB",
-                     "--policy", "pama", "--window", "1000",
-                     "--replay-shards", "2", "--jobs", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "shards" in out and "2" in out
-        assert "hit ratio" in out
-
-    def test_profile_sharded_replay(self, capsys):
-        assert main(["profile", "--requests", "2000", "--scale", "0.02",
-                     "--cache-size", "2MiB", "--slab-size", "64KiB",
-                     "--policy", "pama", "--replay-shards", "2",
-                     "--top", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "2 shards" in out
-        assert "cumulative" in out  # pstats table rendered
-
-
 class TestCompare:
     def test_compare_policies(self, capsys):
         assert main(["compare", "--requests", "5000", "--scale", "0.02",
@@ -199,17 +179,16 @@ class TestParser:
         ["simulate", "--requests", "0"],
         ["simulate", "--window", "0"],
         ["simulate", "--jobs", "-1"],
-        ["simulate", "--replay-shards", "0"],
-        ["simulate", "--replay-shards", "-3"],
         ["compare", "--jobs", "-1"],
         ["compare", "--window", "0"],
         ["cluster", "--requests", "0"],
+        ["cluster", "--nodes", "0,2"],
+        ["cluster", "--nodes", "x"],
         ["obs", "dump", "--window", "0"],
         ["chaos", "node-flap", "--nodes", "0"],
         ["chaos", "node-flap", "--window", "0"],
         ["tenancy", "noisy-neighbor", "--requests", "0"],
         ["tenancy", "noisy-neighbor", "--window", "0"],
-        ["profile", "--replay-shards", "0"],
         ["serve", "--shards", "0"],
         ["loadgen", "--ops", "0"],
         ["loadgen", "--keys", "0"],

@@ -238,7 +238,7 @@ class TestMeta:
         assert load_npz(tmp_path / "t.npz").meta["span"] == [10, 20]
 
     def test_private_keys_dropped(self, trace, tmp_path):
-        trace.meta["_shm"] = object()  # the shared-memory pin
+        trace.meta["_shm"] = object()  # a process-local handle
         save_npz(trace, tmp_path / "t.npz")
         assert "_shm" not in load_npz(tmp_path / "t.npz").meta
 

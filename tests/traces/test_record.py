@@ -75,49 +75,3 @@ class TestTrace:
                   np.ones(2))
         assert (t.timestamps == 0).all()
 
-
-class TestSharedTrace:
-    def test_round_trip_preserves_columns_and_meta(self):
-        from repro.traces import SharedTrace, attach_shared_trace
-
-        t = tiny_trace()
-        with SharedTrace(t) as shared:
-            got = attach_shared_trace(shared.descriptor)
-            for col in ("ops", "keys", "key_sizes", "value_sizes",
-                        "penalties", "timestamps"):
-                np.testing.assert_array_equal(getattr(got, col),
-                                              getattr(t, col))
-                assert getattr(got, col).dtype == getattr(t, col).dtype
-            assert got.meta["workload"] == "test"
-            del got  # drop the attachment before the owner unlinks
-
-    def test_descriptor_is_small_and_picklable(self):
-        import pickle
-
-        from repro.traces import SharedTrace
-
-        t = tiny_trace()
-        with SharedTrace(t) as shared:
-            blob = pickle.dumps(shared.descriptor)
-            # the whole point: workers receive a handle, not the columns
-            assert len(blob) < 1024
-            assert pickle.loads(blob).n == len(t)
-
-    def test_attached_view_is_zero_copy(self):
-        from repro.traces import SharedTrace, attach_shared_trace
-
-        t = tiny_trace()
-        with SharedTrace(t) as shared:
-            a = attach_shared_trace(shared.descriptor)
-            b = attach_shared_trace(shared.descriptor)
-            a.penalties[0] = 42.0  # visible through the shared block
-            assert b.penalties[0] == 42.0
-            assert t.penalties[0] != 42.0  # owner's copy is independent
-            del a, b
-
-    def test_close_is_idempotent(self):
-        from repro.traces import SharedTrace
-
-        shared = SharedTrace(tiny_trace())
-        shared.close()
-        shared.close()
