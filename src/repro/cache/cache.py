@@ -111,8 +111,9 @@ class SlabCache:
         #: monotonically increasing access tick (GETs + SETs + DELETEs);
         #: the paper's notion of time for windows and item ages.
         self.accesses = 0
-        #: monotonically increasing CAS id; every successful SET stamps
-        #: the item with the next value (memcached's ``cas unique``).
+        #: the last CAS unique issued (memcached's ``cas unique``): a
+        #: ``gets`` hands the next one to an item a store has reset to 0
+        #: (:meth:`cas_unique`), so a store itself stamps nothing.
         self.cas_tick = 0
         # Migrations requested by a policy callback *during* an operation
         # are deferred until the operation completes: applying them
@@ -292,7 +293,6 @@ class SlabCache:
                 if self._on_hit is not None:
                     self._on_hit(queue, item, h1, h2)
                 queue.lru.move_to_front(item)
-                item.last_access = self.accesses
                 return item
             # miss
             stats.misses += 1
@@ -368,7 +368,7 @@ class SlabCache:
                 item = index_get(key)
                 if op == 0 and item is not None and not item.expires_at:
                     # GET hit
-                    self.accesses = tick = self.accesses + 1
+                    self.accesses += 1
                     if wants_hashes:
                         h1 = hash_key(key, 0)
                         h2 = hash_key(key, PAIR_SEED_DELTA) | 1
@@ -382,7 +382,6 @@ class SlabCache:
                     lru = queue.lru
                     if lru.head is not item:
                         lru.move_to_front(item)
-                    item.last_access = tick
                     if self._pending_migrations:
                         self._flush_migrations()
                     note(item.key_size + item.value_size if sized else 0)
@@ -423,7 +422,7 @@ class SlabCache:
                     if not fill:
                         continue
                 # a SET, or the miss's fill: what set() does
-                self.accesses = tick = self.accesses + 1
+                self.accesses += 1
                 self._in_operation = True
                 if item is not None:
                     if item.queue is queue:
@@ -437,6 +436,7 @@ class SlabCache:
                         item.penalty = penalty
                         item.value = None
                         item.expires_at = 0.0
+                        item.cas = 0
                     else:
                         self._unlink(item)
                         item = None
@@ -453,12 +453,10 @@ class SlabCache:
                             if self._pending_migrations:
                                 self._flush_migrations()
                             continue
-                    item = Item(key, key_size, value_size, penalty,
-                                class_idx, bin_idx, None, 0.0, queue)
+                    item = Item(key, key_size, value_size, penalty, None,
+                                0.0, queue)
                     lru.push_front(item)
                     index[key] = item
-                item.last_access = tick
-                self.cas_tick = item.cas = self.cas_tick + 1
                 queue.stats.sets += 1
                 stats.sets += 1
                 if on_insert is not None:
@@ -480,8 +478,8 @@ class SlabCache:
         A key that is live in the queue the item maps to is re-stored in
         place: the policy hears ``on_remove`` for it, the item keeps its
         slot and its object and is promoted (the tracker hears one
-        ``on_promote``), takes the new sizes, penalty, value, expiry,
-        access tick and CAS id, and the policy hears ``on_insert``.  A
+        ``on_promote``), takes the new sizes, penalty, value and expiry,
+        its CAS unique is reset to 0, and the policy hears ``on_insert``.  A
         live key that maps to another queue is unlinked first, so it
         frees its old slot before the new queue is asked for one.
         ``expires_at`` is an absolute clock time (0.0 = never).
@@ -536,6 +534,7 @@ class SlabCache:
                     item.penalty = penalty
                     item.value = value
                     item.expires_at = expires_at
+                    item.cas = 0
                 else:
                     self._unlink(item)
                     item = None
@@ -549,12 +548,10 @@ class SlabCache:
                     except OutOfMemoryError:
                         self.stats.set_failures += 1
                         return False
-                item = Item(key, key_size, value_size, penalty, class_idx,
-                            bin_idx, value, expires_at, queue)
+                item = Item(key, key_size, value_size, penalty, value,
+                            expires_at, queue)
                 lru.push_front(item)
                 self.index[key] = item
-            item.last_access = self.accesses
-            self.cas_tick = item.cas = self.cas_tick + 1
             queue.stats.sets += 1
             self.stats.sets += 1
             if self._on_insert is not None:
@@ -564,6 +561,18 @@ class SlabCache:
             self._in_operation = False
             if self._pending_migrations:
                 self._flush_migrations()
+
+    def cas_unique(self, item: Item) -> int:
+        """The CAS unique a ``gets`` reports for ``item``.
+
+        Issued on the first ask after each store, which reset it to 0:
+        the next :attr:`cas_tick`.  A unique is never 0, so a ``cas``
+        carrying one never matches an item stored since its ``gets``.
+        """
+        cas = item.cas
+        if not cas:
+            self.cas_tick = item.cas = cas = self.cas_tick + 1
+        return cas
 
     def delete(self, key: object) -> bool:
         """Remove ``key``; returns True if it was present."""
@@ -604,10 +613,13 @@ class SlabCache:
         tracker observing it, the cache and its policy all point at one
         another, so a dropped cache would otherwise wait for CPython's
         cyclic collector.  This unlinks every item, empties every queue
-        and has the policy drop its state (``policy.detach()``).  The
-        slab counts and stats stay readable; nothing else works after.
+        and has the policy drop its state (``policy.detach()``), and it
+        lets go of its timeline, whose ``snapshot_fn`` may point back
+        at the cache.  The slab counts and stats stay readable; nothing
+        else works after.
         """
         self.policy.detach()
+        self.timeline = None
         for queue in self.queues.values():
             lru = queue.lru
             for item in lru:

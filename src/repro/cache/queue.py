@@ -68,7 +68,6 @@ class Queue:
         self.lru.check_invariants()
         for item in self.lru:
             assert isinstance(item, Item)
-            assert (item.class_idx, item.bin_idx) == self.qid
             assert item.queue is self
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -12,6 +12,7 @@ taken under one policy can warm a cache managed by another.
 from __future__ import annotations
 
 import os
+from itertools import zip_longest
 
 from repro.cache.cache import SlabCache
 
@@ -22,8 +23,12 @@ def save_snapshot(cache: SlabCache, path: str | os.PathLike) -> int:
     """Write the cache's items to ``path`` (.npz); returns item count.
 
     Items are recorded LRU-first so a restore replays them oldest-first
-    and reproduces the recency order.  Only int keys are supported (the
-    simulator's key space); payload values are not persisted.
+    and reproduces the recency order: each queue's exactly, and across
+    queues approximately — the cache keeps no global access tick, so the
+    queues are interleaved by depth from their LRU ends (every queue's
+    tail, then every queue's next-to-tail, ...).  Only int keys are
+    supported (the simulator's key space); payload values are not
+    persisted.
     """
     import numpy as np
 
@@ -32,8 +37,9 @@ def save_snapshot(cache: SlabCache, path: str | os.PathLike) -> int:
     value_sizes: list[int] = []
     penalties: list[float] = []
     expiries: list[float] = []
-    # global recency order: merge queues by last_access (ascending)
-    items = sorted(cache.index.values(), key=lambda it: it.last_access)
+    runs = [q.lru.iter_from_back() for q in cache.iter_queues()]
+    items = [item for depth in zip_longest(*runs) for item in depth
+             if item is not None]
     for item in items:
         if not isinstance(item.key, int):
             raise TypeError(

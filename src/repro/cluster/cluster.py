@@ -68,6 +68,9 @@ class CacheCluster:
         self.tracer = tracing
         self.breakers: dict[str, CircuitBreaker] = {}
         self._down_seen: set[str] = set()
+        #: the recorder :meth:`attach_timeline` attached, which a
+        #: rejoined node's fresh cache is attached to as well
+        self.timeline = None
         for name in node_names:
             self._spawn(name)
 
@@ -128,13 +131,15 @@ class CacheCluster:
     def attach_timeline(self, timeline) -> None:
         """Attach one :class:`~repro.obs.timeline.TimelineRecorder` to
         every node (cluster-wide flux notes, cluster-wide slab
-        snapshots).  A node spawned later via :meth:`add_node` is *not*
-        auto-attached; re-call after topology changes.
+        snapshots).  A node that rejoins after a crash is attached
+        again; one spawned later via :meth:`add_node` is *not*, so
+        re-call after topology changes.
 
         The cluster-wide snapshot is set after the nodes, each of which
         points ``snapshot_fn`` at itself; it sums over whichever caches
         are the nodes when a row closes, a rejoined node's fresh one
         included."""
+        self.timeline = timeline
         for node in self.nodes.values():
             node.attach_timeline(timeline)
         timeline.snapshot_fn = lambda: (self.class_slab_distribution(),
@@ -186,7 +191,9 @@ class CacheCluster:
     def _sync_restart(self, name: str, tick: int) -> None:
         """Track down→up transitions; a rejoining node restarts cold
         (fresh cache *and* fresh policy, like a process restart); the
-        cache it replaces is closed."""
+        cache it replaces is closed, and the fresh one is attached to
+        the cluster's timeline, so its evictions and migrations still
+        reach the rows."""
         inj = self.faults
         if inj.plan.node_down(name, tick):
             if name not in self._down_seen:
@@ -196,6 +203,8 @@ class CacheCluster:
             self._down_seen.discard(name)
             self.nodes[name].close()
             self.nodes[name] = self._fresh_cache()
+            if self.timeline is not None:
+                self.attach_timeline(self.timeline)
             inj.count("node_rejoin")
             inj.event("node_rejoin", node=name)
 

@@ -7,7 +7,9 @@ ages, one slab moves from the class with the oldest LRU item to the
 class with the youngest.
 
 Age here is measured in cache accesses since the item's last access,
-the trace-driven analogue of wall-clock age.
+the trace-driven analogue of wall-clock age.  The cache keeps no such
+tick; this policy stamps ``item.last_access`` itself, on every hit and
+store.
 """
 
 from __future__ import annotations
@@ -55,7 +57,13 @@ class FacebookPolicy(AllocationPolicy):
 
     def on_hit(self, queue: Queue, item,
                h1: int = 0, h2: int = 0) -> None:
+        # stamped after the balance, which reads the item's old age
+        # when it is its queue's tail
         self._maybe_rebalance()
+        item.last_access = self.cache.accesses
+
+    def on_insert(self, queue: Queue, item) -> None:
+        item.last_access = self.cache.accesses
 
     def on_miss(self, key: object, class_idx: int, penalty: float,
                 h1: int = 0, h2: int = 0) -> None:

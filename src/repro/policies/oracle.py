@@ -34,10 +34,11 @@ NEVER = float("inf")
 class _OracleQueueState:
     """Max-heap of eviction priorities with lazy invalidation.
 
-    Entries are ``(-priority, tiebreak, cas, item, next_use_snapshot)``;
-    an entry is live iff the item is still cached in this queue, has not
-    been re-stored (its ``cas`` is the one it was pushed with) and its
-    next-use tick has not changed since the entry was pushed.
+    Entries are ``(-priority, tiebreak, version, item,
+    next_use_snapshot)``; an entry is live iff the item is still cached
+    in this queue, has not been re-stored (its key's store version is
+    the one it was pushed with) and its next-use tick has not changed
+    since the entry was pushed.
     """
 
     __slots__ = ("heap",)
@@ -70,6 +71,9 @@ class OraclePolicy(AllocationPolicy):
         self._tick = 0
         #: key -> current next-use tick (NEVER when exhausted)
         self._next_use: dict[object, float] = {}
+        #: key -> the version its last store drew from ``_stores``
+        self._stored: dict[object, int] = {}
+        self._stores = itertools.count(1)
 
     # -- schedule bookkeeping ---------------------------------------------
     def _advance(self, key: object) -> None:
@@ -115,8 +119,8 @@ class OraclePolicy(AllocationPolicy):
         state: _OracleQueueState = queue.policy_data
         nxt = self._lookup_next(item.key)
         heapq.heappush(state.heap, (-self._priority(item, nxt),
-                                    next(self._tiebreak), item.cas, item,
-                                    nxt))
+                                    next(self._tiebreak),
+                                    self._stored[item.key], item, nxt))
 
     # -- events ---------------------------------------------------------
     def on_queue_created(self, queue: Queue) -> None:
@@ -132,6 +136,7 @@ class OraclePolicy(AllocationPolicy):
         self._advance(key)
 
     def on_insert(self, queue: Queue, item: Item) -> None:
+        self._stored[item.key] = next(self._stores)
         self._push(queue, item)
 
     # -- decisions --------------------------------------------------------
@@ -141,10 +146,11 @@ class OraclePolicy(AllocationPolicy):
         heap = state.heap
         index = self.cache.index
         while heap:
-            neg_priority, _tb, cas, item, nxt = heap[0]
-            live = (item.cas == cas and index.get(item.key) is item
-                    and (item.class_idx, item.bin_idx) == queue.qid
-                    and self._next_use.get(item.key, NEVER) == nxt)
+            neg_priority, _tb, version, item, nxt = heap[0]
+            key = item.key
+            live = (index.get(key) is item and self._stored[key] == version
+                    and item.queue is queue
+                    and self._next_use.get(key, NEVER) == nxt)
             if live:
                 return -neg_priority, item
             heapq.heappop(heap)

@@ -147,12 +147,13 @@ class AsyncCacheServer:
                 idx = route(key)
                 if first < 0:
                     first = idx
-                item = caches[idx].get(key)
+                cache = caches[idx]
+                item = cache.get(key)
                 if item is not None and item.value is not None:
                     flags, vdata = item.value
                     out += p.format_value(
                         key, flags, vdata,
-                        cas=item.cas if cmd.with_cas else None)
+                        cas=cache.cas_unique(item) if cmd.with_cas else None)
             out += p.format_get_tail()
             return self._labels[first]
         if isinstance(cmd, p.SetCommand):

@@ -176,7 +176,8 @@ def apply_storage(cache: SlabCache, cmd: p.SetCommand,
     if cmd.verb == "cas":
         if existing is None:
             return p.format_not_found()
-        if existing.cas != cmd.cas_unique:
+        # 0 is no unique: the item was stored again since any ``gets``
+        if not existing.cas or existing.cas != cmd.cas_unique:
             return p.format_exists()
     if cmd.verb in ("append", "prepend"):
         if existing is None or existing.value is None:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cache import SlabCache, SizeClassConfig
 from repro.cache.errors import InvalidItemError
 from repro.core.pama import PamaPolicy
+from repro.policies.facebook import FacebookPolicy
 from repro.policies.memcached import StaticMemcachedPolicy
 from repro.policies.twemcache import TwemcachePolicy
 
@@ -70,12 +71,14 @@ class TestBasicOps:
         cache.set("k", 4, 100, 0.05, value="v1")
         cache.set("other", 4, 100, 0.05)
         item = cache.index["k"]
-        cas = item.cas
+        cas = cache.cas_unique(item)              # what a gets issues
         assert cache.set("k", 4, 90, 0.06, value="v2", expires_at=5.0)
         assert cache.index["k"] is item           # same object, same slot
-        assert item.cas == cache.cas_tick > cas
-        assert (item.value_size, item.penalty, item.value, item.expires_at,
-                item.last_access) == (90, 0.06, "v2", 5.0, cache.accesses)
+        assert item.cas == 0                      # the old unique is void
+        assert cache.cas_unique(item) == cache.cas_tick > cas
+        assert (item.value_size, item.penalty, item.value,
+                item.expires_at) == (90, 0.06, "v2", 5.0)
+        assert item.last_access == 0              # the cache stamps no tick
         assert item.queue.lru.front is item       # promoted
         assert cache.stats.sets == 3 and len(cache) == 2
         cache.set("k", 4, 3000, 0.06)             # another class: a new item
@@ -187,7 +190,14 @@ class TestAllocationMechanics:
         t1 = cache.accesses
         cache.get(1)
         assert cache.accesses == t1 + 1
-        assert cache.index[1].last_access == cache.accesses
+        # the item's age is a policy's to keep: the cache never stamps it
+        assert cache.index[1].last_access == 0
+        aged = small_cache(policy=FacebookPolicy())
+        aged.set(1, 8, 50, 0.1)
+        assert aged.index[1].last_access == aged.accesses == 1
+        aged.set(2, 8, 50, 0.1)
+        aged.get(1)
+        assert aged.index[1].last_access == aged.accesses == 3
 
 
 class TestDeferredMigrations:

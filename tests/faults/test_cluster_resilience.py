@@ -16,6 +16,7 @@ from repro.cache import SizeClassConfig
 from repro.cluster import CacheCluster
 from repro.faults import (FaultInjector, FaultPlan, FlakyConnection,
                           NodeCrash, ResilienceConfig, SlowNode)
+from repro.faults.scenarios import default_policy_kwargs, make_plan
 from repro.obs import TimelineRecorder
 from repro.policies import make_policy
 from repro.sim.simulator import simulate
@@ -215,6 +216,34 @@ class TestNodeRejoin:
         after = timeline.snapshot_fn()
         assert after == summed()
         assert after != before  # the rejoined node counts afresh
+
+    def test_a_rejoined_node_still_notes_its_evictions(self):
+        # node-flap restarts nodes; every cache a node had, the closed
+        # ones included, must have reached the rows
+        trace = generate(ETC.scaled(0.05), 30_000, seed=7)
+        inj = FaultInjector(make_plan("node-flap", len(trace), NODES, 7))
+        kwargs = default_policy_kwargs(10_000, len(NODES))["pama"]
+        cluster = CacheCluster(NODES, (8 * MIB) // len(NODES),
+                               lambda: make_policy("pama", **kwargs),
+                               size_classes=SizeClassConfig(
+                                   slab_size=64 << 10),
+                               faults=inj)
+        caches = list(cluster.nodes.values())
+        fresh_cache = cluster._fresh_cache
+
+        def tracked():
+            caches.append(fresh_cache())
+            return caches[-1]
+
+        cluster._fresh_cache = tracked
+        timeline = TimelineRecorder(stride=10_000)
+        simulate(trace, cluster, window_gets=10_000, faults=inj,
+                 timeline=timeline)
+        assert inj.counters["node_rejoin"] > 0
+        assert len(caches) == len(NODES) + inj.counters["node_rejoin"]
+        evictions = sum(c.stats.evictions for c in caches)
+        assert evictions > 0
+        assert sum(row["evictions"] for row in timeline.rows) == evictions
 
 
 class TestTransientFaults:

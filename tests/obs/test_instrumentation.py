@@ -62,12 +62,16 @@ class TestCacheInstrumentation:
         (ev, *_rest) = cache.events.of_kind("eviction")
         assert {"queue", "key", "penalty", "size"} <= set(ev.data)
 
-    def test_cas_tick_increments_per_store(self):
+    def test_cas_tick_increments_per_issued_unique(self):
         cache = _small_cache()
         cache.set("a", 1, 10, 0.1)
-        first = cache.index["a"].cas
+        assert cache.index["a"].cas == cache.cas_tick == 0
+        first = cache.cas_unique(cache.index["a"])
+        assert cache.cas_unique(cache.index["a"]) == first == cache.cas_tick
         cache.set("a", 1, 10, 0.1)
-        assert cache.index["a"].cas == first + 1
+        cache.set("a", 1, 10, 0.1)
+        assert cache.index["a"].cas == 0 and cache.cas_tick == first
+        assert cache.cas_unique(cache.index["a"]) == first + 1
 
 
 class TestGlobalEnable:

@@ -34,6 +34,20 @@ class TestFacebookPolicy:
         young_class = cache.size_classes.class_for_size(2008)
         assert cache.class_slab_distribution().get(young_class, 0) >= 1
 
+    def test_a_hit_is_aged_before_the_policy_stamps_it(self):
+        # the balance a hit runs reads the hit item's age from before
+        # the hit: a stale tail served at a check is still the oldest
+        cache = build(FacebookPolicy(check_interval=10), slabs=4)
+        cache.set("old", 8, 50, 0.1)           # tick 1
+        cache.set("new", 8, 2000, 0.1)         # tick 2, another class
+        for _ in range(7):
+            cache.get("new")                   # ticks 3-9
+        old_q, new_q = cache.index["old"].queue, cache.index["new"].queue
+        assert cache.get("old") is not None    # tick 10: the check
+        assert cache.stats.migrations == 1
+        assert (old_q.slabs, new_q.slabs) == (0, 2)
+        assert "old" not in cache and cache.index["new"].last_access == 9
+
     def test_no_move_with_single_queue(self):
         cache = build(FacebookPolicy(check_interval=10), slabs=2)
         for i in range(500):

@@ -43,6 +43,17 @@ class TestGetsCas:
         assert parts[:4] == [b"VALUE", b"k", b"7", b"3"]
         assert parts[4].isdigit()
 
+    def test_a_unique_of_zero_never_matches(self, raw):
+        # a store leaves the item without a unique (0) until a gets
+        # issues one; 0 is not a unique a client can hold
+        sock, f = raw
+        sock.sendall(b"set k 0 0 1\r\na\r\n")
+        assert f.readline() == b"STORED\r\n"
+        sock.sendall(b"cas k 0 0 1 0\r\nb\r\n")
+        assert f.readline() == b"EXISTS\r\n"
+        sock.sendall(b"gets k\r\n")
+        assert f.readline().split()[4] != b"0"
+
     def test_cas_requires_unsigned_unique(self, raw):
         sock, f = raw
         sock.sendall(b"cas k 0 0 3 -1\r\nabc\r\n")

@@ -102,12 +102,13 @@ class ReferenceConnection:
         shards = self.shards
         if isinstance(cmd, p.GetCommand):
             for key in cmd.keys:
-                item = shards.shards[shard_of(key, shards.nshards)].get(key)
+                cache = shards.shards[shard_of(key, shards.nshards)]
+                item = cache.get(key)
                 if item is not None and item.value is not None:
                     flags, vdata = item.value
                     out += p.format_value(
                         key, flags, vdata,
-                        cas=item.cas if cmd.with_cas else None)
+                        cas=cache.cas_unique(item) if cmd.with_cas else None)
             out += p.format_get_tail()
             return
         if isinstance(cmd, p.VersionCommand):

@@ -226,6 +226,18 @@ class TestADroppedReplayFreesItsCache:
         assert live_caches() == before
         assert gc.collect() == 0
 
+    def test_simulate_with_a_timeline(self, paused):
+        # the recorder's snapshot_fn holds the cache, which held the
+        # recorder until close() let go of it
+        trace = generate(ETC.scaled(0.02), 20_000, seed=1)
+        cache = small_cache(make_policy("pama"), capacity=4 * MIB)
+        timeline = TimelineRecorder(stride=2_000)
+        simulate(trace, cache, window_gets=5_000, timeline=timeline)
+        assert timeline.rows[0]["class_slabs"]  # the snapshot ran
+        cache.close()
+        del cache, timeline
+        assert gc.collect() == 0
+
     def test_run_comparison(self, paused, trace):
         before = live_caches()
         run_comparison(trace, self.SPEC, ["memcached", "pama"])

@@ -8,6 +8,7 @@ as ``bisect_left`` files them, NaN handled the scalar way.
 """
 
 import math
+import warnings
 
 import numpy as np
 from hypothesis import given, settings
@@ -65,6 +66,11 @@ class TestSeqSum:
             total += x
         assert seq_sum(0.25, xs) == total
         assert 0.25 + xs.sum() != total
+
+    def test_opposite_infinities_make_nan_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(seq_sum(0.0, np.array([math.inf, -math.inf])))
 
 
 class TestHistogram:
