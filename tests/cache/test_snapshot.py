@@ -50,6 +50,28 @@ class TestSnapshotRoundTrip:
         expected = set(range(n - per_slab + 1, n)) | {3}
         assert set(tiny.index) == expected
 
+    def test_queues_are_interleaved_by_depth(self, tmp_path):
+        # the cache keeps no global access tick: each queue is written
+        # LRU-first, and the queues are interleaved by depth from their
+        # LRU ends in the order they were created
+        import numpy as np
+
+        cache = small_cache()
+        for key in (0, 10, 1, 2, 11, 3, 12, 4):
+            cache.set(key, 8, 450 if key >= 10 else 50, 0.1)
+        cache.get(1)
+        assert len([q for q in cache.iter_queues() if len(q.lru)]) == 2
+        path = tmp_path / "snap.npz"
+        assert save_snapshot(cache, path) == 8
+        with np.load(path) as data:
+            assert data["keys"].tolist() == [0, 10, 2, 11, 3, 12, 4, 1]
+
+        fresh = small_cache()
+        load_snapshot(fresh, path)
+        for queue in cache.iter_queues():
+            assert ([i.key for i in fresh.queues[queue.qid].lru.iter_from_back()]
+                    == [i.key for i in queue.lru.iter_from_back()])
+
     def test_cross_policy_restore(self, tmp_path):
         cache = small_cache()
         for i in range(25):
