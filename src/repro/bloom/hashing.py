@@ -81,8 +81,8 @@ def hash_key_array(keys, seed: int = 0):
     element-wise for every int64/uint64 key: a signed column is viewed
     as its two's-complement uint64 bits, which is exactly the value the
     scalar path's ``& MASK64`` arithmetic reduces a negative Python int
-    to.  This is the derive pass's bulk hasher (one vector op chain per
-    trace window instead of two Python calls per request).
+    to.  :func:`hash_pair_arrays` is built from it: one vector op chain
+    per trace window instead of two Python calls per request.
     """
     import numpy as np
 
@@ -105,7 +105,9 @@ def hash_pair_arrays(keys):
 
     ``h2`` is forced odd exactly like the scalar pair, so the arrays can
     feed every ``*_hashes`` fast path (an ``h2`` of 0 still means "pair
-    absent" — a real ``h2`` is never even).
+    absent" — a real ``h2`` is never even).  A Bloom-tracked replay
+    hashes each trace window's keys with it, once, and hands the pairs
+    to :meth:`~repro.cache.cache.SlabCache.apply_rows`.
     """
     import numpy as np
 

@@ -41,11 +41,6 @@ _COUNTED = (("gets", "GET lookups"), ("hits", "GET hits"),
             ("expired", "items dropped at expiry"))
 
 
-#: ``class_idx`` of a :meth:`SlabCache.lookup` whose caller derived
-#: nothing (-1 and -2 are the derive pass's own sentinels).
-NOT_DERIVED = -3
-
-
 def apply_rows_per_request(cache, rows, fill: bool, note, sized: bool) -> None:
     """A run of trace rows, one ``lookup``/``set``/``delete`` per request.
 
@@ -130,8 +125,8 @@ class SlabCache:
             self.attach_obs(_obs.get_registry(), _obs.get_event_trace())
         policy.attach(self)
         #: hash-once: when the policy probes Bloom filters on the access
-        #: path, the cache computes the key's base hash pair per request
-        #: and threads it through the policy callbacks.
+        #: path, a GET hands its callbacks the key's base hash pair —
+        #: ``lookup`` hashes the key, ``apply_rows`` is handed the pairs.
         self._wants_hashes = bool(getattr(policy, "wants_key_hashes", False))
         #: whether the policy overrides ``choose_victim``; every scheme
         #: the paper evaluates keeps strict LRU and is never asked.
@@ -245,37 +240,19 @@ class SlabCache:
         return self.lookup(key, -1, 0, math.nan)
 
     def lookup(self, key: object, key_size: int, value_size: int,
-               penalty: float, h1: int = 0, h2: int = 0,
-               class_idx: int = NOT_DERIVED, bin_idx: int = -1) -> Item | None:
+               penalty: float) -> Item | None:
         """GET with scalar miss accounting — the per-request entry point.
 
         ``key_size < 0`` means "miss details unknown" (the plain
         ``get(key)`` server path): the miss is counted but no per-queue
         miss accounting happens.  Behaviour is identical to
         :meth:`get`; only the calling convention differs.
-
-        The remaining arguments are the derive pass's columns
-        (:mod:`repro.sim.derive`), for a caller that has them; each
-        absent one is computed here, so results do not depend on them:
-
-        * ``(h1, h2)`` — the key's base hash pair.  A real ``h2`` is
-          odd; 0 means absent, and the key is hashed here when the
-          policy wants hashes;
-        * ``class_idx`` — the size class of ``key_size + value_size``;
-          ``-1`` when the item is too large or ``key_size < 0``, ``-2``
-          when the sizes are invalid (non-positive) and the scalar
-          path's :class:`InvalidItemError` must be raised,
-          :data:`NOT_DERIVED` when absent;
-        * ``bin_idx`` — ``policy.bin_for(penalty)``, valid only for
-          policies with static :meth:`~repro.policies.base.AllocationPolicy.bin_edges`;
-          ``-1`` asks ``bin_for`` (absent, or a NaN/negative penalty, so
-          invalid input raises exactly where it always did).
         """
         self.accesses += 1
         stats = self.stats
-        if h2 == 0 and self._wants_hashes:
-            # Hash-once: the single place a request's key meets the hash
-            # function; every Bloom probe downstream reuses this pair.
+        h1 = h2 = 0
+        if self._wants_hashes:
+            # Hash-once: every Bloom probe downstream reuses this pair.
             h1 = hash_key(key, 0)
             h2 = hash_key(key, PAIR_SEED_DELTA) | 1
         self._in_operation = True
@@ -296,31 +273,24 @@ class SlabCache:
                 return item
             # miss
             stats.misses += 1
+            class_idx = -1
             if key_size >= 0:
-                if class_idx == NOT_DERIVED:
-                    class_idx = self._class_memo.get(key_size + value_size)
-                    if class_idx is None:
-                        try:
-                            class_idx = self.size_classes.class_for_size(
-                                key_size + value_size)
-                        except ItemTooLargeError:
-                            class_idx = -1
-                elif class_idx == -2:
-                    # invalid sizes: raise the scalar path's error
-                    self.size_classes.class_for_size(key_size + value_size)
+                class_idx = self._class_memo.get(key_size + value_size)
+                if class_idx is None:
+                    try:
+                        class_idx = self.size_classes.class_for_size(
+                            key_size + value_size)
+                    except ItemTooLargeError:
+                        class_idx = -1
+                bin_idx = 0
                 if penalty == penalty:  # not NaN
                     stats.total_miss_penalty += penalty
-                    if bin_idx < 0:
-                        bin_idx = self.policy.bin_for(penalty)
-                else:
-                    bin_idx = 0
+                    bin_idx = self.policy.bin_for(penalty)
                 if class_idx >= 0:
                     q = self.queues.get((class_idx, bin_idx))
                     if q is None:
                         q = self.queue_for(class_idx, bin_idx)
                     q.stats.misses += 1
-            else:
-                class_idx = -1
             if self._on_miss is not None:
                 self._on_miss(key, class_idx, penalty, h1, h2)
             return None
@@ -329,7 +299,8 @@ class SlabCache:
             if self._pending_migrations:
                 self._flush_migrations()
 
-    def apply_rows(self, rows, fill: bool, note, sized: bool) -> None:
+    def apply_rows(self, rows, fill: bool, note, sized: bool,
+                   hashes=None) -> None:
         """Apply a run of trace rows — the loop the replay kernel runs.
 
         :func:`apply_rows_per_request` with a GET hit, a GET miss, its
@@ -340,13 +311,23 @@ class SlabCache:
         an item that can expire, a row whose size no SET has classed
         yet, an invalid row (a negative size, a NaN or negative
         penalty), and every miss and SET under a policy without static
-        bin edges or one that hashes keys; DELETE goes through
-        :meth:`delete`.  ``accesses`` is stored before any hook runs; a
-        migration requested from inside a hook waits until the
-        operation is done, as it does in :meth:`lookup` and :meth:`set`;
-        an exception leaves the rows before it applied and
-        ``_in_operation`` clear.
+        bin edges; DELETE goes through :meth:`delete`.  ``accesses`` is
+        stored before any hook runs; a migration requested from inside
+        a hook waits until the operation is done, as it does in
+        :meth:`lookup` and :meth:`set`; an exception leaves the rows
+        before it applied and ``_in_operation`` clear.
+
+        ``hashes`` maps each key of the rows to its base hash pair
+        ``(h1, h2)`` (:func:`~repro.bloom.hashing.hash_pair_arrays` of a
+        trace window's keys), which a GET here hands the policy.  It is
+        required when the policy hashes keys (``_wants_hashes``) and
+        unused otherwise.
         """
+        wants_hashes = self._wants_hashes
+        if wants_hashes and hashes is None:
+            raise TypeError(
+                f"policy {self.policy.name!r} hashes keys: apply_rows needs "
+                f"the rows' hash pairs (hashes=)")
         index = self.index
         index_get = index.get
         queues_get = self.queues.get
@@ -354,9 +335,8 @@ class SlabCache:
         stats = self.stats
         on_hit, on_miss = self._on_hit, self._on_miss
         on_insert, on_remove = self._on_insert, self._on_remove
-        wants_hashes = self._wants_hashes
         # None: every miss and SET goes through lookup / set
-        edges = None if wants_hashes else self._bin_edges
+        edges = self._bin_edges
         last_bin = self._last_bin
         lookup, cache_set, cache_delete = self.lookup, self.set, self.delete
         h1 = h2 = 0
@@ -370,8 +350,7 @@ class SlabCache:
                     # GET hit
                     self.accesses += 1
                     if wants_hashes:
-                        h1 = hash_key(key, 0)
-                        h2 = hash_key(key, PAIR_SEED_DELTA) | 1
+                        h1, h2 = hashes[key]
                     queue = item.queue
                     queue.stats.hits += 1
                     stats.hits += 1
@@ -414,7 +393,9 @@ class SlabCache:
                         queue = self.queue_for(class_idx, bin_idx)
                     queue.stats.misses += 1
                     if on_miss is not None:
-                        on_miss(key, class_idx, penalty, 0, 0)
+                        if wants_hashes:
+                            h1, h2 = hashes[key]
+                        on_miss(key, class_idx, penalty, h1, h2)
                     self._in_operation = False
                     if self._pending_migrations:
                         self._flush_migrations()
@@ -471,8 +452,7 @@ class SlabCache:
 
     def set(self, key: object, key_size: int, value_size: int,
             penalty: float, value: object = None,
-            expires_at: float = 0.0,
-            class_idx: int = -1, bin_idx: int = -1) -> bool:
+            expires_at: float = 0.0) -> bool:
         """Store an item; returns False if it cannot be stored.
 
         A key that is live in the queue the item maps to is re-stored in
@@ -483,40 +463,28 @@ class SlabCache:
         live key that maps to another queue is unlinked first, so it
         frees its old slot before the new queue is asked for one.
         ``expires_at`` is an absolute clock time (0.0 = never).
-
-        ``class_idx`` / ``bin_idx`` are the size class of ``key_size +
-        value_size`` and ``policy.bin_for(penalty)`` when the caller has
-        them already (the derive pass, :mod:`repro.sim.derive`).  Giving
-        both asserts what it proved for the row — sizes non-negative with
-        a positive sum that fits the largest class, penalty finite and
-        non-negative — and skips those checks and the two lookups; with
-        either absent (negative) they all run here.
         """
-        if class_idx < 0 or bin_idx < 0:
-            item_size = key_size + value_size
-            if key_size < 0 or value_size < 0 or item_size <= 0:
-                raise InvalidItemError(
-                    f"invalid sizes key={key_size} value={value_size}")
-            if not (penalty >= 0):  # catches NaN and negatives
-                raise InvalidItemError(
-                    f"penalty must be >= 0, got {penalty}")
-            self.accesses += 1
-            class_idx = self._class_memo.get(item_size)
-            if class_idx is None:
-                try:
-                    class_idx = self.size_classes.class_for_size(item_size)
-                except ItemTooLargeError:
-                    self.stats.rejected_too_large += 1
-                    return False
-            edges = self._bin_edges
-            if edges is None:
-                bin_idx = self.policy.bin_for(penalty)
-            else:
-                bin_idx = bisect_left(edges, penalty)
-                if bin_idx > self._last_bin:
-                    bin_idx = self._last_bin
+        item_size = key_size + value_size
+        if key_size < 0 or value_size < 0 or item_size <= 0:
+            raise InvalidItemError(
+                f"invalid sizes key={key_size} value={value_size}")
+        if not (penalty >= 0):  # catches NaN and negatives
+            raise InvalidItemError(f"penalty must be >= 0, got {penalty}")
+        self.accesses += 1
+        class_idx = self._class_memo.get(item_size)
+        if class_idx is None:
+            try:
+                class_idx = self.size_classes.class_for_size(item_size)
+            except ItemTooLargeError:
+                self.stats.rejected_too_large += 1
+                return False
+        edges = self._bin_edges
+        if edges is None:
+            bin_idx = self.policy.bin_for(penalty)
         else:
-            self.accesses += 1
+            bin_idx = bisect_left(edges, penalty)
+            if bin_idx > self._last_bin:
+                bin_idx = self._last_bin
 
         self._in_operation = True
         try:

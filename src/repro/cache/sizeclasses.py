@@ -71,8 +71,8 @@ class SizeClassConfig:
     def slot_sizes(self) -> tuple[int, ...]:
         """Ascending slot sizes, one per class (read-only).
 
-        The derive pass binary-searches this tuple to vectorize
-        :meth:`class_for_size` over a whole trace window.
+        ``repro.sim.derive.class_index_array`` binary-searches this
+        tuple to vectorize :meth:`class_for_size` over a trace window.
         """
         return self._slot_sizes
 

@@ -124,9 +124,25 @@ class CacheCluster:
                 "cannot remove the last node: the ring would be empty "
                 "and every key unroutable")
         self.ring.remove_node(name)
-        del self.nodes[name]
+        self.nodes.pop(name).close()
         self.breakers.pop(name, None)
         self._down_seen.discard(name)
+
+    def close(self) -> None:
+        """Tear the cluster down for good, so reference counting frees it.
+
+        Each node's cache, each breaker's ``on_transition`` callback and
+        the timeline's ``snapshot_fn`` lead back to the cluster, so a
+        dropped cluster would otherwise wait for CPython's cyclic
+        collector.  This closes every node's cache
+        (:meth:`SlabCache.close`) and lets go of the breakers and the
+        timeline.  The aggregate stats stay readable; nothing else
+        works after.
+        """
+        for node in self.nodes.values():
+            node.close()
+        self.breakers.clear()
+        self.timeline = None
 
     def attach_timeline(self, timeline) -> None:
         """Attach one :class:`~repro.obs.timeline.TimelineRecorder` to
@@ -167,9 +183,11 @@ class CacheCluster:
             key, lambda node: node.lookup(key, key_size, value_size, penalty),
             None, "get")
 
-    def apply_rows(self, rows, fill: bool, note, sized: bool) -> None:
+    def apply_rows(self, rows, fill: bool, note, sized: bool,
+                   hashes=None) -> None:
         """A run of trace rows (:meth:`SlabCache.apply_rows`), each
-        request routed on its own."""
+        request routed on its own; ``hashes`` is unused, as each node
+        hashes a key in its own ``lookup``."""
         apply_rows_per_request(self, rows, fill, note, sized)
 
     def set(self, key: object, key_size: int, value_size: int,

@@ -76,15 +76,16 @@ class AllocationPolicy(ABC):
     def bin_edges(self) -> tuple[float, ...] | None:
         """Static penalty-bin edges, or ``None`` when binning is dynamic.
 
-        The derive pass precomputes every request's penalty bin from
+        ``SlabCache.set`` and ``apply_rows`` bin a miss or a SET by
         these edges (``bin_for`` must equal "bisect_left over the edges,
         clamped to the last bin"; an empty tuple means a single bin 0).
         Policies whose binning depends on mutable state — learned edges,
-        the current tenant — must return ``None``, which keeps the
-        replay on the scalar loop where ``bin_for`` is consulted per
-        request.  The base implementation answers for any subclass that
-        kept the penalty-blind default and refuses (``None``) for any
-        that overrode ``bin_for`` without also overriding this hook.
+        the current tenant — must return ``None``, which sends every
+        miss and SET of the replay through ``lookup`` / ``set``, where
+        ``bin_for`` is consulted per request.  The base implementation
+        answers for any subclass that kept the penalty-blind default and
+        refuses (``None``) for any that overrode ``bin_for`` without
+        also overriding this hook.
         """
         if type(self).bin_for is AllocationPolicy.bin_for:
             return ()

@@ -1,8 +1,5 @@
 """Trace-driven simulation, metrics, experiments, and reporting."""
 
-from repro.sim.derive import (class_index_array, derived_rows,
-                              hash_key_array, hash_pair_arrays,
-                              penalty_bin_array)
 from repro.sim.experiment import (ComparisonResult, ExperimentSpec,
                                   run_comparison, sweep_cache_sizes)
 from repro.sim.metrics import MetricsCollector, WindowStats
@@ -21,7 +18,5 @@ __all__ = [
     "sweep_cache_sizes",
     "run_grid", "GridTask", "GridResult", "GridFailure",
     "default_jobs", "size_specs",
-    "class_index_array", "penalty_bin_array", "derived_rows",
-    "hash_key_array", "hash_pair_arrays",
     "format_table", "series_csv", "ascii_chart", "comparison_summary",
 ]

@@ -1,25 +1,19 @@
-"""Vectorized derive pass: per-window precomputation for the replay loop.
+"""Vectorized per-window columns of a trace: hash pair, size class, bin.
 
-The scalar replay loop spends a large share of every GET recomputing
-values that are pure functions of the trace row: the key's splitmix64
-hash pair (twice per request for Bloom-tracked policies), the size
-class of ``key_size + value_size`` (a memo-dict probe), and the penalty
-bin (another memo probe).  This module computes all of them **per trace
-window** as NumPy column operations, and the simulator threads the
-derived columns into :meth:`repro.cache.cache.SlabCache.lookup` /
-:meth:`~repro.cache.cache.SlabCache.set` so the innermost loop does
-table lookups only.
+No replay calls :func:`derived_rows`: a Bloom-tracked replay hands
+:meth:`~repro.cache.cache.SlabCache.apply_rows` each window's hash
+pairs (:func:`~repro.bloom.hashing.hash_pair_arrays`), and a size
+class or a penalty bin is worked out only on a miss or a SET.  These
+names are kept for ``benchmarks/e2e``, which times :func:`derived_rows`
+(its ``derive`` rung) and reports ``derive.engaged`` through
+:func:`derive_unsupported_reason`; the module goes once it stops
+importing them.
 
 Every array helper here agrees element-wise with its scalar reference
-(``hash_key`` / ``class_for_size`` / ``PamaConfig.bin_for``) — the
-property tests in ``tests/sim/test_derive.py`` pin that, and the replay
-differential suite pins the end-to-end results ``==``-exact against the
-scalar loop.
-
-Rows the vector pass cannot prove valid carry sentinels (class ``-1``
-unknown/too-large, ``-2`` invalid sizes; bin ``-1`` NaN or negative
-penalty) and re-dispatch to the scalar code so errors raise exactly
-where the scalar replay would raise them.
+(``hash_key`` / ``class_for_size`` / ``PamaConfig.bin_for``), as the
+property tests in ``tests/sim/test_derive.py`` pin.  Rows the vector
+pass cannot prove valid carry sentinels (class ``-1`` unknown or too
+large, ``-2`` invalid sizes; bin ``-1`` NaN or negative penalty).
 """
 
 from __future__ import annotations
@@ -28,12 +22,12 @@ from itertools import repeat
 
 import numpy as np
 
-from repro.bloom.hashing import hash_key_array, hash_pair_arrays
+from repro.bloom.hashing import hash_pair_arrays
 from repro.cache.cache import SlabCache
 from repro.traces.record import iter_windows
 
-__all__ = ["hash_key_array", "hash_pair_arrays", "class_index_array",
-           "penalty_bin_array", "derived_rows", "derive_unsupported_reason"]
+__all__ = ["class_index_array", "penalty_bin_array", "derived_rows",
+           "derive_unsupported_reason"]
 
 
 def class_index_array(key_sizes, value_sizes, size_classes):
@@ -110,25 +104,17 @@ def derived_rows(source, service, size_classes, edges, want_hashes):
 
 def derive_unsupported_reason(cache, policy, *, faults=None, timeline=None,
                               hist=None) -> str | None:
-    """Why the derive pass cannot run this replay, or ``None`` if it can.
+    """Why a replay of ``cache`` does not take vectorized hash pairs
+    from its windows, or ``None`` when it would (for a ``policy`` that
+    hashes keys).
 
-    The derive loop covers the plain replay: a :class:`SlabCache`
-    (its ``lookup`` and ``set`` take the derived columns; a cluster's
-    routed ones do not), a policy with static penalty binning (which
-    a tenant arbiter's is not), and none of fault injection, timelines
-    or service-time histograms, whose side channels the scalar loops
-    own.
+    The fault-aware loop runs per request, and only a
+    :class:`SlabCache` takes the pairs (a cluster's nodes hash in their
+    own ``lookup``).  ``timeline`` and ``hist`` do not change the
+    answer: the kernel takes the pairs with or without telemetry.
     """
     if faults is not None:
         return "fault injection uses the scalar fault-aware loop"
-    if timeline is not None:
-        return "timeline recording runs on the scalar kernel"
-    if hist is not None:
-        return "service-time histograms run on the scalar kernel"
     if not isinstance(cache, SlabCache):
         return f"{type(cache).__name__} does not take derived columns"
-    edges = getattr(policy, "bin_edges", lambda: None)()
-    if edges is None:
-        return (f"policy {policy.name!r} bins penalties dynamically "
-                f"(bin_edges() is None)")
     return None

@@ -28,9 +28,9 @@ import numpy as np
 
 from repro import obs as _obs
 from repro._util import collector_paused
+from repro.bloom.hashing import hash_pair_arrays
 from repro.cache.cache import SlabCache
 from repro.obs.timeline import tally_tenants
-from repro.sim.derive import derive_unsupported_reason, derived_rows
 from repro.sim.metrics import MetricsCollector, WindowStats
 from repro.sim.service import ServiceTimeModel
 from repro.traces.record import iter_windows
@@ -205,7 +205,7 @@ class Simulator:
         # run's collector stays inspectable after it returns.
         self.metrics = MetricsCollector(window_gets, _slab_snapshot(cache))
 
-    def run(self, trace, derive: bool | None = None) -> SimulationResult:
+    def run(self, trace) -> SimulationResult:
         """Replay a trace source to completion and return the result.
 
         ``trace`` is a :class:`Trace`, a
@@ -213,18 +213,6 @@ class Simulator:
         bounded :class:`Trace` windows; streaming sources replay with
         memory bounded by the window and results identical to the
         whole-trace replay.
-
-        ``derive`` selects the vectorized derive pass
-        (:mod:`repro.sim.derive`): ``None`` (default) uses it when the
-        replay qualifies *and* the policy hashes keys per request
-        (Bloom-tracked policies — the configs where hoisting the hash
-        pair out of the loop pays for the pass; for hash-free policies
-        the scalar loop computes class/bin only on misses, so deriving
-        every row costs more than it saves), ``True`` requires it for
-        any supported replay (raises ``ValueError`` with the reason
-        when it cannot run), ``False`` forces the scalar loops.
-        Results are ``==``-identical either way — the derive pass only
-        precomputes what the scalar loop would compute per request.
 
         Each run gets a fresh :class:`MetricsCollector`: reusing the
         one from a previous run would carry its windows and totals into
@@ -271,10 +259,10 @@ class Simulator:
 
         started = time.perf_counter()
 
-        # One loop per kind of replay, chosen once: the derived replay,
-        # the fault-aware replay when an injector is attached; everything
-        # else — with or without a registry, a timeline or tenants — is
-        # the kernel.
+        # One loop per kind of replay, chosen once: the fault-aware
+        # replay when an injector is attached; everything else — with or
+        # without a registry, a timeline, tenants or key hashes — is the
+        # kernel.
         tenants = None
         if getattr(cache.policy, "wants_tenants", False):
             if self.faults is not None:
@@ -283,26 +271,11 @@ class Simulator:
                     "combinable yet: the fault-aware loop does not tag "
                     "requests by tenant")
             tenants = _TenantTotals(cache.policy, registry)
-        # The derive pass replaces the scalar row stream with one that
-        # carries precomputed hash pairs / size classes / penalty bins
-        # (repro.sim.derive); ==-identical results, vectorized setup.
-        reason = derive_unsupported_reason(
-            cache, cache.policy, faults=self.faults, timeline=timeline,
-            hist=hist)
-        if derive is True and reason is not None:
-            raise ValueError(f"derive pass unavailable: {reason}")
         # A replay creates no reference cycles (tests/sim/
         # test_collector.py), so the cyclic collector would only re-walk
         # the items and ghost entries the cache holds.
         with collector_paused():
-            if derive is True or (derive is None and reason is None
-                                  and cache._wants_hashes):
-                self._replay_derived(
-                    derived_rows(trace, service, cache.size_classes,
-                                 cache.policy.bin_edges(),
-                                 cache._wants_hashes),
-                    metrics, service)
-            elif self.faults is not None:
+            if self.faults is not None:
                 self._replay_faulty(_trace_rows(trace, service), metrics,
                                     service, hist, hist_hit, hist_miss)
             else:
@@ -331,68 +304,6 @@ class Simulator:
             tenant_metrics=tenants.summary() if tenants is not None else {},
         )
 
-    def _replay_derived(self, rows, metrics: MetricsCollector,
-                        service: ServiceTimeModel) -> None:
-        """The derived replay loop over 10-column rows.
-
-        Dispatches every request with its precomputed columns
-        (:meth:`~repro.cache.cache.SlabCache.lookup` and
-        :meth:`~repro.cache.cache.SlabCache.set`, each given them).
-        ``set`` takes a derive sentinel (unknown/invalid class, invalid
-        penalty) as "not given" and validates the row itself; a
-        negative value size, which a SET must reject but which can sum
-        to a valid class, is handed over as one — so validation errors
-        raise exactly as the scalar loop raises them.
-        """
-        cache = self.cache
-        fill = self.fill_on_miss
-        lookup = cache.lookup
-        cache_set = cache.set
-        cache_delete = cache.delete
-        record_hit = metrics.record_hit
-        record_miss = metrics.record_miss
-        if service.bandwidth is None:
-            hit_cost = service.hit_time
-            for (op, key, key_size, value_size, penalty, miss_cost,
-                 h1, h2, class_idx, bin_idx) in rows:
-                if op == 0:  # GET
-                    if lookup(key, key_size, value_size, penalty,
-                              h1, h2, class_idx, bin_idx) is not None:
-                        record_hit(hit_cost)
-                    else:
-                        record_miss(miss_cost)
-                        if fill:
-                            cache_set(key, key_size, value_size, penalty,
-                                      None, 0.0,
-                                      class_idx if value_size >= 0 else -1,
-                                      bin_idx)
-                elif op == 1:  # SET
-                    cache_set(key, key_size, value_size, penalty, None, 0.0,
-                              class_idx if value_size >= 0 else -1, bin_idx)
-                else:  # DELETE
-                    cache_delete(key)
-        else:
-            service_hit = service.hit
-            for (op, key, key_size, value_size, penalty, miss_cost,
-                 h1, h2, class_idx, bin_idx) in rows:
-                if op == 0:  # GET
-                    item = lookup(key, key_size, value_size, penalty,
-                                  h1, h2, class_idx, bin_idx)
-                    if item is not None:
-                        record_hit(service_hit(item.total_size))
-                    else:
-                        record_miss(miss_cost)
-                        if fill:
-                            cache_set(key, key_size, value_size, penalty,
-                                      None, 0.0,
-                                      class_idx if value_size >= 0 else -1,
-                                      bin_idx)
-                elif op == 1:  # SET
-                    cache_set(key, key_size, value_size, penalty, None, 0.0,
-                              class_idx if value_size >= 0 else -1, bin_idx)
-                else:  # DELETE
-                    cache_delete(key)
-
     def _replay(self, source, metrics: MetricsCollector,
                 service: ServiceTimeModel, hist, hist_hit, hist_miss,
                 timeline, tenants=None) -> None:
@@ -416,10 +327,17 @@ class Simulator:
         arbitrates between tenants) tags every row with its tenant as
         the cache pulls it and adds each run's GETs to the per-tenant
         totals and the timeline's tenant cells.
+
+        When the policy hashes keys (a Bloom tracker), each window's
+        keys are hashed as one array and the cache is handed the
+        key -> ``(h1, h2)`` mapping with every run.  A cluster's nodes
+        hash in their own ``lookup``.
         """
         cache = self.cache
         fill = self.fill_on_miss
         apply_rows = cache.apply_rows
+        wants_hashes = getattr(cache, "_wants_hashes", False)
+        hashes = None
         # hit costs need the item's size only when they depend on it
         sized = (service.bandwidth is not None
                  or type(service).hit is not ServiceTimeModel.hit)
@@ -434,6 +352,10 @@ class Simulator:
                 service.miss_array(penalties), dtype=np.float64))
             get_rows = np.flatnonzero(w.ops == 0)
             rows = w.iter_rows()
+            if wants_hashes:
+                h1, h2 = hash_pair_arrays(w.keys)
+                hashes = dict(zip(w.keys.tolist(),
+                                  zip(h1.tolist(), h2.tolist())))
             if tenants is not None:
                 rows = _tagged(rows, w.tenants.tolist(), tenants.policy)
             at = gets = 0  # rows and GETs of this window already replayed
@@ -444,7 +366,8 @@ class Simulator:
                     stop = int(get_rows[closing_get])
                 if timeline is not None:
                     stop = min(stop, max(at, timeline.next_close - base))
-                apply_rows(islice(rows, stop - at), fill, note, sized)
+                apply_rows(islice(rows, stop - at), fill, note, sized,
+                           hashes)
                 if got:
                     outcome = np.array(got)
                     got.clear()
@@ -473,7 +396,8 @@ class Simulator:
                         tenants)
                 at = stop + 1
             base += n
-            del rows  # this window's lists go before the next is pulled
+            # this window's lists go before the next is pulled
+            rows = hashes = None
 
     def _closing_row(self, tick, row, miss_cost, metrics, service,
                      hist, hist_hit, hist_miss, timeline,
@@ -602,16 +526,14 @@ class Simulator:
 def simulate(trace, cache: SlabCache, *,
              hit_time: float = 1e-4, window_gets: int = 100_000,
              fill_on_miss: bool = True, obs=None, faults=None,
-             timeline=None, tracing=None,
-             derive: bool | None = None) -> SimulationResult:
+             timeline=None, tracing=None) -> SimulationResult:
     """One-shot convenience wrapper around :class:`Simulator`.
 
     ``trace`` accepts every :meth:`Simulator.run` source, including
-    streaming :class:`~repro.traces.compile.CompiledTrace` replays;
-    ``derive`` is forwarded to :meth:`Simulator.run`.
+    streaming :class:`~repro.traces.compile.CompiledTrace` replays.
     """
     sim = Simulator(cache, ServiceTimeModel(hit_time=hit_time),
                     window_gets=window_gets, fill_on_miss=fill_on_miss,
                     obs=obs, faults=faults, timeline=timeline,
                     tracing=tracing)
-    return sim.run(trace, derive=derive)
+    return sim.run(trace)

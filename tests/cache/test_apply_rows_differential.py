@@ -1,11 +1,13 @@
 """Differential pin: ``SlabCache.apply_rows`` vs the per-request loop.
 
 ``apply_rows`` handles a GET hit, a GET miss, its fill and a SET in its
-own frame — a re-store of a live key into its own queue keeps the item —
-and sends the rest (an item that can expire, an unseen size, an invalid
-row, dynamic binning, a policy that hashes keys, DELETE) through
+own frame — a re-store of a live key into its own queue keeps the item,
+and a policy that hashes keys is handed each key's pair from the
+caller's mapping — and sends the rest (an item that can expire, an
+unseen size, an invalid row, dynamic binning, DELETE) through
 ``lookup`` / ``set`` / ``delete``; ``apply_rows_per_request`` is the loop
-it replaced, one ``lookup`` / ``set`` / ``delete`` per request.  Two
+it replaced, one ``lookup`` / ``set`` / ``delete`` per request, whose
+``lookup`` hashes each key itself.  Two
 caches of equal geometry and policy are driven by the same
 rows, cut into the same runs, and compared after **every** run:
 everything either side holds, as plain data — the noted outcomes,
@@ -34,6 +36,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bloom.hashing import hash_pair
 from repro.cache import SizeClassConfig, SlabCache
 from repro.cache.cache import apply_rows_per_request
 from repro.cache.errors import InvalidItemError
@@ -201,11 +204,20 @@ class Side:
         return None
 
 
+class KeyHashes(dict):
+    """Every key's base hash pair, as the replay hands ``apply_rows``
+    a window's (which policies that hash no key never read)."""
+
+    def __missing__(self, key):
+        return hash_pair(key)
+
+
 class Pair:
     """The cache under test and one driven request by request."""
 
     def __init__(self, make, slabs, fill=True, sized=True):
-        self.fast = Side(make, slabs, lambda cache, *run: cache.apply_rows(*run))
+        self.fast = Side(make, slabs, lambda cache, *run: cache.apply_rows(
+            *run, KeyHashes()))
         self.slow = Side(make, slabs, apply_rows_per_request)
         self.fill, self.sized = fill, sized
 
@@ -384,3 +396,11 @@ class TestMigrationsRequestedFromOnHit:
             assert side.cache.stats.migrations == 1
             assert "boom" not in side.cache and side.got == [-1]
         pair.compare()
+
+
+def test_a_policy_that_hashes_keys_needs_the_pairs():
+    cache = SlabCache(4 * SLAB, POLICIES["pama-bloom"](),
+                      SizeClassConfig(slab_size=SLAB))
+    with pytest.raises(TypeError, match="hash pairs"):
+        cache.apply_rows(iter([put(1), get(1)]), True, [].append, False)
+    assert cache.accesses == 0 and len(cache) == 0

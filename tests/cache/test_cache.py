@@ -102,30 +102,6 @@ class TestBasicOps:
         with pytest.raises(InvalidItemError):
             cache.set("k", 4, 10, -0.5)
 
-    def test_set_with_the_class_and_bin_worked_out_already(self):
-        # what the derive pass hands over; a negative one means "absent"
-        plain = small_cache(policy=PamaPolicy())
-        told = small_cache(policy=PamaPolicy())
-        for key, size, penalty in ((1, 50, 0.0005), (2, 900, 0.05),
-                                   (1, 900, 2.0), (3, 50, 0.5)):
-            plain.set(key, 8, size, penalty)
-            item = plain.index[key]
-            assert told.set(key, 8, size, penalty, None, 0.0,
-                              item.class_idx, item.bin_idx)
-            got = told.index[key]
-            assert (got.class_idx, got.bin_idx) \
-                == (item.class_idx, item.bin_idx)
-        assert told.stats == plain.stats
-        assert told.slab_distribution() == plain.slab_distribution()
-        told.check_invariants()
-        # either one absent: everything is validated and looked up here
-        with pytest.raises(InvalidItemError):
-            told.set("k", 8, -2, 0.1, None, 0.0, -1, 0)
-        with pytest.raises(InvalidItemError):
-            told.set("k", 8, 50, float("nan"), None, 0.0, 0, -1)
-        assert not told.set("big", 10, 10_000, 0.1, None, 0.0, -1, 2)
-        assert told.stats.rejected_too_large == 1
-
 
 class TestAllocationMechanics:
     def test_free_slabs_granted_on_demand(self):
@@ -283,49 +259,6 @@ class TestPropertyBasedWorkload:
                 cache.delete(key)
         cache.check_invariants()
         assert cache.stats.gets == sum(1 for o in ops if o[0] == "get")
-
-
-class TestOneEntryPointPerOperation:
-    """``lookup`` takes the derive pass's columns as optional arguments;
-    what is absent it computes, so the outcome does not depend on them."""
-
-    def twins(self):
-        return small_cache(policy=PamaPolicy()), small_cache(policy=PamaPolicy())
-
-    def test_derived_columns_change_nothing(self):
-        plain, derived = self.twins()
-        for cache in (plain, derived):
-            cache.set("k", 4, 100, 0.05)
-        class_idx = plain.size_classes.class_for_size(104)
-        bin_idx = plain.policy.bin_for(0.05)
-        assert plain.lookup("k", 4, 100, 0.05) is not None
-        assert derived.lookup("k", 4, 100, 0.05, 0, 0,
-                              class_idx, bin_idx) is not None
-        assert plain.lookup("absent", 4, 100, 0.05) is None
-        assert derived.lookup("absent", 4, 100, 0.05, 0, 0,
-                              class_idx, bin_idx) is None
-        # too large: class -1, no queue accounted; NaN penalty: bin 0
-        assert plain.lookup("huge", 4, 1 << 20, math.nan) is None
-        assert derived.lookup("huge", 4, 1 << 20, math.nan, 0, 0, -1, -1) is None
-        assert plain.stats == derived.stats
-        assert ({q: s.stats for q, s in plain.queues.items()}
-                == {q: s.stats for q, s in derived.queues.items()})
-
-    def test_the_invalid_size_sentinel_raises_the_scalar_error(self):
-        plain, derived = self.twins()
-        with pytest.raises(InvalidItemError):
-            plain.lookup("absent", 4, -4, 0.05)
-        with pytest.raises(InvalidItemError):
-            derived.lookup("absent", 4, -4, 0.05, 0, 0, -2, 0)
-        assert plain.stats == derived.stats
-        assert not plain._in_operation and not derived._in_operation
-
-    def test_a_negative_bin_asks_the_policy(self):
-        plain, derived = self.twins()
-        with pytest.raises(ValueError):
-            plain.lookup("absent", 4, 100, -1.0)
-        with pytest.raises(ValueError):
-            derived.lookup("absent", 4, 100, -1.0, 0, 0, 1, -1)
 
 
 class TestWhatAHitReads:

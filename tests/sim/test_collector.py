@@ -28,6 +28,7 @@ import pytest
 
 import repro
 from repro._util import KIB, MIB
+from repro.bloom.hashing import hash_pair
 from repro.cache import SizeClassConfig, SlabCache
 from repro.cache.errors import InvalidItemError
 from repro.cluster.cluster import CacheCluster
@@ -91,12 +92,6 @@ class TestReplayIsCycleFree:
         assert sim.cache.stats.evictions > 0   # the pressure path ran
         assert gc.collect() == 0
 
-    def test_derive_pass(self, paused, trace):
-        sim = simulator(small_cache(make_policy("pama", tracker="bloom")),
-                        attached=False)
-        sim.run(trace, derive=True)
-        assert gc.collect() == 0
-
     def test_tenant_arbiter(self, paused):
         specs = noisy_neighbor_specs()
         cache = small_cache(TenantArbiter(
@@ -114,21 +109,27 @@ class TestReplayIsCycleFree:
                                                 ("blackout", 2)])
     @pytest.mark.parametrize("policy", ["pre-pama", "pama"])
     def test_fault_aware_replay(self, paused, scenario, nodes, policy):
-        trace = generate(ETC.scaled(0.05), 30_000, seed=7)
-        names = [f"node{i}" for i in range(nodes)]
-        inj = FaultInjector(make_plan(scenario, len(trace), names, 7),
-                            obs=Registry())
-        kwargs = default_policy_kwargs(10_000, nodes)[policy]
-        cluster = CacheCluster(names, (8 * MIB) // nodes,
-                               lambda: make_policy(policy, **kwargs),
-                               size_classes=SizeClassConfig(slab_size=64 * KIB),
-                               faults=inj)
-        sim = Simulator(cluster, window_gets=10_000, faults=inj, obs=inj.obs,
-                        timeline=TimelineRecorder(stride=10_000))
-        sim.run(trace)
+        cluster, inj = chaos_replay(scenario, nodes, policy)
         if scenario != "backend-brownout":
             assert inj.counters["node_rejoin"] > 0
         assert gc.collect() == 0
+
+
+def chaos_replay(scenario: str, nodes: int, policy: str):
+    """``(cluster, injector)`` after a fault-aware replay of 30k ETC
+    rows, seed 7, with a registry and a timeline attached."""
+    trace = generate(ETC.scaled(0.05), 30_000, seed=7)
+    names = [f"node{i}" for i in range(nodes)]
+    inj = FaultInjector(make_plan(scenario, len(trace), names, 7),
+                        obs=Registry())
+    kwargs = default_policy_kwargs(10_000, nodes)[policy]
+    cluster = CacheCluster(names, (8 * MIB) // nodes,
+                           lambda: make_policy(policy, **kwargs),
+                           size_classes=SizeClassConfig(slab_size=64 * KIB),
+                           faults=inj)
+    Simulator(cluster, window_gets=10_000, faults=inj, obs=inj.obs,
+              timeline=TimelineRecorder(stride=10_000)).run(trace)
+    return cluster, inj
 
 
 ADAPTIVE = textwrap.dedent("""
@@ -175,8 +176,9 @@ class TestClose:
                                                          trace, case):
         name, kwargs = case
         cache = small_cache(make_policy(name, **kwargs))
+        hashes = {key: hash_pair(key) for key in trace.keys.tolist()}
         cache.apply_rows(trace.iter_rows(), True, lambda outcome: None,
-                         False)
+                         False, hashes)
         slabs = cache.slab_distribution()
         cache.close()
         assert len(cache) == 0
@@ -194,6 +196,15 @@ class TestClose:
             cache.apply_rows([row], True, lambda outcome: None, False)
         cache.close()
         del cache
+        assert gc.collect() == 0
+
+    def test_a_closed_cluster_is_freed_by_reference_counting(self, paused):
+        # node-flap: the breakers' callbacks, the timeline's snapshot and
+        # the nodes' caches all lead back to the cluster
+        cluster, inj = chaos_replay("node-flap", 3, "pama")
+        assert inj.counters["node_rejoin"] > 0
+        cluster.close()
+        del cluster, inj
         assert gc.collect() == 0
 
     def test_an_unclosed_cache_is_left_to_the_collector(self, paused, trace):

@@ -44,9 +44,10 @@ from repro.traces.compile import CompiledTrace
 from repro.traces.record import Trace
 
 ROWS = 4_500
-POLICIES = ("memcached", "pre-pama", "pama")
+POLICIES = ("memcached", "pre-pama", "pama", "pama-bloom")
 KWARGS = {"pama": {"value_window": 1_500},
-          "pre-pama": {"value_window": 1_500}}
+          "pre-pama": {"value_window": 1_500},
+          "pama-bloom": {"value_window": 1_500, "tracker": "bloom"}}
 MODES = ("plain", "bandwidth", "registry", "registry+timeline")
 SOURCES = ("trace", "compiled-2048", "windows-1", "windows-7",
            "empty-window")
@@ -344,7 +345,8 @@ TRACE = _trace()
 
 
 def _cache(policy: str) -> SlabCache:
-    return SlabCache(1 << 20, make_policy(policy, **KWARGS.get(policy, {})),
+    return SlabCache(1 << 20, make_policy(policy.removesuffix("-bloom"),
+                                          **KWARGS.get(policy, {})),
                      SizeClassConfig(slab_size=64 << 10))
 
 
@@ -426,7 +428,7 @@ def run_pair(policy, mode, source_kind, compiled_path, window_gets, stride,
             result = runner(sim, _source(source_kind, compiled_path))
         hists = [] if registry is None else [
             (h.count, h.sum, h.min, h.max, h.counts)
-            for h in (registry.get(name, policy=policy)
+            for h in (registry.get(name, policy=sim.cache.policy.name)
                       for name in HISTOGRAMS)]
         sides.append((dataclasses.replace(result, elapsed_seconds=0.0),
                       hists, timeline.rows if timeline else None))
@@ -456,7 +458,7 @@ class TestKernelEqualsPerRequestLoops:
         assert_same(sides)
         result = sides[1][0]
         assert len(result.windows) >= 3
-        if policy == "pama":
+        if policy.startswith("pama"):
             assert result.cache_stats["migrations"] > 50
 
     @pytest.mark.parametrize("source_kind", ("trace", "windows-7"))
@@ -574,11 +576,13 @@ class TestSourceIsPulledLazily:
 
 TENANT_ROWS = 6_000
 TENANT_SOURCES = ("trace", "compiled-2048", "windows-7")
-MIXES = ("noisy-neighbor", "arrival-departure", "untagged")
+MIXES = ("noisy-neighbor", "arrival-departure", "untagged",
+         "noisy-neighbor-bloom")
 
 
 @functools.lru_cache(maxsize=None)
 def _mix(name: str) -> Trace:
+    name = name.removesuffix("-bloom")
     if name == "untagged":
         return TRACE
     specs = (noisy_neighbor_specs() if name == "noisy-neighbor"
@@ -588,7 +592,10 @@ def _mix(name: str) -> Trace:
 
 def _arbiter_cache(name: str) -> SlabCache:
     capacity, slab = 1 << 20, 64 << 10
-    config = PamaConfig(value_window=1_500)
+    config = PamaConfig(value_window=1_500,
+                        tracker="bloom" if name.endswith("-bloom")
+                        else "exact")
+    name = name.removesuffix("-bloom")
     if name == "untagged":
         arbiter = TenantArbiter(1, config=config)
     else:
@@ -723,9 +730,9 @@ class TestTenantReplayEqualsTheTenantLoop:
         pulled = []
         apply_rows = SlabCache.apply_rows
 
-        def counting(cache, rows, fill, note, sized):
+        def counting(cache, *run):
             pulled.append(cache.policy.name)
-            return apply_rows(cache, rows, fill, note, sized)
+            return apply_rows(cache, *run)
 
         monkeypatch.setattr(SlabCache, "apply_rows", counting)
         sim = Simulator(_arbiter_cache("noisy-neighbor"), window_gets=613)
