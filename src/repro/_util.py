@@ -80,8 +80,9 @@ def seq_sum(carry: float, values) -> float:
     buf = np.empty(len(values) + 1)
     buf[0] = carry
     buf[1:] = values
-    # +inf meeting -inf makes a NaN, which the scalar += makes silently
-    with np.errstate(invalid="ignore"):
+    # the scalar += makes a NaN (+inf meeting -inf) and an overflow to
+    # inf silently
+    with np.errstate(invalid="ignore", over="ignore"):
         return float(np.add.accumulate(buf, out=buf)[-1])
 
 

@@ -306,12 +306,13 @@ class SlabCache:
         :func:`apply_rows_per_request` with a GET hit, a GET miss, its
         fill and a SET handled in this frame, from locals: what
         :meth:`lookup` and :meth:`set` do for them, in their order, once
-        per row — the fill reusing the miss's size class, bin and queue.
+        per row — the fill reusing the miss's size class, and its bin
+        and queue unless the policy bins by ``bin_for`` (no static
+        edges), which the fill asks again after the miss's ``on_miss``.
         What goes through :meth:`lookup` / :meth:`set` whole is a GET of
         an item that can expire, a row whose size no SET has classed
-        yet, an invalid row (a negative size, a NaN or negative
-        penalty), and every miss and SET under a policy without static
-        bin edges; DELETE goes through :meth:`delete`.  ``accesses`` is
+        yet, and an invalid row (a negative size, a NaN or negative
+        penalty); DELETE goes through :meth:`delete`.  ``accesses`` is
         stored before any hook runs; a migration requested from inside
         a hook waits until the operation is done, as it does in
         :meth:`lookup` and :meth:`set`; an exception leaves the rows
@@ -335,9 +336,10 @@ class SlabCache:
         stats = self.stats
         on_hit, on_miss = self._on_hit, self._on_miss
         on_insert, on_remove = self._on_insert, self._on_remove
-        # None: every miss and SET goes through lookup / set
+        # None: a miss, its fill and a SET each ask bin_for
         edges = self._bin_edges
         last_bin = self._last_bin
+        bin_for = self.policy.bin_for
         lookup, cache_set, cache_delete = self.lookup, self.set, self.delete
         h1 = h2 = 0
         try:
@@ -366,8 +368,8 @@ class SlabCache:
                     note(item.key_size + item.value_size if sized else 0)
                     continue
                 class_idx = (memo_get(key_size + value_size)
-                             if edges is not None and key_size >= 0
-                             and value_size >= 0 and penalty >= 0 else None)
+                             if key_size >= 0 and value_size >= 0
+                             and penalty >= 0 else None)
                 if class_idx is None or op == 0 and item is not None:
                     if op == 1:  # SET
                         cache_set(key, key_size, value_size, penalty)
@@ -380,9 +382,12 @@ class SlabCache:
                     if fill:
                         cache_set(key, key_size, value_size, penalty)
                     continue
-                bin_idx = bisect_left(edges, penalty)
-                if bin_idx > last_bin:
-                    bin_idx = last_bin
+                if edges is None:
+                    bin_idx = bin_for(penalty)
+                else:
+                    bin_idx = bisect_left(edges, penalty)
+                    if bin_idx > last_bin:
+                        bin_idx = last_bin
                 queue = queues_get((class_idx, bin_idx))
                 if op == 0:  # GET miss
                     self.accesses += 1
@@ -402,6 +407,9 @@ class SlabCache:
                     note(-1)
                     if not fill:
                         continue
+                    if edges is None:  # on_miss may have moved the edges
+                        bin_idx = bin_for(penalty)
+                        queue = queues_get((class_idx, bin_idx))
                 # a SET, or the miss's fill: what set() does
                 self.accesses += 1
                 self._in_operation = True

@@ -9,9 +9,10 @@ penalties (reservoir), and once warm, splits them at quantiles so the
 subclasses stay balanced whatever the distribution looks like.
 
 Re-binning applies to *new insertions only* — live items keep the queue
-they were stored in (their ``bin_idx`` is recorded on the item), which
-is exactly how Memcached handles class-geometry changes: lazily,
-through natural churn.
+they were stored in (their bin is that queue's ``bin_idx``), which is
+exactly how Memcached handles class-geometry changes: lazily, through
+natural churn.  A learned edge can move inside ``on_miss``, so the
+cache bins a miss and its fill separately.
 """
 
 from __future__ import annotations

@@ -199,7 +199,8 @@ class TimelineRecorder:
 
         Rolling the window stays with :meth:`record_get` and
         :meth:`advance`: the caller ends its run before the request at
-        :attr:`next_close` and sends that one through them.
+        :attr:`next_close` and calls :meth:`advance` at that request's
+        tick before recording it.
         """
         if not len(costs):
             return

@@ -80,9 +80,9 @@ class AllocationPolicy(ABC):
         these edges (``bin_for`` must equal "bisect_left over the edges,
         clamped to the last bin"; an empty tuple means a single bin 0).
         Policies whose binning depends on mutable state — learned edges,
-        the current tenant — must return ``None``, which sends every
-        miss and SET of the replay through ``lookup`` / ``set``, where
-        ``bin_for`` is consulted per request.  The base implementation
+        the current tenant — must return ``None``: the cache then asks
+        ``bin_for`` per miss, fill and SET, the fill after the miss's
+        ``on_miss`` has run.  The base implementation
         answers for any subclass that kept the penalty-blind default and
         refuses (``None``) for any that overrode ``bin_for`` without
         also overriding this hook.
@@ -118,7 +118,8 @@ class AllocationPolicy(ABC):
         """``item`` left ``queue`` for a non-pressure reason (DELETE, or a
         SET storing the key again).  A SET into the queue the item lives
         in re-stores it in place: ``on_insert`` follows for the same
-        object, which then carries a new ``cas``."""
+        object, whose CAS unique the store reset to 0 (the next ``gets``
+        issues one, ``SlabCache.cas_unique``)."""
 
     # -- eviction decisions -----------------------------------------------
     def choose_victim(self, queue: Queue) -> Item | None:

@@ -76,6 +76,15 @@ class _TenantTotals:
         self.cells: dict[int, list] = {}
         self.hists: dict[int, object] = {}
 
+    def check(self, tenants) -> None:
+        """``ValueError`` if ``tenants`` names one with no contract."""
+        top = int(tenants.max(initial=0))
+        if top >= len(self.policy.tenants):
+            raise ValueError(
+                f"the trace names tenant {top}, but policy "
+                f"{self.policy.name!r} has {len(self.policy.tenants)} "
+                f"tenant contracts")
+
     def add(self, tenants, hits, costs, penalties) -> None:
         """A run of GET outcomes, as :func:`tally_tenants` takes them."""
         for tenant, mine in tally_tenants(self.cells, tenants, hits, costs,
@@ -92,25 +101,22 @@ class _TenantTotals:
 
     def summary(self) -> dict[int, dict]:
         """``SimulationResult.tenant_metrics``."""
-        policy = self.policy
-        configs = getattr(policy, "tenants", ())
-        slabs = (policy.tenant_slabs()
-                 if hasattr(policy, "tenant_slabs") else [])
+        configs = self.policy.tenants
+        slabs = self.policy.tenant_slabs()
         out: dict[int, dict] = {}
         for tenant in sorted(self.cells):
             gets, hits, service_sum, penalty_sum = self.cells[tenant]
-            cfg = configs[tenant] if tenant < len(configs) else None
             hist = self.hists.get(tenant)
             out[tenant] = {
-                "name": cfg.name if cfg is not None else f"t{tenant}",
+                "name": configs[tenant].name,
                 "gets": gets,
                 "hits": hits,
                 "hit_ratio": hits / gets,
                 "service_sum": service_sum,
                 "avg_service_time": service_sum / gets,
                 "penalty_sum": penalty_sum,
-                "sla_weight": (cfg.sla_weight if cfg is not None else 1.0),
-                "slabs": slabs[tenant] if tenant < len(slabs) else 0,
+                "sla_weight": configs[tenant].sla_weight,
+                "slabs": slabs[tenant],
                 "quantiles": hist.quantiles() if hist is not None else {},
             }
         return out
@@ -307,26 +313,28 @@ class Simulator:
     def _replay(self, source, metrics: MetricsCollector,
                 service: ServiceTimeModel, hist, hist_hit, hist_miss,
                 timeline, tenants=None) -> None:
-        """The fault-free kernel: cache operations and one outcome per GET.
+        """The fault-free kernel: ``cache.apply_rows`` runs every row and
+        notes one outcome per GET.
 
-        Per trace window, the rows up to the next *closing row* run in
-        the cache's own loop (``cache.apply_rows``), which records
-        nothing but one outcome per GET; their GET costs are then one
-        array (the window's miss costs, the hit cost written over the hits)
-        that the collector, the histograms and the timeline reduce
-        through their ``record_many``.  A closing row is one on which a
-        metrics window or a timeline row closes — the
-        ``gets_to_close``-th GET from here, the row at the timeline's
-        ``next_close`` tick.  Both are known before the run starts;
-        that one row goes through :meth:`_closing_row`, which records
-        per request, so the per-request methods alone define when a
-        window closes and what it snapshots.  The next window is pulled
-        only when this one is fully reduced.
+        Per trace window, the rows up to the next *closing row* run as
+        one call; their GET costs are then one array (the window's miss
+        costs, the hit cost written over the hits) that the collector,
+        the histograms and the timeline reduce through ``record_many``.
+        A closing row is one on which a metrics window or a timeline row
+        closes — the ``gets_to_close``-th GET from here, the row at the
+        timeline's ``next_close`` tick — both known before the run
+        starts.  It runs alone and without its fill, then
+        ``timeline.advance`` and its reduction close what it closes, and
+        a missed GET's fill runs last, as a SET row: a close snapshots
+        after the row's operation and before its fill.  The next window
+        is pulled only when this one is fully reduced.
 
         ``tenants`` (a :class:`_TenantTotals`, for a policy that
         arbitrates between tenants) tags every row with its tenant as
         the cache pulls it and adds each run's GETs to the per-tenant
-        totals and the timeline's tenant cells.
+        totals and the timeline's tenant cells.  A window that names a
+        tenant the policy has no contract for raises ``ValueError``
+        before any of its rows runs.
 
         When the policy hashes keys (a Bloom tracker), each window's
         keys are hashed as one array and the cache is handed the
@@ -344,6 +352,32 @@ class Simulator:
         plain_miss = type(service).miss is ServiceTimeModel.miss
         got: list[int] = []  # per GET of a run: size hit (0 unsized), -1 miss
         note = got.append
+
+        def reduce() -> None:
+            """Reduce the GETs of window ``w`` noted since the last call."""
+            nonlocal gets
+            if not got:
+                return
+            outcome = np.array(got)
+            got.clear()
+            hits = outcome >= 0
+            of_gets = get_rows[gets:gets + len(outcome)]
+            gets += len(outcome)
+            costs = miss_costs[of_gets]
+            costs[hits] = service.hit_array(outcome[hits])
+            metrics.record_many(hits, costs)
+            if hist is not None:
+                hist.record_many(costs)
+                hist_hit.record_many(costs[hits])
+                hist_miss.record_many(costs[~hits])
+            of_tenants = None
+            if tenants is not None:
+                of_tenants = w.tenants[of_gets]
+                tenants.add(of_tenants, hits, costs, penalties[of_gets])
+            if timeline is not None:
+                timeline.record_many(hits, costs, penalties[of_gets],
+                                     of_tenants)
+
         base = 0  # tick of the window's first row
         for w in iter_windows(source):
             n = len(w)
@@ -357,6 +391,7 @@ class Simulator:
                 hashes = dict(zip(w.keys.tolist(),
                                   zip(h1.tolist(), h2.tolist())))
             if tenants is not None:
+                tenants.check(w.tenants)
                 rows = _tagged(rows, w.tenants.tolist(), tenants.policy)
             at = gets = 0  # rows and GETs of this window already replayed
             while at < n:
@@ -368,75 +403,21 @@ class Simulator:
                     stop = min(stop, max(at, timeline.next_close - base))
                 apply_rows(islice(rows, stop - at), fill, note, sized,
                            hashes)
-                if got:
-                    outcome = np.array(got)
-                    got.clear()
-                    hits = outcome >= 0
-                    of_gets = get_rows[gets:gets + len(outcome)]
-                    costs = miss_costs[of_gets]
-                    costs[hits] = service.hit_array(outcome[hits])
-                    metrics.record_many(hits, costs)
-                    if hist is not None:
-                        hist.record_many(costs)
-                        hist_hit.record_many(costs[hits])
-                        hist_miss.record_many(costs[~hits])
-                    of_tenants = None
-                    if tenants is not None:
-                        of_tenants = w.tenants[of_gets]
-                        tenants.add(of_tenants, hits, costs,
-                                    penalties[of_gets])
-                    if timeline is not None:
-                        timeline.record_many(hits, costs, penalties[of_gets],
-                                             of_tenants)
-                    gets += len(outcome)
+                reduce()
                 if stop < n:
-                    gets += self._closing_row(
-                        base + stop, next(rows), float(miss_costs[stop]),
-                        metrics, service, hist, hist_hit, hist_miss, timeline,
-                        tenants)
+                    row = next(rows)
+                    apply_rows((row,), False, note, sized, hashes)
+                    refill = fill and got == [-1]  # a GET that missed
+                    if timeline is not None:
+                        timeline.advance(base + stop)
+                    reduce()
+                    if refill:
+                        apply_rows(((1,) + row[1:],), False, note, sized,
+                                   hashes)
                 at = stop + 1
             base += n
             # this window's lists go before the next is pulled
             rows = hashes = None
-
-    def _closing_row(self, tick, row, miss_cost, metrics, service,
-                     hist, hist_hit, hist_miss, timeline,
-                     tenants=None) -> bool:
-        """One request recorded the per-request way; True for a GET.
-
-        A metrics window closes inside ``record_hit``/``record_miss``,
-        after the lookup and before the fill SET; a timeline row closes
-        inside ``record_get`` before the GET is counted, or inside
-        ``advance`` after a SET/DELETE ran.  A tagged row arrives with
-        ``policy.current_tenant`` already set to its tenant.
-        """
-        cache = self.cache
-        op, key, key_size, value_size, penalty = row
-        if op != 0:
-            if op == 1:  # SET
-                cache.set(key, key_size, value_size, penalty)
-            else:  # DELETE
-                cache.delete(key)
-            if timeline is not None:
-                timeline.advance(tick)
-            return False
-        item = cache.lookup(key, key_size, value_size, penalty)
-        hit = item is not None
-        cost = service.hit(item.total_size) if hit else miss_cost
-        (metrics.record_hit if hit else metrics.record_miss)(cost)
-        tenant = -1
-        if tenants is not None:
-            tenant = tenants.policy.current_tenant
-            tenants.add(np.array([tenant]), np.array([hit]),
-                        np.array([cost]), np.array([penalty]))
-        if timeline is not None:
-            timeline.record_get(tick, hit, cost, penalty, tenant)
-        if hist is not None:
-            hist.record(cost)
-            (hist_hit if hit else hist_miss).record(cost)
-        if not hit and self.fill_on_miss:
-            cache.set(key, key_size, value_size, penalty)
-        return True
 
     def _replay_faulty(self, rows, metrics: MetricsCollector,
                        service: ServiceTimeModel,
