@@ -22,8 +22,8 @@ from typing import Iterator
 from repro import obs as _obs
 from repro._util import fmt_bytes
 from repro.bloom.hashing import PAIR_SEED_DELTA, hash_key
-from repro.cache.errors import (InvalidItemError, ItemTooLargeError,
-                                OutOfMemoryError, PolicyError)
+from repro.cache.errors import (InvalidItemError, OutOfMemoryError,
+                                PolicyError)
 from repro.cache.item import Item
 from repro.cache.queue import Queue
 from repro.cache.sizeclasses import SizeClassConfig
@@ -99,8 +99,9 @@ class SlabCache:
         self.policy = policy
         self.index: dict[object, Item] = {}
         self.queues: dict[tuple[int, int], Queue] = {}
-        # The size classes' item_size -> class memo, probed in place by
-        # lookup/set; class_for_size fills it and answers what it lacks.
+        # The size classes' item_size -> class memo (-1: no class holds
+        # the size), probed in place by lookup / set / apply_rows;
+        # classify() fills it and answers what it lacks.
         self._class_memo = self.size_classes._class_cache
         self.stats = CacheStats()
         #: monotonically increasing access tick (GETs + SETs + DELETEs);
@@ -277,11 +278,8 @@ class SlabCache:
             if key_size >= 0:
                 class_idx = self._class_memo.get(key_size + value_size)
                 if class_idx is None:
-                    try:
-                        class_idx = self.size_classes.class_for_size(
-                            key_size + value_size)
-                    except ItemTooLargeError:
-                        class_idx = -1
+                    class_idx = self.size_classes.classify(
+                        key_size + value_size)
                 bin_idx = 0
                 if penalty == penalty:  # not NaN
                     stats.total_miss_penalty += penalty
@@ -311,7 +309,8 @@ class SlabCache:
         edges), which the fill asks again after the miss's ``on_miss``.
         What goes through :meth:`lookup` / :meth:`set` whole is a GET of
         an item that can expire, a row whose size no SET has classed
-        yet, and an invalid row (a negative size, a NaN or negative
+        yet or no class holds (memoized as -1, so it raises nothing),
+        and an invalid row (a negative size, a NaN or negative
         penalty); DELETE goes through :meth:`delete`.  ``accesses`` is
         stored before any hook runs; a migration requested from inside
         a hook waits until the operation is done, as it does in
@@ -367,10 +366,12 @@ class SlabCache:
                         self._flush_migrations()
                     note(item.key_size + item.value_size if sized else 0)
                     continue
-                class_idx = (memo_get(key_size + value_size)
+                # -1: a size no SET has classed yet or no class holds,
+                # or an invalid row
+                class_idx = (memo_get(key_size + value_size, -1)
                              if key_size >= 0 and value_size >= 0
-                             and penalty >= 0 else None)
-                if class_idx is None or op == 0 and item is not None:
+                             and penalty >= 0 else -1)
+                if class_idx < 0 or op == 0 and item is not None:
                     if op == 1:  # SET
                         cache_set(key, key_size, value_size, penalty)
                         continue
@@ -465,8 +466,8 @@ class SlabCache:
 
         A key that is live in the queue the item maps to is re-stored in
         place: the policy hears ``on_remove`` for it, the item keeps its
-        slot and its object and is promoted (the tracker hears one
-        ``on_promote``), takes the new sizes, penalty, value and expiry,
+        slot and its object and is promoted (one ``move_to_front``),
+        takes the new sizes, penalty, value and expiry,
         its CAS unique is reset to 0, and the policy hears ``on_insert``.  A
         live key that maps to another queue is unlinked first, so it
         frees its old slot before the new queue is asked for one.
@@ -481,11 +482,10 @@ class SlabCache:
         self.accesses += 1
         class_idx = self._class_memo.get(item_size)
         if class_idx is None:
-            try:
-                class_idx = self.size_classes.class_for_size(item_size)
-            except ItemTooLargeError:
-                self.stats.rejected_too_large += 1
-                return False
+            class_idx = self.size_classes.classify(item_size)
+        if class_idx < 0:
+            self.stats.rejected_too_large += 1
+            return False
         edges = self._bin_edges
         if edges is None:
             bin_idx = self.policy.bin_for(penalty)
@@ -585,14 +585,13 @@ class SlabCache:
     def close(self) -> None:
         """Tear the cache down for good, so reference counting frees it.
 
-        LRU neighbours, an item and its queue, a queue's list and the
-        tracker observing it, the cache and its policy all point at one
-        another, so a dropped cache would otherwise wait for CPython's
-        cyclic collector.  This unlinks every item, empties every queue
-        and has the policy drop its state (``policy.detach()``), and it
-        lets go of its timeline, whose ``snapshot_fn`` may point back
-        at the cache.  The slab counts and stats stay readable; nothing
-        else works after.
+        LRU neighbours, an item and its queue, the cache and its policy
+        all point at one another, so a dropped cache would otherwise
+        wait for CPython's cyclic collector.  This unlinks every item,
+        empties every queue and has the policy drop its state
+        (``policy.detach()``), and it lets go of its timeline, whose
+        ``snapshot_fn`` may point back at the cache.  The slab counts
+        and stats stay readable; nothing else works after.
         """
         self.policy.detach()
         self.timeline = None
@@ -600,7 +599,7 @@ class SlabCache:
             lru = queue.lru
             for item in lru:
                 item.prev = item.next = item.queue = None
-            lru.head = lru.tail = lru.observer = None
+            lru.head = lru.tail = None
             lru.size = 0
             queue.policy_data = None
         self.index.clear()
@@ -674,7 +673,7 @@ class SlabCache:
             self.events.record("eviction", self.accesses, queue=queue.qid,
                                key=victim.key, penalty=victim.penalty,
                                size=victim.total_size)
-        self.policy.on_evict(queue, victim)
+        self.policy.on_evict(queue, (victim,))
 
     def _migrate_slab(self, donor: Queue, receiver: Queue) -> None:
         """Move one slab from ``donor`` to ``receiver``.
@@ -683,8 +682,9 @@ class SlabCache:
         free (the paper's discard-and-compact), then transfers ownership.
         Under strict LRU the surplus leaves as one run off the stack
         bottom: unlinked, dropped from the index and counted together,
-        then handed to the policy LRU first — what :meth:`_evict_one`
-        per item does, in the order it does it per kind of step.
+        then handed to the policy in one ``on_evict``, LRU first — what
+        :meth:`_evict_one` per item does, in the order it does it per
+        kind of step.
         """
         if donor.slabs < 1:
             raise PolicyError(
@@ -709,9 +709,7 @@ class SlabCache:
                     events.record("eviction", self.accesses, queue=donor.qid,
                                   key=victim.key, penalty=victim.penalty,
                                   size=victim.total_size)
-            on_evict = self.policy.on_evict
-            for victim in victims:
-                on_evict(donor, victim)
+            self.policy.on_evict(donor, victims)
         self.pool.transfer(donor.qid, receiver.qid)
         donor.slabs -= 1
         receiver.slabs += 1

@@ -49,8 +49,8 @@ class Item:
         self.cas = 0
         self.prev: Item | None = None
         self.next: Item | None = None
-        # Segment index maintained by a SegmentedLRU observer (-1 = above
-        # all tracked bottom segments).
+        # Bottom segment, kept by the SegmentedLRU holding the item (-1 =
+        # above all tracked bottom segments, or no such list).
         self.seg = -1
 
     @property

@@ -1,50 +1,32 @@
-"""Intrusive doubly-linked LRU list with an optional observer.
+"""Intrusive doubly-linked LRU list.
 
 The list links :class:`~repro.cache.item.Item` nodes through their own
 ``prev``/``next`` slots, so push/remove/move are pointer surgery with no
 allocation.  Order convention: **front = MRU, back = LRU** (the paper's
 "stack top" is the front, "stack bottom" the back).
 
-An observer (PAMA's segment tracker) can subscribe to structural
-changes: one callback per change, see :class:`LRUObserver`.
+PAMA's exact tracker is a subclass,
+:class:`~repro.core.segments.SegmentedLRU`, whose mutators also keep
+every item's bottom segment; the cache drives both through the same
+four mutators.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Protocol
+from typing import Iterator
 
 from repro.cache.item import Item
-
-
-class LRUObserver(Protocol):
-    """Callbacks a segment tracker implements to shadow list changes.
-
-    ``on_push_front`` fires after the item is linked at the front;
-    ``on_remove`` fires *before* the item is unlinked, so the observer
-    can still read ``item.prev``/``item.next``.  A promotion
-    (:meth:`LRUList.move_to_front`) is one ``on_promote``, fired like a
-    removal — before anything moves, links intact — and standing for
-    that removal and the push to the front that follows it; it does not
-    fire for an item that already is the head.
-    """
-
-    def on_push_front(self, item: Item) -> None: ...
-
-    def on_remove(self, item: Item) -> None: ...
-
-    def on_promote(self, item: Item) -> None: ...
 
 
 class LRUList:
     """Doubly-linked list of Items; front is MRU, back is LRU."""
 
-    __slots__ = ("head", "tail", "size", "observer")
+    __slots__ = ("head", "tail", "size")
 
     def __init__(self) -> None:
         self.head: Item | None = None   # MRU
         self.tail: Item | None = None   # LRU
         self.size = 0
-        self.observer: LRUObserver | None = None
 
     def push_front(self, item: Item) -> None:
         """Insert ``item`` at the MRU end. The item must be unlinked."""
@@ -56,13 +38,9 @@ class LRUList:
         if self.tail is None:
             self.tail = item
         self.size += 1
-        if self.observer is not None:
-            self.observer.on_push_front(item)
 
     def remove(self, item: Item) -> None:
         """Unlink ``item`` from the list."""
-        if self.observer is not None:
-            self.observer.on_remove(item)
         prev, nxt = item.prev, item.next
         if prev is not None:
             prev.next = nxt
@@ -79,16 +57,11 @@ class LRUList:
         """Promote ``item`` to MRU (the LRU 'hit' operation).
 
         :meth:`remove` then :meth:`push_front` in one body, ``size``
-        untouched, and one observer callback for the pair:
-        ``on_promote(item)`` while the item is still linked where it
-        was.  The head is left alone and the observer hears nothing.
+        untouched; the head is left alone.
         """
         head = self.head
         if head is item:
             return
-        observer = self.observer
-        if observer is not None:
-            observer.on_promote(item)
         # Not the head, so there is a predecessor.
         prev, nxt = item.prev, item.next
         prev.next = nxt
@@ -111,21 +84,15 @@ class LRUList:
     def pop_back_run(self, count: int) -> list[Item]:
         """Remove the ``count`` LRU-most items; returns them LRU first.
 
-        :meth:`pop_back` ``count`` times in one body: the observer hears
-        ``on_remove`` per item, LRU first, each with its links intact and
-        everything beneath it already gone.  ``tail`` and ``size`` settle
-        once, after the run (no observer reads them).  Stops early at an
-        empty list.
+        :meth:`pop_back` ``count`` times in one body, each item left
+        unlinked; ``tail`` and ``size`` settle once, after the run.
+        Stops early at an empty list.
         """
-        observer = self.observer
-        on_remove = observer.on_remove if observer is not None else None
         run: list[Item] = []
         item = self.tail
         for _ in range(count):
             if item is None:
                 break
-            if on_remove is not None:
-                on_remove(item)
             prev = item.prev
             if prev is not None:
                 prev.next = None

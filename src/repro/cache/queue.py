@@ -30,8 +30,8 @@ class Queue:
         self.slabs = 0
         self.lru = LRUList()
         self.stats = QueueStats()
-        #: opaque slot for the active policy (e.g. PAMA's segment
-        #: tracker + ghost list live here).
+        #: opaque slot for the active policy (e.g. PAMA's ghost list and
+        #: values live here; its exact tracker replaces ``lru``).
         self.policy_data: object = None
 
     @property

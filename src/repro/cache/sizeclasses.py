@@ -60,7 +60,8 @@ class SizeClassConfig:
         self._slots_per_slab = tuple(slab_size // s for s in sizes)
         # item_size -> class memo: traces draw from a handful of
         # distinct sizes, so the GET/SET hot path resolves classes with
-        # one dict probe instead of a scan (only valid sizes are cached).
+        # one dict probe instead of a scan.  A size no class holds is
+        # memoized as -1; a non-positive one is never memoized.
         self._class_cache: dict[int, int] = {}
 
     @property
@@ -95,21 +96,31 @@ class SizeClassConfig:
         Raises :class:`ItemTooLargeError` if no class fits and
         :class:`InvalidItemError` for non-positive sizes.
         """
-        cached = self._class_cache.get(item_size)
-        if cached is not None:
-            return cached
+        idx = self._class_cache.get(item_size)
+        if idx is None:
+            idx = self.classify(item_size)
+        if idx < 0:
+            raise ItemTooLargeError(item_size + self.item_overhead,
+                                    self.max_item_size)
+        return idx
+
+    def classify(self, item_size: int) -> int:
+        """:meth:`class_for_size` with -1 where no class fits, memoized
+        like a class (the cache reads -1 as "too large" without an
+        exception).  Raises :class:`InvalidItemError` for non-positive
+        sizes."""
         if item_size <= 0:
             raise InvalidItemError(f"item size must be positive, got {item_size}")
         total = item_size + self.item_overhead
-        if total > self.max_item_size:
-            raise ItemTooLargeError(total, self.max_item_size)
+        idx = -1
         # Classes are few (tens); a linear scan beats bisect setup cost
         # and stays obviously correct for non-power-of-two growth.
-        for idx, slot in enumerate(self._slot_sizes):
+        for i, slot in enumerate(self._slot_sizes):
             if total <= slot:
-                self._class_cache[item_size] = idx
-                return idx
-        raise AssertionError("unreachable: size checked against max")
+                idx = i
+                break
+        self._class_cache[item_size] = idx
+        return idx
 
     def describe(self) -> str:
         """Human-readable table of the class layout."""

@@ -7,7 +7,7 @@ from repro.core.config import (DEFAULT_PENALTY, DEFAULT_PENALTY_EDGES,
 from repro.core.ghost import GhostEntry, GhostList
 from repro.core.pama import PamaPolicy, PamaQueueState
 from repro.core.prepama import PrePamaPolicy
-from repro.core.segments import SegmentTracker
+from repro.core.segments import SegmentedLRU
 from repro.core.value import ValueAccumulator
 
 __all__ = [
@@ -16,7 +16,7 @@ __all__ = [
     "PrePamaPolicy",
     "AdaptivePamaPolicy",
     "PamaQueueState",
-    "SegmentTracker",
+    "SegmentedLRU",
     "BloomSegmentTracker",
     "GhostList",
     "GhostEntry",

@@ -31,7 +31,9 @@ from repro.cache.lru import LRUList
 
 
 class BloomSegmentTracker:
-    """Drop-in alternative to :class:`~repro.core.segments.SegmentTracker`."""
+    """Drop-in alternative to :class:`~repro.core.segments.SegmentedLRU`'s
+    tracking: it reads a plain list, which it walks only to rebuild, and
+    leaves ``item.seg`` alone."""
 
     __slots__ = ("lru", "seg_len", "num_segments", "filters", "removal",
                  "rebuilds", "queries", "false_region_hits")
@@ -40,8 +42,6 @@ class BloomSegmentTracker:
                  fp_rate: float = 0.01) -> None:
         if seg_len <= 0 or num_segments <= 0:
             raise ValueError("seg_len and num_segments must be positive")
-        if lru.observer is not None:
-            raise ValueError("LRU list already has an observer")
         self.lru = lru
         self.seg_len = seg_len
         self.num_segments = num_segments
@@ -55,7 +55,6 @@ class BloomSegmentTracker:
         self.rebuilds = 0
         self.queries = 0
         self.false_region_hits = 0
-        lru.observer = self
 
     # -- queries ---------------------------------------------------------
     def segment_on_access(self, item: Item, h1: int = 0, h2: int = 0) -> int:
@@ -88,16 +87,6 @@ class BloomSegmentTracker:
     def rollover(self) -> None:
         """Window boundary: rebuild the segment filters from the stack."""
         self.rebuild()
-
-    # -- LRU observer (structural changes handled lazily at rebuild) -------
-    def on_push_front(self, item: Item) -> None:
-        item.seg = -1  # the bloom tracker does not maintain item.seg
-
-    def on_remove(self, item: Item) -> None:
-        pass
-
-    def on_promote(self, item: Item) -> None:
-        item.seg = -1
 
     # -- maintenance ----------------------------------------------------------
     def rebuild(self) -> None:

@@ -15,7 +15,7 @@ Entries are ordered by eviction recency: the most recently evicted item
 sits at the ghost top.  Capacity is ``num_segments * seg_len``; pushing
 past it drops the oldest (bottom) entry.
 
-Segment tracking mirrors :class:`~repro.core.segments.SegmentTracker`
+Segment tracking mirrors :class:`~repro.core.segments.SegmentedLRU`
 with the direction flipped (distances measured from the top, so a push
 shifts *every* boundary instead of none).
 
@@ -28,7 +28,7 @@ key set to keep in step.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Sequence
 
 
 class GhostEntry:
@@ -104,57 +104,88 @@ class GhostList:
             node = nxt
 
     # -- mutations ----------------------------------------------------------
-    def push(self, key: object, penalty: float) -> object | None:
-        """Record an eviction at the ghost top.
+    def push_run(self, items: Sequence) -> None:
+        """Record a run of evictions at the ghost top, LRU first.
 
-        Returns the key dropped off the ghost bottom (capacity overflow)
-        or None.  A key already in the directory is refreshed: it leaves
-        the list that held it and enters this one at the top.
+        ``items`` carry ``key`` and ``penalty`` (evicted
+        :class:`~repro.cache.item.Item` objects) and their keys are
+        distinct.  The list, its bounds, every entry's ``seg`` and the
+        directory end as one push per item would leave them: a key
+        already in the directory is refreshed (it leaves the list that
+        held it and enters this one at the top), and what falls past
+        the capacity drops off the ghost bottom.
         """
-        index = self.index
-        old = index.get(key)
-        if old is not None:
-            old.ghost.remove_entry(old)
-
-        entry = GhostEntry(key, penalty, self)
-        # Every existing entry's top-distance grows by one: each boundary
-        # pointer moves one step toward the top.
-        old_len = self.n
-        bounds = self.bounds
         seg_len = self.seg_len
-        for k in range(self.num_segments - 1, 0, -1):
-            node = bounds[k]
-            if node is not None:
-                newly = node.prev
-            elif old_len == k * seg_len:
-                newly = self.tail
+        r = len(items)
+        if r > seg_len:
+            # Segment-long pieces, so each boundary below moves at most
+            # one segment.
+            for start in range(0, r, seg_len):
+                self.push_run(items[start:start + seg_len])
+            return
+        index = self.index
+        index_get = index.get
+        # The run's entries, chained top (the last item) to bottom; a
+        # refreshed key leaves its old list first, as a push does.
+        top = bottom = None
+        for item in items:
+            key = item.key
+            old = index_get(key)
+            if old is not None:
+                old.ghost.remove_entry(old)
+            entry = index[key] = GhostEntry(key, item.penalty, self)
+            if top is None:
+                bottom = entry
             else:
-                continue  # the ghost does not reach segment k yet
-            newly.seg = k
-            bounds[k] = newly
-
+                entry.next = top
+                top.prev = entry
+            top = entry
+        if top is None:
+            return
+        # Every entry already here moves r further from the top: the
+        # boundary of segment k >= 1 moves r entries toward the top (to
+        # top-distance k*seg_len - r >= 0), handing each entry it passes
+        # to segment k.  A list that does not reach a boundary yet
+        # starts that walk at its tail.
+        n = self.n
+        bounds = self.bounds
+        for k in range(1, self.num_segments):
+            node = bounds[k]
+            if node is None:
+                steps = n - k * seg_len + r  # entries that join segment k
+                if steps <= 0:
+                    break
+                node = self.tail
+                node.seg = k
+                steps -= 1
+            else:
+                steps = r
+            for _ in range(steps):
+                node = node.prev
+                node.seg = k
+            bounds[k] = node
         head = self.head
-        entry.next = head
+        bottom.next = head
         if head is not None:
-            head.prev = entry
+            head.prev = bottom
         else:
-            self.tail = entry
-        self.head = entry
-        bounds[0] = entry
-        index[key] = entry
-
-        if old_len < self.capacity:
-            self.n = old_len + 1
-            return None
-        # Full: the bottom entry falls off.  It now sits one past the
-        # last segment, beneath every boundary, so no pointer moves.
-        dropped = self.tail
-        last = dropped.prev
-        last.next = None
-        self.tail = last
-        dropped.prev = None
-        del index[dropped.key]
-        return dropped.key
+            self.tail = bottom
+        self.head = bounds[0] = top
+        n += r
+        # Full: the bottom entries fall off.  They sit past the last
+        # segment, beneath every boundary, so no pointer moves.
+        capacity = self.capacity
+        if n > capacity:
+            node = self.tail
+            for _ in range(n - capacity):
+                del index[node.key]
+                last = node.prev
+                node.prev = None
+                node = last
+            node.next = None
+            self.tail = node
+            n = capacity
+        self.n = n
 
     def remove(self, key: object) -> bool:
         """Forget ``key`` (it re-entered the cache). True if present."""

@@ -16,12 +16,12 @@ slot and no free slab exists:
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.bloom_tracker import BloomSegmentTracker
 from repro.core.config import PamaConfig
 from repro.core.ghost import GhostEntry, GhostList
-from repro.core.segments import SegmentTracker
+from repro.core.segments import SegmentedLRU
 from repro.core.value import ValueAccumulator
 from repro.policies.base import AllocationPolicy
 
@@ -31,7 +31,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class PamaQueueState:
-    """Per-subclass machinery: segment tracker, ghost list, values."""
+    """Per-subclass machinery: segment tracker, ghost list, values.
+
+    The exact tracker is the queue's own list (a
+    :class:`~repro.core.segments.SegmentedLRU`); the Bloom tracker
+    watches a plain one.
+    """
 
     __slots__ = ("tracker", "ghost", "values", "qid")
 
@@ -108,7 +113,9 @@ class PamaPolicy(AllocationPolicy):
                                           cfg.num_segments,
                                           fp_rate=cfg.bloom_fp_rate)
         else:
-            tracker = SegmentTracker(queue.lru, seg_len, cfg.num_segments)
+            # The queue is new and empty: its list becomes one that
+            # keeps its items' segments.
+            queue.lru = tracker = SegmentedLRU(seg_len, cfg.num_segments)
         # As deep as the tracked stack bottom: Eq. 2 sums one incoming
         # term per outgoing one.
         ghost = GhostList(seg_len, cfg.num_segments, self.ghost_owner)
@@ -152,8 +159,11 @@ class PamaPolicy(AllocationPolicy):
         else:
             seg = queue.policy_data.tracker.segment_on_access(item, h1, h2)
         if seg >= 0:
-            queue.policy_data.values.add_outgoing(
-                seg, item.penalty if self.penalty_aware else 1.0)
+            # ValueAccumulator.add_outgoing, in this frame
+            values = queue.policy_data.values
+            values.out[seg] += item.penalty if self.penalty_aware else 1.0
+            values.out_hits[seg] += 1
+            values._out_value = None
 
     def on_miss(self, key: object, class_idx: int, penalty: float,
                 h1: int = 0, h2: int = 0) -> None:
@@ -183,10 +193,11 @@ class PamaPolicy(AllocationPolicy):
         if entry is not None:
             entry.ghost.remove_entry(entry)
 
-    def on_evict(self, queue: Queue, item: Item) -> None:
-        # Stack bottom -> ghost top; the list files the entry in the
-        # directory and drops the key that falls off its own bottom.
-        queue.policy_data.ghost.push(item.key, item.penalty)
+    def on_evict(self, queue: Queue, items: Sequence[Item]) -> None:
+        # Stack bottom -> ghost top, the run in one call; the list files
+        # the entries in the directory and drops the keys that fall off
+        # its own bottom.
+        queue.policy_data.ghost.push_run(items)
 
     def on_remove(self, queue: Queue, item: Item) -> None:
         # DELETE / replacement: the key leaves without becoming a ghost

@@ -7,17 +7,20 @@ if any — the touched item sits in, to credit that segment's value.
 
 The paper answers the membership question with Bloom filters
 (:mod:`repro.core.bloom_tracker`).  This module provides the *exact*
-alternative the simulator defaults to: one boundary pointer per segment
-edge, shifted O(1) per list operation, so every item always carries its
-current segment index in ``item.seg`` (-1 = above all tracked segments).
+alternative the simulator defaults to: an LRU list that keeps one
+boundary pointer per segment edge and shifts them in the same frame as
+each of its mutations, so every item always carries its current segment
+index in ``item.seg`` (-1 = above all tracked segments, and on an item
+no list holds).
 
 Distance convention: the LRU tail has bottom-distance 0; segment k
 covers distances [k*seg_len, (k+1)*seg_len).  ``bounds[k]`` points at
 the item with distance exactly ``k*seg_len`` (the lowest item of
 segment k), or None when the stack is too short to reach it.
-``bounds[num_segments]`` is a *virtual* boundary at the upper edge of
-the tracked region: the first untracked item, which enters segment
-``num_segments - 1`` whenever a removal happens beneath it.
+``bounds[num_segments]`` (``bounds[-1]``) is a *virtual* boundary at
+the upper edge of the tracked region: the first untracked item, which
+enters segment ``num_segments - 1`` whenever a removal happens beneath
+it.
 """
 
 from __future__ import annotations
@@ -26,21 +29,22 @@ from repro.cache.item import Item
 from repro.cache.lru import LRUList
 
 
-class SegmentTracker:
-    """LRU observer maintaining exact per-item segment indices."""
+class SegmentedLRU(LRUList):
+    """An LRU list that keeps every item's bottom segment in ``item.seg``.
 
-    __slots__ = ("lru", "seg_len", "num_segments", "limit", "bounds", "n")
+    PAMA installs one as each new queue's list; it is also the
+    subclass's tracker (``segment_on_access`` / ``rollover``, the Bloom
+    tracker's interface).
+    """
 
-    def __init__(self, lru: LRUList, seg_len: int, num_segments: int) -> None:
+    __slots__ = ("seg_len", "num_segments", "limit", "bounds")
+
+    def __init__(self, seg_len: int, num_segments: int) -> None:
         if seg_len <= 0:
             raise ValueError(f"seg_len must be positive, got {seg_len}")
         if num_segments <= 0:
             raise ValueError(f"num_segments must be positive, got {num_segments}")
-        if lru.observer is not None:
-            raise ValueError("LRU list already has an observer")
-        if len(lru) != 0:
-            raise ValueError("SegmentTracker must attach to an empty list")
-        self.lru = lru
+        super().__init__()
         self.seg_len = seg_len
         self.num_segments = num_segments
         #: bottom-distance of the first item above the tracked region.
@@ -48,10 +52,8 @@ class SegmentTracker:
         # bounds[k] for k < num_segments: lowest item of segment k;
         # bounds[num_segments]: first item above the tracked region.
         self.bounds: list[Item | None] = [None] * (num_segments + 1)
-        self.n = 0
-        lru.observer = self
 
-    # -- queries ---------------------------------------------------------
+    # -- tracker interface -----------------------------------------------
     def segment_on_access(self, item: Item, h1: int = 0, h2: int = 0) -> int:
         """Segment the item occupies right now (-1 if above the region).
 
@@ -65,10 +67,18 @@ class SegmentTracker:
     def rollover(self) -> None:
         """Window-boundary hook; the exact tracker has nothing to refresh."""
 
-    # -- LRU observer ------------------------------------------------------
-    def on_push_front(self, item: Item) -> None:
-        d = self.n  # the new front item has the largest bottom-distance
-        self.n = d + 1
+    # -- mutators ------------------------------------------------------------
+    def push_front(self, item: Item) -> None:
+        d = self.size  # the new front item has the largest bottom-distance
+        head = self.head
+        item.prev = None
+        item.next = head
+        if head is not None:
+            head.prev = item
+        else:
+            self.tail = item
+        self.head = item
+        self.size = d + 1
         limit = self.limit
         if d > limit:  # a stack past its tracked bottom: the usual case
             item.seg = -1
@@ -79,74 +89,136 @@ class SegmentTracker:
                 self.bounds[seg] = item
         else:
             item.seg = -1
-            self.bounds[self.num_segments] = item
+            self.bounds[-1] = item
 
-    def on_remove(self, item: Item) -> None:
-        # Called with links intact (before the unlink).
+    def remove(self, item: Item) -> None:
         s = item.seg
-        self.n -= 1
         bounds = self.bounds
+        prev, nxt = item.prev, item.next
         if s < 0:
             # Above the tracked region; only the virtual boundary can be
             # affected (when the removed item is exactly the first
             # untracked one).
-            if bounds[self.num_segments] is item:
-                bounds[self.num_segments] = item.prev
-            return
-        # Every boundary strictly above the removed item shifts one step
-        # toward the front: its old node drops into the segment below.
-        # The virtual boundary's node re-enters the tracked region.
-        for k in range(s + 1, self.num_segments + 1):
-            node = bounds[k]
-            if node is None:
-                break
-            node.seg = k - 1
-            bounds[k] = node.prev
-        if bounds[s] is item:
-            bounds[s] = item.prev
-        item.seg = -1
+            if bounds[-1] is item:
+                bounds[-1] = prev
+        else:
+            # Every boundary strictly above the removed item shifts one
+            # step toward the front: its old node drops into the segment
+            # below.  The virtual boundary's node re-enters the region.
+            for k in range(s + 1, self.num_segments + 1):
+                node = bounds[k]
+                if node is None:
+                    break
+                node.seg = k - 1
+                bounds[k] = node.prev
+            if bounds[s] is item:
+                bounds[s] = prev
+            item.seg = -1
+        if prev is not None:
+            prev.next = nxt
+        else:
+            self.head = nxt
+        if nxt is not None:
+            nxt.prev = prev
+        else:
+            self.tail = prev
+        item.prev = item.next = None
+        self.size -= 1
 
-    def on_promote(self, item: Item) -> None:
-        # The boundary walk of on_remove and the placement of
-        # on_push_front in one body; links intact, ``n`` is unchanged.
-        s = item.seg
-        bounds = self.bounds
-        m = self.num_segments
-        if s < 0:
+    def move_to_front(self, item: Item) -> None:
+        # The boundary walk of remove() and the placement of
+        # push_front() in one body; ``size`` is unchanged.
+        head = self.head
+        if head is item:
+            return
+        # Not the head, so there is a predecessor.
+        prev, nxt = item.prev, item.next
+        if item.seg < 0:
             # Above the tracked region and not the head, so the stack
             # still reaches past the region once the item is on top:
             # it stays untracked.
-            if bounds[m] is item:
-                bounds[m] = item.prev
-            return
-        for k in range(s + 1, m + 1):
-            node = bounds[k]
-            if node is None:
-                break
-            node.seg = k - 1
-            bounds[k] = node.prev
-        if bounds[s] is item:
-            bounds[s] = item.prev
-        d = self.n - 1  # the bottom-distance of the front
-        limit = self.limit
-        if d > limit:
-            item.seg = -1
-        elif d < limit:
-            seg_len = self.seg_len
-            item.seg = seg = d // seg_len
-            if d % seg_len == 0:
-                bounds[seg] = item
+            bounds = self.bounds
+            if bounds[-1] is item:
+                bounds[-1] = prev
         else:
+            s = item.seg
+            bounds = self.bounds
+            m = self.num_segments
+            for k in range(s + 1, m + 1):
+                node = bounds[k]
+                if node is None:
+                    break
+                node.seg = k - 1
+                bounds[k] = node.prev
+            if bounds[s] is item:
+                bounds[s] = prev
+            d = self.size - 1  # the bottom-distance of the front
+            limit = self.limit
+            if d > limit:
+                item.seg = -1
+            elif d < limit:
+                seg_len = self.seg_len
+                item.seg = seg = d // seg_len
+                if d % seg_len == 0:
+                    bounds[seg] = item
+            else:
+                item.seg = -1
+                bounds[m] = item
+        prev.next = nxt
+        if nxt is not None:
+            nxt.prev = prev
+        else:
+            self.tail = prev
+        item.prev = None
+        item.next = head
+        head.prev = item
+        self.head = item
+
+    def pop_back_run(self, count: int) -> list[Item]:
+        size = self.size
+        if count > size:
+            count = size
+        bounds = self.bounds
+        seg_len = self.seg_len
+        # Every item left drops ``count`` in bottom-distance, so boundary
+        # k moves ``count`` items toward the front (or off it), handing
+        # each item it passes to segment k - 1.  Highest boundary first:
+        # where a run is longer than a segment the walks overlap, and the
+        # lowest boundary that passes an item labels it last, with its
+        # new segment.  Boundary 0's walk is the run itself.
+        for k in range(self.num_segments, 0, -1):
+            node = bounds[k]
+            if node is not None:
+                seg = k - 1
+                steps = size - k * seg_len  # items from the boundary up
+                for _ in range(count if count < steps else steps):
+                    node.seg = seg
+                    node = node.prev
+                bounds[k] = node
+        run: list[Item] = []
+        item = self.tail
+        for _ in range(count):
+            prev = item.prev
+            item.prev = item.next = None
             item.seg = -1
-            bounds[m] = item
+            run.append(item)
+            item = prev
+        bounds[0] = self.tail = item
+        if item is None:
+            self.head = None
+        else:
+            item.next = None
+        self.size = size - len(run)
+        return run
 
     # -- verification -------------------------------------------------------
     def check_invariants(self) -> None:
-        """Compare against a brute-force recomputation (tests only)."""
-        assert self.n == len(self.lru), f"tracker n={self.n} vs lru={len(self.lru)}"
+        """The list's links, then every segment and boundary against a
+        brute-force recomputation (tests only)."""
+        super().check_invariants()
         expected_bounds: list[Item | None] = [None] * (self.num_segments + 1)
         d = 0
-        node = self.lru.back
+        node = self.tail
         limit = self.limit
         while node is not None:
             want = d // self.seg_len if d < limit else -1

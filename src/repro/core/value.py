@@ -40,7 +40,9 @@ class ValueAccumulator:
         self._inc_value: float | None = None
 
     def add_outgoing(self, segment: int, amount: float) -> None:
-        """Credit a request on live segment ``segment`` (Eq. 1 term)."""
+        """Credit a request on live segment ``segment`` (Eq. 1 term).
+
+        ``PamaPolicy.on_hit`` does the same in its own frame."""
         self.out[segment] += amount
         self.out_hits[segment] += 1
         self._out_value = None

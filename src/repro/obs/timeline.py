@@ -169,13 +169,10 @@ class TimelineRecorder:
 
     # -- per-request accounting (replay loop) ---------------------------
     def record_get(self, tick: int, hit: bool, cost: float,
-                   penalty: float = 0.0, tenant: int = -1) -> None:
+                   penalty: float = 0.0) -> None:
         """One GET outcome at ``tick``; rolls the window when crossed.
 
-        ``tenant >= 0`` additionally accumulates the outcome into that
-        tenant's per-window cell (a tenant-tagged replay passes the
-        request's tenant id; an untagged one leaves the default and
-        pays nothing).
+        Per-tenant cells are fed by :meth:`record_many`'s ``tenants``.
         """
         if tick >= self._window_start + self.stride:
             self._close(tick)
@@ -186,10 +183,6 @@ class TimelineRecorder:
             self._hits += 1
         elif penalty == penalty:  # miss; skip NaN (unknown penalty)
             self._penalty += penalty
-        if tenant >= 0:
-            tally_tenants(self._tenants, np.array([tenant]),
-                          np.array([hit], dtype=bool), np.array([cost]),
-                          np.array([penalty]))
 
     def record_many(self, hits, costs, penalties, tenants=None) -> None:
         """Array form of :meth:`record_get` for a run of GETs that all

@@ -18,7 +18,7 @@ LRU ages, PAMA's segment values).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cache.cache import SlabCache
@@ -111,8 +111,13 @@ class AllocationPolicy(ABC):
     def on_insert(self, queue: Queue, item: Item) -> None:
         """``item`` was stored (fired after it joined the queue MRU)."""
 
-    def on_evict(self, queue: Queue, item: Item) -> None:
-        """``item`` was evicted from ``queue`` under space pressure."""
+    def on_evict(self, queue: Queue, items: Sequence[Item]) -> None:
+        """A run of ``queue``'s items was evicted under space pressure.
+
+        ``items`` is the whole run, LRU first, already unlinked and out
+        of the index: a migration's surplus in one call, or the one item
+        of an in-place eviction (a 1-tuple).
+        """
 
     def on_remove(self, queue: Queue, item: Item) -> None:
         """``item`` left ``queue`` for a non-pressure reason (DELETE, or a

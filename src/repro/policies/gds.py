@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from typing import Sequence
 
 from repro.cache.item import Item
 from repro.cache.queue import Queue
@@ -86,8 +87,10 @@ class GreedyDualSizePolicy(AllocationPolicy):
         # a hit refreshes H with the current inflation value
         self._push(queue, item, queue.policy_data.current[id(item)][2])
 
-    def on_evict(self, queue: Queue, item: Item) -> None:
-        queue.policy_data.current.pop(id(item), None)
+    def on_evict(self, queue: Queue, items: Sequence[Item]) -> None:
+        current = queue.policy_data.current
+        for item in items:
+            current.pop(id(item), None)
 
     def on_remove(self, queue: Queue, item: Item) -> None:
         queue.policy_data.current.pop(id(item), None)

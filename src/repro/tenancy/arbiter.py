@@ -246,8 +246,9 @@ class TenantArbiter(AllocationPolicy):
     def on_insert(self, queue: Queue, item: Item) -> None:
         self._inners[queue.bin_idx // self._nbins].on_insert(queue, item)
 
-    def on_evict(self, queue: Queue, item: Item) -> None:
-        self._inners[queue.bin_idx // self._nbins].on_evict(queue, item)
+    def on_evict(self, queue: Queue, items: Sequence[Item]) -> None:
+        # A run comes from one queue, so from one tenant.
+        self._inners[queue.bin_idx // self._nbins].on_evict(queue, items)
 
     def on_remove(self, queue: Queue, item: Item) -> None:
         self._inners[queue.bin_idx // self._nbins].on_remove(queue, item)

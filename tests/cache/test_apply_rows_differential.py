@@ -3,11 +3,12 @@
 ``apply_rows`` handles a GET hit, a GET miss, its fill and a SET in its
 own frame — a re-store of a live key into its own queue keeps the item,
 and a policy that hashes keys is handed each key's pair from the
-caller's mapping — and sends the rest (an item that can expire, an
-unseen size, an invalid row, dynamic binning, DELETE) through
-``lookup`` / ``set`` / ``delete``; ``apply_rows_per_request`` is the loop
-it replaced, one ``lookup`` / ``set`` / ``delete`` per request, whose
-``lookup`` hashes each key itself.  Two
+caller's mapping, and a policy without static bin edges is asked
+``bin_for`` there — and sends the rest (an item that can expire, a
+size no SET has classed yet or no class holds, an invalid row, DELETE)
+through ``lookup`` / ``set`` / ``delete``; ``apply_rows_per_request``
+is the loop it replaced, one ``lookup`` / ``set`` / ``delete`` per
+request, whose ``lookup`` hashes each key itself.  Two
 caches of equal geometry and policy are driven by the same
 rows, cut into the same runs, and compared after **every** run:
 everything either side holds, as plain data — the noted outcomes,

@@ -5,9 +5,11 @@ cost in CPython is dispatch.  Per hit the per-request loop entered
 ``lookup``, the policy's ``on_hit`` — a no-op under ``memcached`` — and
 ``move_to_front``, and under PAMA the tracker's ``on_remove`` and
 ``on_push_front``: 3 frames and 5.  The run loop handles the hit in its
-own frame, calls only the hooks the policy's class overrides, promotes
-only an item that is not already the head, and the tracker hears one
-``on_promote``.  ``sys.setprofile`` counts frames entered, which repeats
+own frame, calls only the hooks the policy's class overrides, and
+promotes only an item that is not already the head; under PAMA the
+promotion is the segmented list's own ``move_to_front`` (no tracker
+callback) and ``on_hit`` credits a tracked segment in its own frame.
+``sys.setprofile`` counts frames entered, which repeats
 exactly (``benchmarks/count_work.py`` is the same count over a benchmark
 input, with bytecodes).
 """
@@ -20,9 +22,10 @@ from tests.cache.test_pressure_call_budget import calls_during
 
 #: frames per hit of an item that is not its queue's head ...
 MEMCACHED_HIT = 1          # move_to_front
-PAMA_HIT = 3               # on_hit, move_to_front, on_promote
-#: ... and what a hit in a tracked bottom segment adds: add_outgoing
-PAMA_TRACKED = 1
+PAMA_HIT = 2               # on_hit, move_to_front
+#: ... and what a hit in a tracked bottom segment adds (it was 1, a call
+#: to add_outgoing)
+PAMA_TRACKED = 0
 
 PER_SLAB = 16
 
@@ -53,7 +56,7 @@ def test_a_memcached_hit_enters_one_frame_and_none_at_the_head():
     assert frames_per_hit(cache, [8, 8, 8]) == 0
 
 
-def test_a_pama_hit_enters_three_frames_and_four_in_a_tracked_segment():
+def test_a_pama_hit_enters_two_frames_and_two_in_a_tracked_segment():
     policy = PamaPolicy(PamaConfig(m=1))  # the exact tracker
     cache = filled(policy, 4 * PER_SLAB)  # two tracked segments, two above
     queue = next(iter(cache.iter_queues()))

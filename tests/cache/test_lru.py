@@ -89,109 +89,6 @@ class TestLRUListBasics:
         lru.check_invariants()
 
 
-class RecordingObserver:
-    def __init__(self):
-        self.events = []
-
-    def on_push_front(self, item):
-        self.events.append(("push", item.key))
-
-    def on_remove(self, item):
-        # Links must still be intact at callback time.
-        assert item.prev is not None or item.next is not None or True
-        self.events.append(("remove", item.key))
-
-    def on_promote(self, item):
-        self.events.append(("promote", item.key))
-
-
-class TestObserver:
-    def test_events_fire(self):
-        lru = LRUList()
-        obs = RecordingObserver()
-        lru.observer = obs
-        a, b = make_item("a"), make_item("b")
-        lru.push_front(a)
-        lru.push_front(b)
-        lru.move_to_front(a)
-        lru.remove(b)
-        assert obs.events == [
-            ("push", "a"), ("push", "b"),
-            ("promote", "a"),
-            ("remove", "b"),
-        ]
-
-    def test_on_remove_sees_links(self):
-        lru = LRUList()
-        seen = {}
-
-        class Probe:
-            def on_push_front(self, item):
-                pass
-
-            def on_remove(self, item):
-                seen["prev"] = item.prev
-                seen["next"] = item.next
-
-        lru.observer = Probe()
-        a, b, c = make_item("a"), make_item("b"), make_item("c")
-        for it in (a, b, c):
-            lru.push_front(it)
-        lru.remove(b)
-        assert seen["prev"] is c and seen["next"] is a
-
-
-    def test_promotion_tells_the_observer_with_links_intact(self):
-        lru = LRUList()
-        seen = []
-
-        class Probe:
-            def on_push_front(self, item):
-                seen.append(("push", item.prev, item.next, lru.size))
-
-            def on_remove(self, item):
-                seen.append(("remove", item.prev, item.next, lru.size))
-
-            def on_promote(self, item):
-                seen.append(("promote", item.prev, item.next, lru.head,
-                             lru.size))
-
-        a, b, c = make_item("a"), make_item("b"), make_item("c")
-        for it in (a, b, c):
-            lru.push_front(it)
-        lru.observer = Probe()
-        lru.move_to_front(b)
-        # one callback for the removal and the push together, while the
-        # item is still between c and a and c is still the head
-        assert seen == [("promote", c, a, c, 3)]
-        assert [it.key for it in lru] == ["b", "c", "a"]
-        lru.move_to_front(b)  # already the head: nothing to tell
-        assert len(seen) == 1
-        lru.move_to_front(a)  # the tail: told before the tail moves
-        assert seen[1:] == [("promote", c, None, b, 3)]
-        assert lru.back is c
-        lru.check_invariants()
-
-    def test_a_run_tells_the_observer_per_item_lru_first(self):
-        lru = LRUList()
-        seen = []
-
-        class Probe:
-            def on_push_front(self, item):
-                pass
-
-            def on_remove(self, item):
-                seen.append((item.key, item.prev, item.next))
-
-        a, b, c = make_item("a"), make_item("b"), make_item("c")
-        for it in (a, b, c):
-            lru.push_front(it)
-        lru.observer = Probe()
-        lru.pop_back_run(2)
-        # each still linked to what is above it, what was beneath gone
-        assert seen == [("a", b, None), ("b", c, None)]
-
-
 class TestLRUPropertyBased:
     @settings(max_examples=60)
     @given(st.lists(st.tuples(st.sampled_from(["push", "move", "pop", "remove"]),

@@ -5,11 +5,12 @@ per evicted item is a few pointer moves and dict operations, and each
 function they are spread over costs more than they do.  The per-item
 chain was ``_evict_one`` -> ``pop_back`` -> ``remove`` -> ``on_remove``
 -> ``on_evict`` -> ``push`` -> ``GhostEntry()`` -> ``_remove_entry``;
-it is now the observer's ``on_remove``, the policy's ``on_evict``, the
-ghost's ``push`` and the entry's constructor, and everything else runs
-once per migration.  ``sys.setprofile`` counts frames entered, which
-repeats exactly — no clock, no tolerance (``benchmarks/count_work.py``
-is the same count over a benchmark input, with bytecodes).  Garbage
+it is now the ghost entry's constructor alone: the segmented list pops
+the run, the policy hears one ``on_evict`` and the ghost takes one
+``push_run``, each once per migration.  ``sys.setprofile`` counts
+frames entered, which repeats exactly — no clock, no tolerance
+(``benchmarks/count_work.py`` is the same count over a benchmark input,
+with bytecodes).  Garbage
 collection is off while a count runs: a collection can start on any
 allocation and runs whatever ``gc.callbacks`` holds (Hypothesis installs
 one), which would count frames that are not the cache's.
@@ -26,17 +27,17 @@ from repro.core.config import PamaConfig
 from repro.core.pama import PamaPolicy
 
 #: frames a pressured SET enters besides its victims': ``set``, the size
-#: class of a size not seen before (``class_for_size``, ``max_item_size``),
-#: ``Item()``, ``_ensure_slot``, ``resolve_pressure``, the receiver's
-#: Eq. 2 sum (never taken before: ``incoming_value`` and four generator
-#: frames; the donor's is read in place), ``_record_decision``,
-#: ``_migrate_slab``, ``pop_back_run``, ``pool.transfer``, ``push_front``,
-#: ``on_push_front`` and ``on_insert``.  It was 27, then 19 while ``set``
+#: class of a size not seen before (``classify``), ``Item()``,
+#: ``_ensure_slot``, ``resolve_pressure``, the receiver's Eq. 2 sum
+#: (never taken before: ``incoming_value`` and four generator frames;
+#: the donor's is read in place), ``_record_decision``, ``_migrate_slab``,
+#: ``pop_back_run``, ``on_evict``, ``push_run``, ``pool.transfer``,
+#: ``push_front`` and ``on_insert``.  It was 27, then 19 while ``set``
 #: asked the policy's ``bin_for`` for the bin.
 CALLS_PER_SET = 18
-#: ... and per evicted item: on_remove, on_evict, push, GhostEntry().
-#: It was 8.
-CALLS_PER_VICTIM = 4
+#: ... and per evicted item: GhostEntry().  It was 8, then 4 (the
+#: tracker's on_remove, on_evict and the ghost's push per item).
+CALLS_PER_VICTIM = 1
 
 PER_SLAB = 16
 
@@ -96,6 +97,6 @@ def test_migration_calls_are_bounded_per_set_and_per_victim(victims):
         f"chain per item again")
 
 
-def test_each_further_victim_costs_exactly_its_four_calls():
+def test_each_further_victim_costs_exactly_its_one_call():
     assert pressured_set(PER_SLAB) - pressured_set(1) \
         == CALLS_PER_VICTIM * (PER_SLAB - 1)

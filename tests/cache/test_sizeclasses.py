@@ -81,3 +81,51 @@ class TestGeometry:
         cfg = SizeClassConfig()
         assert cfg.slots_per_slab(idx) * cfg.slot_size(idx) <= cfg.slab_size
         assert cfg.slots_per_slab(idx) >= 1
+
+
+class TestTooLargeIsMemoized:
+    """A size no class holds is memoized as -1: the cache reads it as
+    "too large" without raising, a direct ``class_for_size`` still
+    raises."""
+
+    def test_classify_memoizes_minus_one(self):
+        cfg = SizeClassConfig(slab_size=1024)
+        assert cfg.classify(1025) == -1 and cfg.classify(1024) == 4
+        with pytest.raises(ItemTooLargeError):
+            cfg.class_for_size(1025)  # from the memo
+        with pytest.raises(InvalidItemError):
+            cfg.classify(0)
+
+    def test_a_replay_of_too_large_rows_constructs_no_error(self,
+                                                            monkeypatch):
+        from repro.cache import SlabCache
+        from repro.cache.cache import apply_rows_per_request
+        from repro.policies import make_policy
+
+        built = []
+        original = ItemTooLargeError.__init__
+
+        def counting(self, size, max_size):
+            built.append(size)
+            original(self, size, max_size)
+
+        monkeypatch.setattr(ItemTooLargeError, "__init__", counting)
+        big = (8, 2000, 0.05)  # past the 1 KiB slab
+        rows = ([(0, k, *big) for k in range(4)]
+                + [(1, k, *big) for k in range(4)]
+                + [(0, "small", 8, 32, 0.05), (0, 9, *big)])
+        caches, notes = [], []
+        for apply in (SlabCache.apply_rows, apply_rows_per_request):
+            cache = SlabCache(8 * 1024, make_policy("memcached"),
+                              SizeClassConfig(slab_size=1024))
+            got = []
+            apply(cache, iter(rows), True, got.append, False)
+            caches.append(cache)
+            notes.append(got)
+        assert built == []
+        assert notes[0] == notes[1] == [-1] * 6
+        assert caches[0].stats == caches[1].stats
+        assert caches[0].stats.rejected_too_large == 4 + 4 + 1
+        with pytest.raises(ItemTooLargeError):
+            caches[0].size_classes.class_for_size(2008)
+        assert built == [2008]

@@ -8,8 +8,9 @@ of a live key added ``_unlink``, ``LRUList.remove``, the tracker's
 ``on_remove`` and the policy's, and then built a new ``Item`` pushed to
 the front.  The run loop handles these rows in its own frame, bins by
 the policy's static edges without a call, and a key re-stored into the
-queue it lives in keeps its ``Item``: the tracker hears one
-``on_promote``, and nothing at all when the item is the head.  Counts
+queue it lives in keeps its ``Item``: one ``move_to_front``, and nothing
+at all when the item is the head.  Under PAMA the queue's list is the
+segment tracker, so a push or a promotion enters no tracker callback.  Counts
 are frames entered per row, the run loop's own frame left out (see
 ``test_hit_call_budget.py``).
 """
@@ -29,10 +30,11 @@ FRAMES = {
     # new: Item(), push_front; restore: move_to_front; head: none;
     # miss_fill: the new key's two
     "memcached": {"new": 2, "restore": 1, "head": 0, "miss_fill": 2},
-    # new: Item(), push_front, the tracker's on_push_front, on_insert;
-    # restore: on_remove, move_to_front, on_promote, on_insert;
-    # head: on_remove, on_insert; miss_fill: on_miss and the new key's four
-    "pama": {"new": 4, "restore": 4, "head": 2, "miss_fill": 5},
+    # new: Item(), push_front, on_insert; restore: on_remove,
+    # move_to_front, on_insert; head: on_remove, on_insert; miss_fill:
+    # on_miss and the new key's three (the tracker's on_push_front and
+    # on_promote were one frame more each)
+    "pama": {"new": 3, "restore": 3, "head": 2, "miss_fill": 4},
 }
 
 PER_SLAB = 16

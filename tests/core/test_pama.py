@@ -35,7 +35,7 @@ class TestSubclassRouting:
         cache.set("k", 8, 50, 0.05)
         queue = next(iter(cache.iter_queues()))
         assert isinstance(queue.policy_data, PamaQueueState)
-        assert queue.lru.observer is queue.policy_data.tracker
+        assert queue.lru is queue.policy_data.tracker  # a SegmentedLRU
 
 
 def _around(edges):

@@ -22,7 +22,7 @@ from repro.bloom.removal import RemovalFilter
 from repro.cache.item import Item
 from repro.cache.lru import LRUList
 from repro.core.bloom_tracker import BloomSegmentTracker
-from repro.core.segments import SegmentTracker
+from repro.core.segments import SegmentedLRU
 
 #: bytes of transient allocation allowed across a probe burst: the
 #: ``queries`` counter churn plus a few 1-2 machine-word ints alive at
@@ -42,7 +42,7 @@ PROBE_PATH_FUNCTIONS = [
     RemovalFilter.mark_removed_hashes,
     RemovalFilter.on_segment_add_hashes,
     BloomSegmentTracker.segment_on_access,
-    SegmentTracker.segment_on_access,
+    SegmentedLRU.segment_on_access,
 ]
 
 

@@ -1,12 +1,12 @@
-"""Tests for the exact segment tracker, including a brute-force oracle."""
+"""Tests for the exact segment tracker, the segmented LRU list,
+including a brute-force oracle."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.item import Item
 from repro.cache.lru import LRUList
-from repro.core.segments import SegmentTracker
-from tests.reference_pressure import two_callback_move_to_front
+from repro.core.segments import SegmentedLRU
 
 
 def make_item(key):
@@ -14,9 +14,9 @@ def make_item(key):
 
 
 def tracked_list(seg_len, num_segments):
-    lru = LRUList()
-    tracker = SegmentTracker(lru, seg_len, num_segments)
-    return lru, tracker
+    """The list and its tracker, which are one object."""
+    lru = SegmentedLRU(seg_len, num_segments)
+    return lru, lru
 
 
 class TestSegmentAssignment:
@@ -88,22 +88,17 @@ class TestSegmentAssignment:
 
 
 class TestConstruction:
-    def test_rejects_non_empty_list(self):
-        lru = LRUList()
-        lru.push_front(make_item(0))
-        with pytest.raises(ValueError):
-            SegmentTracker(lru, 2, 2)
-
-    def test_rejects_double_observer(self):
-        lru, _ = tracked_list(2, 2)
-        with pytest.raises(ValueError):
-            SegmentTracker(lru, 2, 2)
-
     def test_rejects_bad_geometry(self):
         with pytest.raises(ValueError):
-            SegmentTracker(LRUList(), 0, 2)
+            SegmentedLRU(0, 2)
         with pytest.raises(ValueError):
-            SegmentTracker(LRUList(), 2, 0)
+            SegmentedLRU(2, 0)
+
+    def test_is_an_lru_list(self):
+        lru, _ = tracked_list(2, 2)
+        assert isinstance(lru, LRUList)
+        assert len(lru) == 0 and lru.bounds == [None, None, None]
+        lru.check_invariants()
 
     def test_rollover_is_noop(self):
         lru, tracker = tracked_list(2, 2)
@@ -145,9 +140,9 @@ class TestSegmentTrackerOracle:
             tracker.check_invariants()
 
 
-def unfused_move_to_front(lru, item):
-    """``LRUList.move_to_front`` as it was before it unlinked and
-    relinked in one body: the oracle for the fused version."""
+def two_step_move_to_front(lru, item):
+    """A promotion as ``remove`` + ``push_front``: the oracle for the
+    one-body ``move_to_front``."""
     if lru.head is item:
         return
     lru.remove(item)
@@ -155,7 +150,7 @@ def unfused_move_to_front(lru, item):
 
 
 def tracked_state(lru, tracker):
-    return ([(it.key, it.seg) for it in lru], lru.size, tracker.n,
+    return ([(it.key, it.seg) for it in lru], lru.size, len(tracker),
             [b.key if b is not None else None for b in tracker.bounds])
 
 
@@ -190,7 +185,7 @@ class TestFusedMoveToFront:
             elif op == "move":
                 a, b = live[sorted(live)[k % len(live)]]
                 fused.move_to_front(a)
-                unfused_move_to_front(plain, b)
+                two_step_move_to_front(plain, b)
             elif op == "pop":
                 victim = fused.pop_back()
                 assert plain.pop_back().key == victim.key
@@ -245,9 +240,9 @@ class TestFusedMoveToFront:
 
 
 class TestOnPromote:
-    """``on_promote`` against the ``on_remove`` + ``on_push_front`` it
-    stands for: two tracked lists in lockstep, one promoted by
-    ``move_to_front``, the other the two-callback way, for every stack
+    """A promotion against the ``remove`` + ``push_front`` it stands
+    for: two tracked lists in lockstep, one promoted by
+    ``move_to_front``, the other in those two steps, for every stack
     length up to past the tracked region and every pair of positions —
     so short stacks (n <= limit), an item sitting on each boundary, the
     first untracked item and ``seg_len == 1`` are all among them.
@@ -270,7 +265,7 @@ class TestOnPromote:
                         two.push_front(b)
                     for at in (first, second):
                         one.move_to_front(ones[at])
-                        two_callback_move_to_front(two, twos[at])
+                        two_step_move_to_front(two, twos[at])
                         one.check_invariants()
                         one_tracker.check_invariants()
                         assert (tracked_state(one, one_tracker)
@@ -295,3 +290,32 @@ class TestOnPromote:
         assert [it.seg for it in lru] == [1, 0, 0]
         assert tracker.bounds == [items[1], items[0], None]
         tracker.check_invariants()
+
+
+class TestPopBackRun:
+    """``pop_back_run`` against that many ``pop_back`` calls, for every
+    stack length up to past the tracked region and every run length up
+    to past the stack: runs shorter than, equal to and longer than a
+    segment, and longer than the whole region."""
+
+    @pytest.mark.parametrize("seg_len", [1, 2, 3])
+    @pytest.mark.parametrize("num_segments", [1, 2, 3])
+    def test_every_length_and_run(self, seg_len, num_segments):
+        limit = seg_len * num_segments
+        for n in range(limit + seg_len + 3):
+            for count in range(n + 2):
+                one, _ = tracked_list(seg_len, num_segments)
+                two, _ = tracked_list(seg_len, num_segments)
+                ones = [make_item(i) for i in range(n)]
+                twos = [make_item(i) for i in range(n)]
+                for a, b in zip(ones, twos):
+                    one.push_front(a)
+                    two.push_front(b)
+                run = one.pop_back_run(count)
+                assert [v.key for v in run] \
+                    == [two.pop_back().key for _ in run]
+                assert len(run) == min(count, n)
+                assert all(v.prev is None and v.next is None and v.seg == -1
+                           for v in run)
+                one.check_invariants()
+                assert tracked_state(one, one) == tracked_state(two, two)

@@ -1,13 +1,23 @@
-"""Per-tenant timeline cells and their back-compat guarantees."""
+"""Per-tenant timeline cells and their back-compat guarantees.
+
+The cells are fed by ``record_many``'s ``tenants``, the way the replay
+kernel records a run of GETs inside the open window."""
+
+import numpy as np
 
 from repro.obs.timeline import TimelineRecorder, merge_rows
 
 
+def record(tl, hits, costs, penalties, tenants=None):
+    tl.record_many(np.array(hits, dtype=bool), np.array(costs),
+                   np.array(penalties),
+                   None if tenants is None else np.array(tenants))
+
+
 def test_tenant_cells_accumulate_per_window():
     tl = TimelineRecorder(stride=10)
-    tl.record_get(0, True, 1e-4, tenant=0)
-    tl.record_get(1, False, 0.5, 0.5, tenant=0)
-    tl.record_get(2, False, 0.25, 0.25, tenant=1)
+    record(tl, [True, False, False], [1e-4, 0.5, 0.25], [0.0, 0.5, 0.25],
+           [0, 0, 1])
     tl.finish()
     assert len(tl.rows) == 1
     cells = tl.rows[0]["tenants"]
@@ -19,8 +29,7 @@ def test_tenant_cells_accumulate_per_window():
 
 def test_untagged_gets_emit_empty_tenant_map():
     tl = TimelineRecorder(stride=10)
-    tl.record_get(0, True, 1e-4)
-    tl.record_get(1, False, 0.5, 0.5)
+    record(tl, [True, False], [1e-4, 0.5], [0.0, 0.5])
     tl.finish()
     row = tl.rows[0]
     assert row["tenants"] == {}
@@ -29,7 +38,7 @@ def test_untagged_gets_emit_empty_tenant_map():
 
 def test_nan_penalty_miss_skips_tenant_penalty():
     tl = TimelineRecorder(stride=10)
-    tl.record_get(0, False, 0.1, float("nan"), tenant=2)
+    record(tl, [False], [0.1], [float("nan")], [2])
     tl.finish()
     cell = tl.rows[0]["tenants"]["2"]
     assert cell["gets"] == 1 and cell["penalty"] == 0.0
@@ -37,9 +46,12 @@ def test_nan_penalty_miss_skips_tenant_penalty():
 
 def test_merge_rows_adds_tenant_cells():
     tl = TimelineRecorder(stride=5)
-    for tick in range(10):
-        tl.record_get(tick, tick % 2 == 0, 0.1, 0.0 if tick % 2 == 0
-                      else 0.1, tenant=tick % 2)
+    for start in (0, 5):
+        tl.advance(start)
+        ticks = range(start, start + 5)
+        record(tl, [t % 2 == 0 for t in ticks], [0.1] * 5,
+               [0.0 if t % 2 == 0 else 0.1 for t in ticks],
+               [t % 2 for t in ticks])
     tl.finish()
     assert len(tl.rows) == 2
     merged = merge_rows(tl.rows[0], tl.rows[1])
@@ -51,8 +63,9 @@ def test_merge_rows_adds_tenant_cells():
 
 def test_merge_rows_tolerates_pre_tenancy_rows():
     tl = TimelineRecorder(stride=5)
-    for tick in range(10):
-        tl.record_get(tick, True, 0.1, tenant=0 if tick >= 5 else -1)
+    record(tl, [True] * 5, [0.1] * 5, [0.0] * 5)
+    tl.advance(5)
+    record(tl, [True] * 5, [0.1] * 5, [0.0] * 5, [0] * 5)
     tl.finish()
     old, new = tl.rows
     assert old["tenants"] == {}

@@ -12,12 +12,9 @@ Nothing here is a test; the differential suites import it.
 * :class:`TwoIndexGhostList` and :class:`TwoIndexGhosts` — a ghost list
   with a key index of its own, pushed through the generic removal when
   full, under a policy whose ``ghost_owner`` maps key -> queue state and
-  is kept in step with those indexes by hand.
-
-* :func:`two_callback_move_to_front` — a promotion that tells the
-  list's observer ``on_remove`` before the unlink and ``on_push_front``
-  after the relink (PR 22), where ``LRUList.move_to_front`` now tells it
-  ``on_promote`` once.
+  is kept in step with those indexes by hand; its lists take an
+  eviction run one ``push`` per item, where ``GhostList.push_run``
+  takes it whole.
 
 ``cache_pair`` puts the first three together per policy name.
 """
@@ -29,28 +26,6 @@ from repro.cache.errors import OutOfMemoryError, PolicyError
 from repro.core.pama import PamaPolicy, PamaQueueState
 from repro.core.prepama import PrePamaPolicy
 from repro.tenancy import TenantArbiter
-
-
-def two_callback_move_to_front(lru, item):
-    """``LRUList.move_to_front`` as of PR 22."""
-    head = lru.head
-    if head is item:
-        return
-    observer = lru.observer
-    if observer is not None:
-        observer.on_remove(item)
-    prev, nxt = item.prev, item.next
-    prev.next = nxt
-    if nxt is not None:
-        nxt.prev = prev
-    else:
-        lru.tail = prev
-    item.prev = None
-    item.next = head
-    head.prev = item
-    lru.head = item
-    if observer is not None:
-        observer.on_push_front(item)
 
 
 def eq2(weights, masses):
@@ -184,7 +159,7 @@ class PerItemEvictionCache(SlabCache):
             self.events.record("eviction", self.accesses, queue=queue.qid,
                                key=victim.key, penalty=victim.penalty,
                                size=victim.total_size)
-        self.policy.on_evict(queue, victim)
+        self.policy.on_evict(queue, (victim,))
 
     def _migrate_slab(self, donor, receiver):
         if donor.slabs < 1:
@@ -379,12 +354,13 @@ class TwoIndexGhosts:
         if state is not None:
             state.ghost.remove(item.key)
 
-    def on_evict(self, queue, item):
+    def on_evict(self, queue, items):
         state = queue.policy_data
-        dropped = state.ghost.push(item.key, item.penalty)
-        self.ghost_owner[item.key] = state
-        if dropped is not None:
-            self.ghost_owner.pop(dropped, None)
+        for item in items:
+            dropped = state.ghost.push(item.key, item.penalty)
+            self.ghost_owner[item.key] = state
+            if dropped is not None:
+                self.ghost_owner.pop(dropped, None)
 
     def on_remove(self, queue, item):
         state = self.ghost_owner.pop(item.key, None)

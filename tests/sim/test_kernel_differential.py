@@ -30,6 +30,7 @@ import pytest
 from repro.cache import SizeClassConfig, SlabCache
 from repro.core.config import PamaConfig
 from repro.obs import Registry, TimelineRecorder
+from repro.obs.timeline import tally_tenants
 from repro.policies import make_policy
 from repro.sim.metrics import MetricsCollector
 from repro.sim.service import ServiceTimeModel
@@ -129,11 +130,13 @@ def _reference_tenant_rows(trace, service):
 
 def _reference_tenants(sim, rows, metrics, service, hist, hist_hit,
                        hist_miss, timeline, registry) -> dict[int, dict]:
-    """The retired ``Simulator._replay_tenants``, with one edit: a
+    """The retired ``Simulator._replay_tenants``, with two edits: a
     missed GET's fill runs after ``record_get``, not before it, so a
     timeline row that closes on that GET does not count the fill's
     evictions, migrations and decisions — the closing-row rule every
-    other loop keeps."""
+    other loop keeps; and the tenant cell ``record_get`` used to fill
+    through its (since retired) ``tenant`` argument is one
+    ``tally_tenants`` call here, with the same arithmetic."""
     cache = sim.cache
     policy = cache.policy
     fill = sim.fill_on_miss
@@ -176,7 +179,13 @@ def _reference_tenants(sim, rows, metrics, service, hist, hist_hit,
             if not hit and penalty == penalty:
                 cell[3] += penalty
             if record_get is not None:
-                record_get(tick, hit, cost, 0.0 if hit else penalty, tenant)
+                # what record_get's retired ``tenant`` argument did, after
+                # the window roll
+                cell_penalty = 0.0 if hit else penalty
+                record_get(tick, hit, cost, cell_penalty)
+                tally_tenants(timeline._tenants, np.array([tenant]),
+                              np.array([hit], dtype=bool), np.array([cost]),
+                              np.array([cell_penalty]))
             if not hit and fill:
                 cache_set(key, key_size, value_size, penalty)
             if registry is not None:
