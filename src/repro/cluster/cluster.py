@@ -240,8 +240,8 @@ class CacheCluster:
 
         When a tracer is attached and samples this tick, the walk is
         recorded as a span tree (root op span, one ``node_attempt``
-        child per candidate); a trace already opened by the caller (the
-        replay loop) is nested into instead.
+        child per candidate); a trace already opened by the caller (a
+        faulted replay's request root) is nested into instead.
         """
         inj = self.faults
         cfg = inj.resilience

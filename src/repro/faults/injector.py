@@ -4,11 +4,11 @@ One injector is shared by the cluster (node faults, retries, breakers),
 the simulator (backend faults, service-time accounting) and optionally
 a :class:`~repro.backend.database.SimulatedBackend`.  It owns
 
-* the **access-tick clock** — the simulator advances it once per trace
-  request; everything else reads it;
+* the **access-tick clock** — it advances as the replay pulls each
+  trace request's row (:meth:`requests`); everything else reads it;
 * the **latency channel** — the cluster's routed ops accumulate
   simulated seconds (timeouts, backoff, slow nodes) here and the
-  simulator folds them into the request's service time;
+  replay drains each GET's into its service time (:meth:`charge`);
 * **fault/resilience counters** — plain ints, always on, mirrored into
   a :mod:`repro.obs` registry when one is attached (same auto-attach
   convention as :class:`~repro.cache.cache.SlabCache`);
@@ -17,6 +17,8 @@ a :class:`~repro.backend.database.SimulatedBackend`.  It owns
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro import obs as _obs
 from repro.faults.plan import FaultPlan
@@ -82,6 +84,59 @@ class FaultInjector:
         """Drain the latency accumulated since the last call."""
         out, self._pending_latency = self._pending_latency, 0.0
         return out
+
+    # -- a replay's requests ---------------------------------------------
+    def requests(self, rows, tracer=None):
+        """``rows``, each one request: the clock advances as it is
+        pulled, so all the cache does for it (a GET's fill too) runs at
+        its tick, under a root span named after the op when ``tracer``
+        samples the tick — open until the next row is pulled."""
+        for row in rows:
+            tick = self.advance()
+            root = None
+            if tracer is not None and tracer.sampled(tick):
+                root = tracer.start_trace(
+                    tick, ("get", "set", "delete")[row[0]], key=str(row[1]))
+            try:
+                yield row
+            finally:
+                if root is not None:
+                    tracer.end(root, tick)
+
+    def backend(self, ticks) -> tuple[np.ndarray, np.ndarray]:
+        """The plan's miss-penalty multiplier and fetch error at each
+        GET tick of the int array ``ticks``."""
+        plan = self.plan
+        ticks = ticks.tolist()
+        return (np.array([plan.backend_multiplier(t) for t in ticks],
+                         dtype=np.float64),
+                np.array([plan.backend_error(t) for t in ticks],
+                         dtype=bool))
+
+    def charge(self, costs, hits, extra, mult, erring, keys) -> np.ndarray:
+        """A run of GETs' fault-free ``costs`` under backend faults:
+        plus each one's routed latency ``extra``; a miss times its
+        :meth:`backend` multiplier, or, if its fetch errors (the replay
+        ran it alone, at its tick), degraded to ``stale_serve_time`` or
+        ``error_penalty``, counted, recorded and added to the degraded
+        time.  ``mult`` / ``erring`` / ``keys`` are per GET."""
+        misses = ~hits
+        failed = misses & erring
+        costs[misses] *= mult[misses]
+        cfg = self.resilience
+        costs[failed] = (cfg.stale_serve_time if cfg.serve_stale
+                         else cfg.error_penalty)
+        costs = np.array(extra) + costs
+        spiked = int(np.count_nonzero(misses & ~erring & (mult != 1.0)))
+        if spiked:
+            self.count("backend_spiked", spiked)
+        for key, cost in zip(keys[failed].tolist(), costs[failed].tolist()):
+            self.count("backend_error")
+            self.event("backend_error", key=key)
+            self.count("stale_served" if cfg.serve_stale
+                       else "backend_give_up")
+            self.note_degraded(cost)
+        return costs
 
     # -- accounting -------------------------------------------------------
     def count(self, name: str, amount: int = 1) -> None:

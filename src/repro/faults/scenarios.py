@@ -221,7 +221,9 @@ def run_scenario(name: str, trace, *, policies: list[str],
     :class:`~repro.obs.timeline.TimelineRecorder` and a
     :class:`~repro.obs.spans.SpanTracer` to the *faulted* run of one
     policy — ``instrument`` (default: the first of ``policies``) — so
-    the dump a report renders covers a single coherent run.
+    the dump a report renders covers a single coherent run.  The tracer
+    goes to that run's cluster, which opens each sampled request's root
+    span.
 
     Deterministic end to end: same (trace, scenario, seed) → same
     report, run after run.
@@ -259,8 +261,7 @@ def run_scenario(name: str, trace, *, policies: list[str],
             trace, cluster(inj, tracer=tracing if instrumented else None),
             hit_time=hit_time, window_gets=window_gets, faults=inj,
             obs=inj.obs,
-            timeline=timeline if instrumented else None,
-            tracing=tracing if instrumented else None)
+            timeline=timeline if instrumented else None)
         outcomes[policy] = PolicyOutcome(
             policy=policy, baseline=baseline, faulted=faulted,
             counters=dict(inj.counters), degraded_time=inj.degraded_time)

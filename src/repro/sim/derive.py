@@ -102,19 +102,17 @@ def derived_rows(source, service, size_classes, edges, want_hashes):
                        h1, h2, cls, bins)
 
 
-def derive_unsupported_reason(cache, policy, *, faults=None, timeline=None,
+def derive_unsupported_reason(cache, policy, *, timeline=None,
                               hist=None) -> str | None:
     """Why a replay of ``cache`` does not take vectorized hash pairs
     from its windows, or ``None`` when it would (for a ``policy`` that
     hashes keys).
 
-    The fault-aware loop runs per request, and only a
-    :class:`SlabCache` takes the pairs (a cluster's nodes hash in their
-    own ``lookup``).  ``timeline`` and ``hist`` do not change the
-    answer: the kernel takes the pairs with or without telemetry.
+    Only a :class:`SlabCache` takes the pairs (a cluster's nodes hash
+    in their own ``lookup``).  ``timeline`` and ``hist`` do not change
+    the answer: the kernel takes the pairs with or without telemetry or
+    injected faults.
     """
-    if faults is not None:
-        return "fault injection uses the scalar fault-aware loop"
     if not isinstance(cache, SlabCache):
         return f"{type(cache).__name__} does not take derived columns"
     return None

@@ -14,13 +14,16 @@ Replay sources: an in-memory :class:`~repro.traces.record.Trace`, a
 trace replays with resident memory bounded by the window, and results
 do not depend on where the windows fall.
 
-Telemetry is not on the per-request path of a fault-free replay: see
-:meth:`Simulator._replay`.
+Every replay — with or without telemetry, tenants or injected faults —
+runs in one kernel, :meth:`Simulator._replay`, which hands runs of rows
+to ``cache.apply_rows`` and reduces their GETs' costs per run, so
+telemetry is not on the per-request path.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -34,18 +37,6 @@ from repro.obs.timeline import tally_tenants
 from repro.sim.metrics import MetricsCollector, WindowStats
 from repro.sim.service import ServiceTimeModel
 from repro.traces.record import iter_windows
-
-
-def _trace_rows(source, service):
-    """Per-request scalars for the fault-aware loop: ``(op, key,
-    key_size, value_size, penalty, miss_cost)``.  One window's columns
-    are lists at a time, and ``miss_array`` is element-wise, so neither
-    peak memory nor results depend on the length of the trace.
-    """
-    for w in iter_windows(source):
-        yield from zip(w.ops.tolist(), w.keys.tolist(),
-                       w.key_sizes.tolist(), w.value_sizes.tolist(),
-                       w.penalties.tolist(), service.miss_array(w.penalties))
 
 
 def _slab_snapshot(cache):
@@ -172,7 +163,8 @@ class SimulationResult:
 
 
 class Simulator:
-    """Replays traces against a cache.
+    """Replays traces against a :class:`SlabCache` or a
+    :class:`~repro.cluster.cluster.CacheCluster`, in one kernel.
 
     Args:
         cache: the cache under test (policy already attached).
@@ -186,8 +178,7 @@ class Simulator:
     def __init__(self, cache: SlabCache,
                  service_model: ServiceTimeModel | None = None,
                  window_gets: int = 100_000, fill_on_miss: bool = True,
-                 obs=None, faults=None, timeline=None,
-                 tracing=None) -> None:
+                 obs=None, faults=None, timeline=None) -> None:
         self.cache = cache
         self.service_model = service_model or ServiceTimeModel()
         self.fill_on_miss = fill_on_miss
@@ -195,18 +186,14 @@ class Simulator:
         #: optional obs registry for service-time histograms; falls back
         #: to the module-level registry when observability is enabled.
         self.obs = obs
-        #: optional :class:`~repro.faults.injector.FaultInjector` —
-        #: selects the fault-aware replay loop (backend spikes/errors,
-        #: routed-op latency, graceful degradation).  Share the same
-        #: injector with the cache when it is a fault-aware cluster.
+        #: optional :class:`~repro.faults.injector.FaultInjector`, whose
+        #: clock, backend faults and routed latency the kernel replays.
+        #: Share it with the cache when that is a fault-aware cluster,
+        #: whose ``tracer`` then opens each request's root span.
         self.faults = faults
         #: optional :class:`~repro.obs.timeline.TimelineRecorder`; the
         #: replay loop is the same with or without one.
         self.timeline = timeline
-        #: optional :class:`~repro.obs.spans.SpanTracer` — sampled
-        #: requests in the fault-aware loop open a root "request" span;
-        #: a fault-aware cluster sharing the tracer nests under it.
-        self.tracing = tracing
         # Rebuilt at the top of every run(); kept as an attribute so a
         # run's collector stays inspectable after it returns.
         self.metrics = MetricsCollector(window_gets, _slab_snapshot(cache))
@@ -265,28 +252,23 @@ class Simulator:
 
         started = time.perf_counter()
 
-        # One loop per kind of replay, chosen once: the fault-aware
-        # replay when an injector is attached; everything else — with or
-        # without a registry, a timeline, tenants or key hashes — is the
-        # kernel.
         tenants = None
         if getattr(cache.policy, "wants_tenants", False):
+            if not isinstance(cache, SlabCache):
+                raise ValueError(
+                    f"tenant arbitration needs one SlabCache, not a "
+                    f"{type(cache).__name__}: rows are tagged on one policy")
             if self.faults is not None:
                 raise ValueError(
                     "fault injection and tenant arbitration are not "
-                    "combinable yet: the fault-aware loop does not tag "
-                    "requests by tenant")
+                    "combinable yet: no faulted tenant replay is pinned")
             tenants = _TenantTotals(cache.policy, registry)
         # A replay creates no reference cycles (tests/sim/
         # test_collector.py), so the cyclic collector would only re-walk
         # the items and ghost entries the cache holds.
         with collector_paused():
-            if self.faults is not None:
-                self._replay_faulty(_trace_rows(trace, service), metrics,
-                                    service, hist, hist_hit, hist_miss)
-            else:
-                self._replay(trace, metrics, service, hist, hist_hit,
-                             hist_miss, timeline, tenants)
+            self._replay(trace, metrics, service, hist, hist_hit,
+                         hist_miss, timeline, tenants)
         elapsed = time.perf_counter() - started
         metrics.flush()
         if timeline is not None:
@@ -313,7 +295,7 @@ class Simulator:
     def _replay(self, source, metrics: MetricsCollector,
                 service: ServiceTimeModel, hist, hist_hit, hist_miss,
                 timeline, tenants=None) -> None:
-        """The fault-free kernel: ``cache.apply_rows`` runs every row and
+        """The replay kernel: ``cache.apply_rows`` runs every row and
         notes one outcome per GET.
 
         Per trace window, the rows up to the next *closing row* run as
@@ -340,6 +322,13 @@ class Simulator:
         keys are hashed as one array and the cache is handed the
         key -> ``(h1, h2)`` mapping with every run.  A cluster's nodes
         hash in their own ``lookup``.
+
+        With a fault injector, the rows are its ``requests``, which tick
+        its clock as the cache pulls them (the timeline runs on those
+        ticks), and ``note`` drains each GET's routed latency.  Its plan's
+        ``backend`` is evaluated per window at the GET ticks; a GET whose
+        fetch errors runs alone and without its fill, like a closing row,
+        and ``charge`` folds it all into each run's costs.
         """
         cache = self.cache
         fill = self.fill_on_miss
@@ -352,6 +341,16 @@ class Simulator:
         plain_miss = type(service).miss is ServiceTimeModel.miss
         got: list[int] = []  # per GET of a run: size hit (0 unsized), -1 miss
         note = got.append
+        faults = self.faults
+        base = 0  # tick of the window's first row
+        if faults is not None:
+            extra: list[float] = []  # per GET of a run: routed latency
+            drain = faults.consume_latency
+            base = faults.tick + 1
+
+            def note(outcome: int) -> None:
+                got.append(outcome)
+                extra.append(drain())
 
         def reduce() -> None:
             """Reduce the GETs of window ``w`` noted since the last call."""
@@ -361,10 +360,15 @@ class Simulator:
             outcome = np.array(got)
             got.clear()
             hits = outcome >= 0
-            of_gets = get_rows[gets:gets + len(outcome)]
+            ran = slice(gets, gets + len(outcome))
+            of_gets = get_rows[ran]
             gets += len(outcome)
             costs = miss_costs[of_gets]
             costs[hits] = service.hit_array(outcome[hits])
+            if faults is not None:
+                costs = faults.charge(costs, hits, extra, mult[ran],
+                                      erring[ran], w.keys[of_gets])
+                extra.clear()
             metrics.record_many(hits, costs)
             if hist is not None:
                 hist.record_many(costs)
@@ -378,7 +382,6 @@ class Simulator:
                 timeline.record_many(hits, costs, penalties[of_gets],
                                      of_tenants)
 
-        base = 0  # tick of the window's first row
         for w in iter_windows(source):
             n = len(w)
             penalties = w.penalties
@@ -393,10 +396,19 @@ class Simulator:
             if tenants is not None:
                 tenants.check(w.tenants)
                 rows = _tagged(rows, w.tenants.tolist(), tenants.policy)
+            if faults is not None:
+                rows = faults.requests(rows, getattr(cache, "tracer", None))
+                mult, erring = faults.backend(base + get_rows)
+                # the GETs whose fetch errors, then a sentinel
+                alone = np.flatnonzero(erring).tolist() + [len(get_rows)]
             at = gets = 0  # rows and GETs of this window already replayed
             while at < n:
                 stop = n
                 closing_get = gets + metrics.gets_to_close - 1
+                lone = -1  # the next GET to run alone for its backend
+                if faults is not None:
+                    lone = alone[bisect_left(alone, gets)]
+                    closing_get = min(closing_get, lone)
                 if closing_get < len(get_rows):
                     stop = int(get_rows[closing_get])
                 if timeline is not None:
@@ -407,7 +419,8 @@ class Simulator:
                 if stop < n:
                     row = next(rows)
                     apply_rows((row,), False, note, sized, hashes)
-                    refill = fill and got == [-1]  # a GET that missed
+                    # a GET that missed, and whose fetch did not error
+                    refill = fill and got == [-1] and gets != lone
                     if timeline is not None:
                         timeline.advance(base + stop)
                     reduce()
@@ -419,95 +432,11 @@ class Simulator:
             # this window's lists go before the next is pulled
             rows = hashes = None
 
-    def _replay_faulty(self, rows, metrics: MetricsCollector,
-                       service: ServiceTimeModel,
-                       hist, hist_hit, hist_miss) -> None:
-        """The fault-aware replay loop over pre-zipped columnar rows.
-
-        Per request: advance the injector's tick, run the op (a
-        fault-aware cluster accumulates routed-op latency on the
-        injector), then fold that latency plus any backend fault cost
-        into the request's service time.  A GET miss consults the plan's
-        backend faults before filling: an error burst either degrades
-        gracefully (serve-stale: cheap fallback answer, no fill) or
-        charges the error penalty; a latency spike multiplies the miss
-        penalty — the condition PAMA's penalty-weighted allocation is
-        built for.
-        """
-        inj = self.faults
-        plan = inj.plan
-        cfg = inj.resilience
-        cache = self.cache
-        fill = self.fill_on_miss
-        cache_lookup = cache.lookup
-        cache_set = cache.set
-        record_hit = metrics.record_hit
-        record_miss = metrics.record_miss
-        timeline = self.timeline
-        tracer = self.tracing
-        for op, key, key_size, value_size, penalty, miss_cost in rows:
-            tick = inj.advance()
-            root = None
-            if tracer is not None and tracer.sampled(tick):
-                root = tracer.start_trace(
-                    tick, ("get", "set", "delete")[op], key=str(key))
-            if op == 0:  # GET
-                item = cache_lookup(key, key_size, value_size, penalty)
-                extra = inj.consume_latency()
-                if item is not None:
-                    cost = service.hit(item.total_size) + extra
-                    record_hit(cost)
-                    if timeline is not None:
-                        timeline.record_get(tick, True, cost)
-                    if hist is not None:
-                        hist.record(cost)
-                        hist_hit.record(cost)
-                else:
-                    do_fill = fill
-                    if plan.backend_error(tick):
-                        # The backend refused the recompute: degrade.
-                        inj.count("backend_error")
-                        inj.event("backend_error", key=key)
-                        do_fill = False
-                        if cfg.serve_stale:
-                            cost = extra + cfg.stale_serve_time
-                            inj.count("stale_served")
-                        else:
-                            cost = extra + cfg.error_penalty
-                            inj.count("backend_give_up")
-                        inj.note_degraded(cost)
-                    else:
-                        mult = plan.backend_multiplier(tick)
-                        if mult != 1.0:
-                            inj.count("backend_spiked")
-                        cost = extra + miss_cost * mult
-                    record_miss(cost)
-                    if timeline is not None:
-                        timeline.record_get(tick, False, cost, penalty)
-                    if hist is not None:
-                        hist.record(cost)
-                        hist_miss.record(cost)
-                    if do_fill:
-                        cache_set(key, key_size, value_size, penalty)
-                        inj.consume_latency()  # fill is off the GET path
-            elif op == 1:  # SET
-                cache_set(key, key_size, value_size, penalty)
-                inj.consume_latency()
-                if timeline is not None:
-                    timeline.advance(tick)
-            else:  # DELETE
-                cache.delete(key)
-                inj.consume_latency()
-                if timeline is not None:
-                    timeline.advance(tick)
-            if root is not None:
-                tracer.end(root, tick)
-
 
 def simulate(trace, cache: SlabCache, *,
              hit_time: float = 1e-4, window_gets: int = 100_000,
              fill_on_miss: bool = True, obs=None, faults=None,
-             timeline=None, tracing=None) -> SimulationResult:
+             timeline=None) -> SimulationResult:
     """One-shot convenience wrapper around :class:`Simulator`.
 
     ``trace`` accepts every :meth:`Simulator.run` source, including
@@ -515,6 +444,5 @@ def simulate(trace, cache: SlabCache, *,
     """
     sim = Simulator(cache, ServiceTimeModel(hit_time=hit_time),
                     window_gets=window_gets, fill_on_miss=fill_on_miss,
-                    obs=obs, faults=faults, timeline=timeline,
-                    tracing=tracing)
+                    obs=obs, faults=faults, timeline=timeline)
     return sim.run(trace)

@@ -29,8 +29,7 @@ def _run(tracer, n=4_000, seed=5):
                            lambda: make_policy("memcached"),
                            size_classes=SizeClassConfig(slab_size=64 << 10),
                            faults=inj, tracing=tracer)
-    result = simulate(trace, cluster, window_gets=1_000, faults=inj,
-                      tracing=tracer)
+    result = simulate(trace, cluster, window_gets=1_000, faults=inj)
     return result, inj
 
 

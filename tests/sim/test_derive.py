@@ -121,11 +121,21 @@ class TestDeriveGating:
         cache = self._cache()
         assert derive_unsupported_reason(cache, cache.policy) is None
 
-    def test_fault_injection_is_the_reason_a_cache_gives(self):
+    def test_a_faulted_replay_takes_the_pairs(self):
+        # apply_rows raises TypeError when a hashing policy's run comes
+        # without the pairs: the replay finishing is the check.
+        from repro.faults import FaultInjector, make_plan
+        from repro.sim import Simulator
+        from repro.traces import ETC, generate
+
         cache = self._cache(tracker="bloom")
-        reason = derive_unsupported_reason(cache, cache.policy,
-                                           faults=object())
-        assert "fault" in reason
+        assert derive_unsupported_reason(cache, cache.policy) is None
+        inj = FaultInjector(make_plan("backend-brownout", 4_000, ["n0"], 7))
+        Simulator(cache, window_gets=500, faults=inj).run(
+            generate(ETC.scaled(0.02), 4_000, seed=3))
+        assert inj.counters["backend_error"] > 0
+        with pytest.raises(TypeError):
+            derive_unsupported_reason(cache, cache.policy, faults=inj)
 
     def test_auto_derive_requires_key_hashes(self):
         # derive.engaged (benchmarks/e2e) is this reason's None and the

@@ -144,3 +144,41 @@ class TestSimulatorReuse:
         r2 = sim.run(trace)
         assert sum(w.gets for w in r2.windows) == 3
         assert r2.windows[0].gets == 2 and r2.windows[1].gets == 1
+
+
+class TestTenantArbiterNeedsOneCache:
+    """A tenant-tagged replay sets ``current_tenant`` on one policy: a
+    cluster has one per node, so it is refused rather than misfiled."""
+
+    @staticmethod
+    def _arbiter():
+        from repro.tenancy import TenantArbiter
+        return TenantArbiter(2)
+
+    def test_a_cluster_of_arbiters_is_refused(self):
+        from repro.cluster import CacheCluster
+        from repro.tenancy.mix import mix_tenants
+        from repro.tenancy.scenarios import noisy_neighbor_specs
+
+        trace = mix_tenants(noisy_neighbor_specs(), 2_000, seed=7)
+        cluster = CacheCluster(
+            ["a", "b"], 4 << 20, self._arbiter,
+            size_classes=SizeClassConfig(slab_size=64 << 10))
+        with pytest.raises(ValueError, match="tenant arbitration needs one "
+                                             "SlabCache, not a CacheCluster"):
+            Simulator(cluster, window_gets=500).run(trace)
+        assert len(cluster) == 0
+
+    def test_faults_and_tenants_are_refused(self):
+        from repro.faults import FaultInjector
+        from repro.tenancy.mix import mix_tenants
+        from repro.tenancy.scenarios import noisy_neighbor_specs
+
+        trace = mix_tenants(noisy_neighbor_specs(), 2_000, seed=7)
+        cache = SlabCache(4 << 20, self._arbiter(),
+                          SizeClassConfig(slab_size=64 << 10))
+        with pytest.raises(ValueError, match="fault injection and tenant "
+                                             "arbitration"):
+            Simulator(cache, window_gets=500, faults=FaultInjector()).run(
+                trace)
+        assert cache.accesses == 0
