@@ -1,14 +1,12 @@
 """Bloom-filter substrate for PAMA's segment membership tests."""
 
 from repro.bloom.bloom import BloomFilter, optimal_params
-from repro.bloom.counting import CountingBloomFilter
 from repro.bloom.hashing import (double_hashes, fnv1a64, hash_key,
                                  hash_pair, splitmix64)
 from repro.bloom.removal import RemovalFilter
 
 __all__ = [
     "BloomFilter",
-    "CountingBloomFilter",
     "RemovalFilter",
     "optimal_params",
     "double_hashes",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from repro.bloom.hashing import _MASK64, hash_pair
+from repro.bloom.hashing import hash_pair
 from repro._util import next_pow2
 
 
@@ -26,8 +26,8 @@ def optimal_params(capacity: int, fp_rate: float) -> tuple[int, int]:
     """Return ``(nbits, nhashes)`` sized for ``capacity`` keys at ``fp_rate``.
 
     Standard formulas: ``m = -n ln p / (ln 2)^2``, ``k = (m/n) ln 2``.
-    ``nbits`` is rounded up to a power of two so the modulo in the hash
-    probe is a cheap bitmask.
+    ``nbits`` is rounded up to a power of two, so a probe position is
+    the double hash under a bitmask.
     """
     if capacity <= 0:
         raise ValueError(f"capacity must be positive, got {capacity}")
@@ -49,25 +49,20 @@ class BloomFilter:
     ``add``/``__contains__`` hash the key themselves (using the filter's
     ``seed``); ``add_hashes``/``contains_hashes`` accept a base pair the
     caller already computed — ``hash_pair(key, self.seed)`` gives
-    bit-identical behaviour to the key-based API.
+    bit-identical behaviour to the key-based API.  The geometry is
+    :func:`optimal_params`'s for ``capacity`` and ``fp_rate``.
     """
 
     __slots__ = ("nbits", "nhashes", "seed", "_ba", "_mask", "count")
 
     def __init__(self, capacity: int = 1024, fp_rate: float = 0.01,
-                 *, nbits: int | None = None, nhashes: int | None = None,
-                 seed: int = 0) -> None:
-        if nbits is None or nhashes is None:
-            auto_bits, auto_hashes = optimal_params(capacity, fp_rate)
-            nbits = nbits if nbits is not None else auto_bits
-            nhashes = nhashes if nhashes is not None else auto_hashes
-        if nbits <= 0 or nhashes <= 0:
-            raise ValueError("nbits and nhashes must be positive")
+                 *, seed: int = 0) -> None:
+        nbits, nhashes = optimal_params(capacity, fp_rate)
         self.nbits = nbits
         self.nhashes = nhashes
         self.seed = seed
-        #: probe mask when nbits is a power of two, else 0 (modulo path).
-        self._mask = nbits - 1 if nbits & (nbits - 1) == 0 else 0
+        #: probe mask: ``nbits`` is a power of two
+        self._mask = nbits - 1
         #: the bitset: bit ``p`` of the little-endian byte array is set
         #: ⇔ some member probed position ``p``.
         self._ba = bytearray((nbits + 7) >> 3)
@@ -89,15 +84,9 @@ class BloomFilter:
         """Insert by precomputed base pair (the hash-once fast path)."""
         ba = self._ba
         mask = self._mask
-        if mask:
-            for i in range(self.nhashes):
-                p = (h1 + i * h2) & mask
-                ba[p >> 3] |= 1 << (p & 7)
-        else:
-            nbits = self.nbits
-            for i in range(self.nhashes):
-                p = ((h1 + i * h2) & _MASK64) % nbits
-                ba[p >> 3] |= 1 << (p & 7)
+        for i in range(self.nhashes):
+            p = (h1 + i * h2) & mask
+            ba[p >> 3] |= 1 << (p & 7)
         self.count += 1
 
     def __contains__(self, key: object) -> bool:
@@ -109,17 +98,10 @@ class BloomFilter:
         clear bit instead of materialising all probe positions."""
         ba = self._ba
         mask = self._mask
-        if mask:
-            for i in range(self.nhashes):
-                p = (h1 + i * h2) & mask
-                if not ba[p >> 3] >> (p & 7) & 1:
-                    return False
-        else:
-            nbits = self.nbits
-            for i in range(self.nhashes):
-                p = ((h1 + i * h2) & _MASK64) % nbits
-                if not ba[p >> 3] >> (p & 7) & 1:
-                    return False
+        for i in range(self.nhashes):
+            p = (h1 + i * h2) & mask
+            if not ba[p >> 3] >> (p & 7) & 1:
+                return False
         return True
 
     def clear(self) -> None:

@@ -41,7 +41,7 @@ _COUNTED = (("gets", "GET lookups"), ("hits", "GET hits"),
             ("expired", "items dropped at expiry"))
 
 
-def apply_rows_per_request(cache, rows, fill: bool, note, sized: bool) -> None:
+def apply_rows_per_request(cache, rows, fill: bool, note) -> None:
     """A run of trace rows, one ``lookup``/``set``/``delete`` per request.
 
     What ``apply_rows`` means, for any cache with the per-request API
@@ -49,16 +49,15 @@ def apply_rows_per_request(cache, rows, fill: bool, note, sized: bool) -> None:
     its routed operations), and the oracle :meth:`SlabCache.apply_rows`
     — which does a hit, a miss, its fill and a SET in its own frame — is
     held equal to.  ``rows`` yields ``(op, key, key_size, value_size,
-    penalty)``; every GET hands ``note`` its outcome — the hit item's
-    size (0 unless ``sized``) or -1 for a miss, which is followed by the
-    fill SET when ``fill``.
+    penalty)``; every GET hands ``note`` its outcome — 0 for a hit, -1
+    for a miss, which is followed by the fill SET when ``fill``.
     """
     lookup, cache_set, cache_delete = cache.lookup, cache.set, cache.delete
     for op, key, key_size, value_size, penalty in rows:
         if op == 0:  # GET
             item = lookup(key, key_size, value_size, penalty)
             if item is not None:
-                note(item.key_size + item.value_size if sized else 0)
+                note(0)
             else:
                 note(-1)
                 if fill:
@@ -297,8 +296,7 @@ class SlabCache:
             if self._pending_migrations:
                 self._flush_migrations()
 
-    def apply_rows(self, rows, fill: bool, note, sized: bool,
-                   hashes=None) -> None:
+    def apply_rows(self, rows, fill: bool, note, hashes=None) -> None:
         """Apply a run of trace rows — the loop the replay kernel runs.
 
         :func:`apply_rows_per_request` with a GET hit, a GET miss, its
@@ -364,7 +362,7 @@ class SlabCache:
                         lru.move_to_front(item)
                     if self._pending_migrations:
                         self._flush_migrations()
-                    note(item.key_size + item.value_size if sized else 0)
+                    note(0)
                     continue
                 # -1: a size no SET has classed yet or no class holds,
                 # or an invalid row
@@ -377,7 +375,7 @@ class SlabCache:
                         continue
                     item = lookup(key, key_size, value_size, penalty)
                     if item is not None:
-                        note(item.key_size + item.value_size if sized else 0)
+                        note(0)
                         continue
                     note(-1)
                     if fill:

@@ -183,12 +183,11 @@ class CacheCluster:
             key, lambda node: node.lookup(key, key_size, value_size, penalty),
             None, "get")
 
-    def apply_rows(self, rows, fill: bool, note, sized: bool,
-                   hashes=None) -> None:
+    def apply_rows(self, rows, fill: bool, note, hashes=None) -> None:
         """A run of trace rows (:meth:`SlabCache.apply_rows`), each
         request routed on its own; ``hashes`` is unused, as each node
         hashes a key in its own ``lookup``."""
-        apply_rows_per_request(self, rows, fill, note, sized)
+        apply_rows_per_request(self, rows, fill, note)
 
     def set(self, key: object, key_size: int, value_size: int,
             penalty: float, value: object = None) -> bool:

@@ -39,8 +39,7 @@ from repro.obs.spans import Span, SpanTracer, format_waterfall
 #: timeline recorder and the report renderer load NumPy and are not
 #: needed by the server or by a replay with nothing attached.
 _LAZY = {
-    "repro.obs.timeline": ("TimelineRecorder", "JsonlSink", "CsvSink",
-                           "open_sink"),
+    "repro.obs.timeline": ("TimelineRecorder", "JsonlSink"),
     "repro.obs.report": ("write_dump", "load_dump", "validate_dump",
                          "render_html", "render_report"),
 }
@@ -52,7 +51,7 @@ __all__ = [
     "Event", "EventTrace",
     "snapshot", "to_json", "to_prometheus", "flat_items",
     "diff_snapshots", "format_diff",
-    "TimelineRecorder", "JsonlSink", "CsvSink", "open_sink",
+    "TimelineRecorder", "JsonlSink",
     "Span", "SpanTracer", "format_waterfall",
     "write_dump", "load_dump", "validate_dump", "render_html",
     "render_report",

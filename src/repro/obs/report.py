@@ -42,10 +42,11 @@ def write_dump(dirpath: str, *, meta: dict | None = None,
                tracer=None) -> list[str]:
     """Write one run's observations as a dump directory.
 
-    ``timeline`` may be a :class:`~repro.obs.timeline.TimelineRecorder`
-    (its retained rows are written) — if the recorder already streamed
-    to a JSONL sink inside ``dirpath``, skip passing it here.  Returns
-    the paths written.
+    ``timeline`` is a :class:`~repro.obs.timeline.TimelineRecorder`,
+    whose rows are written — if the recorder already streamed to a
+    JSONL sink inside ``dirpath``, skip passing it here — and
+    ``tracer`` a :class:`~repro.obs.spans.SpanTracer`, whose traces are.
+    Returns the paths written.
     """
     os.makedirs(dirpath, exist_ok=True)
     written: list[str] = []
@@ -58,13 +59,10 @@ def write_dump(dirpath: str, *, meta: dict | None = None,
 
     emit(META_FILE, json.dumps(meta or {}, indent=2, default=str))
     if timeline is not None:
-        rows = timeline.rows if hasattr(timeline, "rows") else list(timeline)
         emit(TIMELINE_FILE, "".join(
-            json.dumps(row, sort_keys=True) + "\n" for row in rows))
+            json.dumps(row, sort_keys=True) + "\n" for row in timeline.rows))
     if tracer is not None:
-        traces = (tracer.trace_dicts() if hasattr(tracer, "trace_dicts")
-                  else list(tracer))
-        emit(SPANS_FILE, json.dumps(traces, indent=1))
+        emit(SPANS_FILE, json.dumps(tracer.trace_dicts(), indent=1))
     if registry is not None:
         from repro.obs.export import to_json
         emit(SNAPSHOT_FILE, to_json(registry, events=events, meta=meta))

@@ -12,24 +12,16 @@ per-(class, bin) slab counts.
 Cost model mirrors :mod:`repro.obs`: nothing is recorded unless a
 recorder is attached, and every cold-path hook is one ``is not None``
 check.  Attaching one does not change the replay loop: the simulator's
-kernel hands a run of GET outcomes to :meth:`TimelineRecorder.record_many`
-and sends only the request on which a row closes through
-:meth:`~TimelineRecorder.record_get` / :meth:`~TimelineRecorder.advance`.
+kernel hands each run of GET outcomes inside the open row to
+:meth:`TimelineRecorder.record_many`, and rolls the row with
+:meth:`~TimelineRecorder.advance` at the request on which it closes.
 
-Memory is bounded two ways:
-
-* rows can stream to an append-friendly :class:`JsonlSink` /
-  :class:`CsvSink` as they close (the dump-directory format
-  ``repro-kv report`` renders);
-* the in-memory row list can be capped with ``max_rows``: when it
-  fills, adjacent rows are merged pairwise and the stride doubles —
-  the series keeps full time coverage at half the resolution, like a
-  flight recorder.
+Rows can also stream to an append-friendly :class:`JsonlSink` as they
+close (the dump-directory format ``repro-kv report`` renders).
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from typing import IO
 
@@ -41,7 +33,7 @@ from repro.obs.registry import Histogram
 #: quantiles each row reports for the window's service times.
 ROW_QUANTILES = (0.5, 0.99)
 
-#: scalar columns, in CSV header order (complex columns follow).
+#: scalar columns of a row.
 SCALAR_FIELDS = (
     "window", "tick_start", "tick_end", "gets", "hits", "misses",
     "hit_ratio", "ghost_hits", "penalty_mass", "avg_service_time",
@@ -49,9 +41,9 @@ SCALAR_FIELDS = (
     "decision_count", "eq1_incoming_sum", "eq2_outgoing_sum",
 )
 
-#: nested columns (JSON-encoded in CSV cells).  ``tenants`` maps tenant
-#: id -> per-window {gets, hits, service, penalty} and stays ``{}``
-#: unless the replay loop tags requests with tenants.
+#: nested columns.  ``tenants`` maps tenant id -> per-window {gets,
+#: hits, service, penalty} and stays ``{}`` unless the replay loop tags
+#: requests with tenants.
 NESTED_FIELDS = ("decisions", "class_slabs", "queue_slabs", "tenants")
 
 
@@ -78,51 +70,15 @@ class JsonlSink:
             self._fh.close()
 
 
-class CsvSink:
-    """Streams rows as CSV: scalar columns verbatim, nested columns
-    (slab distributions, decision outcomes) JSON-encoded per cell."""
-
-    def __init__(self, path_or_file: str | IO[str]) -> None:
-        if isinstance(path_or_file, str):
-            self._fh: IO[str] = open(path_or_file, "w", newline="")
-            self._owns = True
-        else:
-            self._fh = path_or_file
-            self._owns = False
-        self._writer = csv.writer(self._fh)
-        self._writer.writerow(SCALAR_FIELDS + NESTED_FIELDS)
-        self.rows_written = 0
-
-    def write(self, row: dict) -> None:
-        cells = [row.get(f, "") for f in SCALAR_FIELDS]
-        cells += [json.dumps(row.get(f, {}), sort_keys=True)
-                  for f in NESTED_FIELDS]
-        self._writer.writerow(cells)
-        self.rows_written += 1
-
-    def close(self) -> None:
-        self._fh.flush()
-        if self._owns:
-            self._fh.close()
-
-
-def open_sink(path: str) -> JsonlSink | CsvSink:
-    """Pick a sink by extension: ``.csv`` -> CSV, anything else JSONL."""
-    return CsvSink(path) if path.endswith(".csv") else JsonlSink(path)
-
-
 class TimelineRecorder:
     """Windowed time-series recorder over access ticks.
 
     Args:
         stride: access ticks per window (one tick per trace request).
-        sink: optional row sink; rows stream out as windows close.
-        max_rows: cap on in-memory rows; on overflow adjacent rows are
-            merged pairwise and the stride doubles (must be >= 2).
-        keep_rows: set False to keep *no* rows in memory (sink-only
-            mode for very long runs).
+        sink: optional row sink (a :class:`JsonlSink`); rows stream out
+            as windows close.
 
-    Request accounting (:meth:`record_get` / :meth:`advance`, or
+    Request accounting (:meth:`advance` at a request's tick, then
     :meth:`record_many` for a run of GETs inside the open window) is
     driven by the replay loop with the global request tick; cold-path
     hooks (:meth:`note_eviction` and friends) are called by the cache
@@ -130,17 +86,11 @@ class TimelineRecorder:
     same recorder works for a single cache or a whole cluster.
     """
 
-    def __init__(self, stride: int = 10_000, sink=None,
-                 max_rows: int | None = None,
-                 keep_rows: bool = True) -> None:
+    def __init__(self, stride: int = 10_000, sink=None) -> None:
         if stride <= 0:
             raise ValueError("stride must be positive")
-        if max_rows is not None and max_rows < 2:
-            raise ValueError("max_rows must be >= 2 (merging needs pairs)")
         self.stride = stride
         self.sink = sink
-        self.max_rows = max_rows
-        self.keep_rows = keep_rows
         self.rows: list[dict] = []
         self.rows_closed = 0
         #: snapshot hook returning (class_slabs, queue_slabs); the
@@ -167,33 +117,17 @@ class TimelineRecorder:
         self._tenants: dict[int, list] = {}
         self._hist.reset()
 
-    # -- per-request accounting (replay loop) ---------------------------
-    def record_get(self, tick: int, hit: bool, cost: float,
-                   penalty: float = 0.0) -> None:
-        """One GET outcome at ``tick``; rolls the window when crossed.
-
-        Per-tenant cells are fed by :meth:`record_many`'s ``tenants``.
-        """
-        if tick >= self._window_start + self.stride:
-            self._close(tick)
-        self._gets += 1
-        self._service += cost
-        self._hist.record(cost)
-        if hit:
-            self._hits += 1
-        elif penalty == penalty:  # miss; skip NaN (unknown penalty)
-            self._penalty += penalty
-
+    # -- request accounting (replay loop) -------------------------------
     def record_many(self, hits, costs, penalties, tenants=None) -> None:
-        """Array form of :meth:`record_get` for a run of GETs that all
-        fall inside the open window (``hits`` a bool array; NaN
-        penalties of misses are skipped, as there; ``tenants``, when
-        given, the GETs' tenant ids for the per-tenant cells).
+        """A run of GETs that all fall inside the open window: ``hits``
+        a bool array, ``costs`` their service times, ``penalties`` their
+        penalties, of which the misses' add to the penalty mass (a NaN
+        is skipped); ``tenants``, when given, the GETs' tenant ids for
+        the per-tenant cells.
 
-        Rolling the window stays with :meth:`record_get` and
-        :meth:`advance`: the caller ends its run before the request at
-        :attr:`next_close` and calls :meth:`advance` at that request's
-        tick before recording it.
+        Rolling the window stays with :meth:`advance`: the caller ends
+        its run before the request at :attr:`next_close` and calls
+        :meth:`advance` at that request's tick before recording it.
         """
         if not len(costs):
             return
@@ -212,7 +146,8 @@ class TimelineRecorder:
         return self._window_start + self.stride
 
     def advance(self, tick: int) -> None:
-        """A non-GET request at ``tick`` (SET/DELETE): window roll only."""
+        """The request at ``tick``: close the open window if ``tick``
+        is past it."""
         if tick >= self._window_start + self.stride:
             self._close(tick)
 
@@ -241,12 +176,8 @@ class TimelineRecorder:
         self.rows_closed += 1
         if self.sink is not None:
             self.sink.write(row)
-        if self.keep_rows:
-            self.rows.append(row)
-            if self.max_rows is not None and len(self.rows) > self.max_rows:
-                self._downsample()
-        # Align to the stride grid so sparse traces skip empty windows
-        # (the stride may just have doubled in _downsample).
+        self.rows.append(row)
+        # Align to the stride grid so sparse traces skip empty windows.
         self._window_start = max(self._window_start + self.stride,
                                  (next_tick // self.stride) * self.stride)
         self._zero_window()
@@ -288,15 +219,6 @@ class TimelineRecorder:
                         for t, c in sorted(self._tenants.items())},
         }
 
-    def _downsample(self) -> None:
-        """Merge adjacent row pairs and double the stride: same time
-        coverage, half the resolution, bounded memory."""
-        merged = [merge_rows(self.rows[i], self.rows[i + 1])
-                  if i + 1 < len(self.rows) else self.rows[i]
-                  for i in range(0, len(self.rows), 2)]
-        self.rows = merged
-        self.stride *= 2
-
     def finish(self) -> None:
         """Close a final partial window (if any) and flush the sink."""
         if self._gets or self._decision_count or self._migrations \
@@ -335,54 +257,6 @@ def tally_tenants(cells: dict, tenants, hits, costs, penalties) -> list:
         cell[3] = seq_sum(cell[3], missed[missed == missed])
         out.append((tenant, mine))
     return out
-
-
-def merge_rows(a: dict, b: dict) -> dict:
-    """Combine two adjacent rows into one covering both windows.
-
-    Counts and sums add; ratio/means are recomputed from the merged
-    sums; the per-window quantiles take the pairwise max (a
-    conservative tail estimate — exact merging would need the raw
-    buckets); slab snapshots keep the *later* row's (end-of-window
-    semantics).
-    """
-    gets = a["gets"] + b["gets"]
-    hits = a["hits"] + b["hits"]
-    service = (a["avg_service_time"] * a["gets"]
-               + b["avg_service_time"] * b["gets"])
-    decisions = dict(a["decisions"])
-    for outcome, n in b["decisions"].items():
-        decisions[outcome] = decisions.get(outcome, 0) + n
-    # ``tenants`` may be absent in rows from pre-tenancy dumps.
-    tenants = {t: dict(cell) for t, cell in a.get("tenants", {}).items()}
-    for t, cell in b.get("tenants", {}).items():
-        merged_cell = tenants.setdefault(
-            t, {"gets": 0, "hits": 0, "service": 0.0, "penalty": 0.0})
-        for k, v in cell.items():
-            merged_cell[k] = merged_cell.get(k, 0) + v
-    return {
-        "window": a["window"],
-        "tick_start": a["tick_start"],
-        "tick_end": b["tick_end"],
-        "gets": gets,
-        "hits": hits,
-        "misses": gets - hits,
-        "hit_ratio": hits / gets if gets else 0.0,
-        "ghost_hits": a["ghost_hits"] + b["ghost_hits"],
-        "penalty_mass": a["penalty_mass"] + b["penalty_mass"],
-        "avg_service_time": service / gets if gets else 0.0,
-        "service_p50": max(a["service_p50"], b["service_p50"]),
-        "service_p99": max(a["service_p99"], b["service_p99"]),
-        "evictions": a["evictions"] + b["evictions"],
-        "migrations": a["migrations"] + b["migrations"],
-        "decisions": dict(sorted(decisions.items())),
-        "decision_count": a["decision_count"] + b["decision_count"],
-        "eq1_incoming_sum": a["eq1_incoming_sum"] + b["eq1_incoming_sum"],
-        "eq2_outgoing_sum": a["eq2_outgoing_sum"] + b["eq2_outgoing_sum"],
-        "class_slabs": b["class_slabs"],
-        "queue_slabs": b["queue_slabs"],
-        "tenants": {t: tenants[t] for t in sorted(tenants)},
-    }
 
 
 def load_jsonl(path: str) -> list[dict]:

@@ -150,9 +150,3 @@ class MetricsCollector:
     def overall_avg_service_time(self) -> float:
         return self.total_service / self.total_gets if self.total_gets else 0.0
 
-    def hit_ratio_series(self) -> list[float]:
-        return [w.hit_ratio for w in self.windows]
-
-    def service_time_series(self) -> list[float]:
-        return [w.avg_service_time for w in self.windows]
-

@@ -299,8 +299,8 @@ class Simulator:
         notes one outcome per GET.
 
         Per trace window, the rows up to the next *closing row* run as
-        one call; their GET costs are then one array (the window's miss
-        costs, the hit cost written over the hits) that the collector,
+        one call; their GET costs are then one array (the GETs' penalties,
+        ``hit_time`` written over the hits) that the collector,
         the histograms and the timeline reduce through ``record_many``.
         A closing row is one on which a metrics window or a timeline row
         closes — the ``gets_to_close``-th GET from here, the row at the
@@ -335,11 +335,8 @@ class Simulator:
         apply_rows = cache.apply_rows
         wants_hashes = getattr(cache, "_wants_hashes", False)
         hashes = None
-        # hit costs need the item's size only when they depend on it
-        sized = (service.bandwidth is not None
-                 or type(service).hit is not ServiceTimeModel.hit)
-        plain_miss = type(service).miss is ServiceTimeModel.miss
-        got: list[int] = []  # per GET of a run: size hit (0 unsized), -1 miss
+        hit_time = service.hit_time
+        got: list[int] = []  # per GET of a run: 0 hit, -1 miss
         note = got.append
         faults = self.faults
         base = 0  # tick of the window's first row
@@ -363,8 +360,8 @@ class Simulator:
             ran = slice(gets, gets + len(outcome))
             of_gets = get_rows[ran]
             gets += len(outcome)
-            costs = miss_costs[of_gets]
-            costs[hits] = service.hit_array(outcome[hits])
+            costs = penalties[of_gets]
+            costs[hits] = hit_time
             if faults is not None:
                 costs = faults.charge(costs, hits, extra, mult[ran],
                                       erring[ran], w.keys[of_gets])
@@ -385,8 +382,6 @@ class Simulator:
         for w in iter_windows(source):
             n = len(w)
             penalties = w.penalties
-            miss_costs = (penalties if plain_miss else np.array(
-                service.miss_array(penalties), dtype=np.float64))
             get_rows = np.flatnonzero(w.ops == 0)
             rows = w.iter_rows()
             if wants_hashes:
@@ -413,20 +408,18 @@ class Simulator:
                     stop = int(get_rows[closing_get])
                 if timeline is not None:
                     stop = min(stop, max(at, timeline.next_close - base))
-                apply_rows(islice(rows, stop - at), fill, note, sized,
-                           hashes)
+                apply_rows(islice(rows, stop - at), fill, note, hashes)
                 reduce()
                 if stop < n:
                     row = next(rows)
-                    apply_rows((row,), False, note, sized, hashes)
+                    apply_rows((row,), False, note, hashes)
                     # a GET that missed, and whose fetch did not error
                     refill = fill and got == [-1] and gets != lone
                     if timeline is not None:
                         timeline.advance(base + stop)
                     reduce()
                     if refill:
-                        apply_rows(((1,) + row[1:],), False, note, sized,
-                                   hashes)
+                        apply_rows(((1,) + row[1:],), False, note, hashes)
                 at = stop + 1
             base += n
             # this window's lists go before the next is pulled

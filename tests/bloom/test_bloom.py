@@ -81,13 +81,18 @@ class TestBloomFilter:
         # b uses a different hash family; 12345 almost surely absent
         assert 12345 in a
 
-    def test_explicit_geometry(self):
-        f = BloomFilter(nbits=64, nhashes=2)
-        assert f.nbits == 64 and f.nhashes == 2
+    def test_geometry_is_optimal_params(self):
+        # the width is a power of two, so a probe is a bitmask
+        for capacity in (1, 10, 100, 1000):
+            f = BloomFilter(capacity, 0.01)
+            assert (f.nbits, f.nhashes) == optimal_params(capacity, 0.01)
+            assert f.nbits & (f.nbits - 1) == 0
 
     def test_invalid_geometry(self):
         with pytest.raises(ValueError):
-            BloomFilter(nbits=0, nhashes=2)
+            BloomFilter(capacity=0)
+        with pytest.raises(ValueError):
+            BloomFilter(fp_rate=1.0)
 
     @settings(max_examples=50)
     @given(st.sets(st.integers(min_value=0, max_value=10**9), max_size=200))

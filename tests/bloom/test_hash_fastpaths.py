@@ -2,16 +2,16 @@
 
 The hash-once hot path computes one :func:`hash_pair` per request and
 threads it through every filter; these properties pin the contract that
-makes that sound: for any key, seed, filter size (power-of-two or not)
-and hash count, the fast paths touch exactly the bit positions the
-reference :func:`double_hashes` construction defines, and the key-based
-APIs remain thin wrappers with bit-identical behaviour.
+makes that sound: for any key, seed and filter geometry
+(:func:`optimal_params`'s, whose width is a power of two), the fast
+paths touch exactly the bit positions the reference
+:func:`double_hashes` construction defines, and the key-based APIs
+remain thin wrappers with bit-identical behaviour.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.bloom.bloom import BloomFilter
-from repro.bloom.counting import CountingBloomFilter
 from repro.bloom.hashing import _MASK64, double_hashes, hash_key, hash_pair
 from repro.bloom.removal import RemovalFilter
 
@@ -22,11 +22,15 @@ KEYS = st.one_of(
     st.binary(max_size=32),
 )
 SEEDS = st.integers(min_value=0, max_value=2 ** 32)
-#: filter widths: powers of two (the optimal_params output) and
-#: arbitrary sizes that exercise the modulo fallback.
+#: widths for the reference construction: powers of two (the
+#: optimal_params output) and arbitrary sizes.
 NBITS = st.one_of(st.sampled_from([8, 64, 1024, 16384]),
                   st.integers(min_value=1, max_value=5000))
 NHASHES = st.integers(min_value=1, max_value=12)
+#: filter geometries, as optimal_params sizes them: widths from 8 bits
+#: up, one to seven probes.
+CAPACITIES = st.integers(min_value=1, max_value=2000)
+FP_RATES = st.sampled_from([0.5, 0.1, 0.01, 0.001])
 
 
 class TestHashPair:
@@ -52,35 +56,35 @@ class TestHashPair:
 
 
 class TestBloomFilterFastPath:
-    @given(KEYS, SEEDS, NBITS, NHASHES)
+    @given(KEYS, SEEDS, CAPACITIES, FP_RATES)
     @settings(max_examples=200)
-    def test_add_hashes_sets_reference_bits(self, key, seed, nbits, k):
-        by_key = BloomFilter(nbits=nbits, nhashes=k, seed=seed)
-        by_pair = BloomFilter(nbits=nbits, nhashes=k, seed=seed)
+    def test_add_hashes_sets_reference_bits(self, key, seed, capacity, fp):
+        by_key = BloomFilter(capacity, fp, seed=seed)
+        by_pair = BloomFilter(capacity, fp, seed=seed)
         by_key.add(key)
         by_pair.add_hashes(*hash_pair(key, seed))
         expected = 0
-        for pos in double_hashes(key, k, nbits, seed):
+        for pos in double_hashes(key, by_key.nhashes, by_key.nbits, seed):
             expected |= 1 << pos
         assert by_key._bits == by_pair._bits == expected
         assert key in by_key
         assert by_pair.contains_hashes(*hash_pair(key, seed))
 
-    @given(st.lists(KEYS, max_size=8), KEYS, SEEDS, NBITS, NHASHES)
+    @given(st.lists(KEYS, max_size=8), KEYS, SEEDS, CAPACITIES, FP_RATES)
     @settings(max_examples=200)
     def test_contains_hashes_agrees_with_key_api(self, members, probe,
-                                                 seed, nbits, k):
-        filt = BloomFilter(nbits=nbits, nhashes=k, seed=seed)
+                                                 seed, capacity, fp):
+        filt = BloomFilter(capacity, fp, seed=seed)
         for m in members:
             filt.add(m)
         assert (probe in filt) == filt.contains_hashes(*hash_pair(probe, seed))
 
-    @given(st.lists(KEYS, max_size=16), NBITS, NHASHES)
-    def test_saturation_counts_set_bits(self, members, nbits, k):
-        filt = BloomFilter(nbits=nbits, nhashes=k)
+    @given(st.lists(KEYS, max_size=16), CAPACITIES, FP_RATES)
+    def test_saturation_counts_set_bits(self, members, capacity, fp):
+        filt = BloomFilter(capacity, fp)
         for m in members:
             filt.add(m)
-        assert filt.saturation() == bin(filt._bits).count("1") / nbits
+        assert filt.saturation() == bin(filt._bits).count("1") / filt.nbits
 
 
 class TestRemovalFilterFastPath:
@@ -106,19 +110,3 @@ class TestRemovalFilterFastPath:
         by_pair.on_segment_add_hashes(*hash_pair(added, seed))
         assert by_key.clears == by_pair.clears
         assert by_key._filter._bits == by_pair._filter._bits
-
-
-class TestCountingFilterFastPath:
-    @given(st.lists(KEYS, max_size=8), KEYS, SEEDS)
-    def test_add_remove_contains_agree(self, members, probe, seed):
-        by_key = CountingBloomFilter(64, seed=seed)
-        by_pair = CountingBloomFilter(64, seed=seed)
-        for m in members:
-            by_key.add(m)
-            by_pair.add_hashes(*hash_pair(m, seed))
-        assert by_key._counts == by_pair._counts
-        assert (probe in by_key) == by_pair.contains_hashes(
-            *hash_pair(probe, seed))
-        assert by_key.remove(probe) == by_pair.remove_hashes(
-            *hash_pair(probe, seed))
-        assert by_key._counts == by_pair._counts

@@ -189,7 +189,7 @@ class Side:
         self.got = []
         self.run = run
 
-    def step(self, step, fill, sized):
+    def step(self, step, fill):
         kind = step[0]
         if kind == "advance":
             self.clock.now += step[1]
@@ -199,7 +199,7 @@ class Side:
             return self.cache.set(key, 8, size - 8, penalty,
                                   expires_at=self.clock.now + ttl)
         try:
-            self.run(self.cache, iter(step[1]), fill, self.got.append, sized)
+            self.run(self.cache, iter(step[1]), fill, self.got.append)
         except (InvalidItemError, ValueError) as exc:
             return type(exc), str(exc)
         return None
@@ -216,15 +216,15 @@ class KeyHashes(dict):
 class Pair:
     """The cache under test and one driven request by request."""
 
-    def __init__(self, make, slabs, fill=True, sized=True):
+    def __init__(self, make, slabs, fill=True):
         self.fast = Side(make, slabs, lambda cache, *run: cache.apply_rows(
             *run, KeyHashes()))
         self.slow = Side(make, slabs, apply_rows_per_request)
-        self.fill, self.sized = fill, sized
+        self.fill = fill
 
     def step(self, step):
-        assert (self.fast.step(step, self.fill, self.sized)
-                == self.slow.step(step, self.fill, self.sized))
+        assert (self.fast.step(step, self.fill)
+                == self.slow.step(step, self.fill))
         self.compare()
 
     def rows(self, *rows):
@@ -294,10 +294,9 @@ STEP = st.one_of(
 class TestEveryRun:
     @settings(max_examples=25, deadline=None)
     @given(st.lists(STEP, min_size=1, max_size=12),
-           st.integers(min_value=2, max_value=6), st.booleans(),
-           st.booleans())
-    def test_random_runs(self, name, steps, slabs, fill, sized):
-        pair = Pair(POLICIES[name], slabs, fill, sized)
+           st.integers(min_value=2, max_value=6), st.booleans())
+    def test_random_runs(self, name, steps, slabs, fill):
+        pair = Pair(POLICIES[name], slabs, fill)
         for step in steps:
             pair.step(step)
 
@@ -310,7 +309,7 @@ class TestEveryRun:
         whole.rows(*rows)
         single = Pair(POLICIES[name], slabs=5)
         for row in rows:
-            single.fast.step(("rows", [row]), True, True)
+            single.fast.step(("rows", [row]), True)
         assert (observe(whole.fast.cache, whole.fast.events)
                 == observe(single.fast.cache, single.fast.events))
         assert whole.fast.got == single.fast.got
@@ -327,7 +326,7 @@ class TestEveryRun:
         pair.step(("advance", 3.0))
         pair.rows(get(1), get(2), get(2), get(7))   # 2 is gone, then refilled
         if name in TIMERLESS:
-            assert pair.fast.got == [40, 40, 100, 40, -1, 40, 100]
+            assert pair.fast.got == [0, 0, 0, 0, -1, 0, 0]
             assert pair.fast.cache.stats.expired == 1
 
     def test_a_row_that_raises_mid_run(self, name):
@@ -341,7 +340,7 @@ class TestEveryRun:
         pair.rows(get(1), (0, 50, 8, -8, 0.05), get(2))  # a miss that raises
         pair.rows(get(2), put(9), get(9))
         if name in TIMERLESS:
-            assert pair.fast.got == [40, 40, 40, 40, 40]
+            assert pair.fast.got == [0, 0, 0, 0, 0]
             assert cache.stats.hits == 5 and cache.stats.misses == 1
 
 
@@ -374,11 +373,11 @@ class TestMigrationsRequestedFromOnHit:
         for side in (pair.fast, pair.slow):
             item = side.cache.index["a"]
             side.run(side.cache, iter([get("a"), get("b")]), True,
-                     side.got.append, True)
+                     side.got.append)
             # served as a hit and promoted before the migration that
             # on_hit asked for took its queue's only slab away; the
             # cache stamps no access tick or CAS unique on it
-            assert side.got == [40, -1]
+            assert side.got == [0, -1]
             assert side.cache.accesses == 6 and item.prev is None
             assert item.last_access == 0 and item.cas == 0
             assert side.cache.stats.migrations == 1
@@ -392,7 +391,7 @@ class TestMigrationsRequestedFromOnHit:
         for side in (pair.fast, pair.slow):
             with pytest.raises(RuntimeError):
                 side.run(side.cache, iter([get("new"), get("boom"), get("a")]),
-                         True, side.got.append, True)
+                         True, side.got.append)
             # the migration it had asked for is not left pending
             assert side.cache.stats.migrations == 1
             assert "boom" not in side.cache and side.got == [-1]
@@ -403,5 +402,5 @@ def test_a_policy_that_hashes_keys_needs_the_pairs():
     cache = SlabCache(4 * SLAB, POLICIES["pama-bloom"](),
                       SizeClassConfig(slab_size=SLAB))
     with pytest.raises(TypeError, match="hash pairs"):
-        cache.apply_rows(iter([put(1), get(1)]), True, [].append, False)
+        cache.apply_rows(iter([put(1), get(1)]), True, [].append)
     assert cache.accesses == 0 and len(cache) == 0

@@ -307,5 +307,5 @@ class TestWhatAHitReads:
         counting.set("k", 4, 100, 0.05)
         counting.get("k")
         counting.apply_rows(iter([(0, "k", 4, 100, 0.05)]), True,
-                            [].append, False)
+                            [].append)
         assert counting.policy.hits == 2 and counting._on_miss is None

@@ -44,7 +44,7 @@ def frames_per_hit(cache, keys) -> float:
     got = []
     hits = cache.stats.hits
     calls = calls_during(
-        lambda: cache.apply_rows(iter(rows), True, got.append, False))
+        lambda: cache.apply_rows(iter(rows), True, got.append))
     assert cache.stats.hits - hits == len(rows) == len(got)
     cache.check_invariants()
     return (calls - 1) / len(rows)

@@ -38,8 +38,8 @@ def bytes_per_item(policy: str) -> float:
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        cache.apply_rows(stores, False, lambda outcome: None, False)
-        cache.apply_rows(hits, False, lambda outcome: None, False)
+        cache.apply_rows(stores, False, lambda outcome: None)
+        cache.apply_rows(hits, False, lambda outcome: None)
         used = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()

@@ -119,7 +119,7 @@ class TestTooLargeIsMemoized:
             cache = SlabCache(8 * 1024, make_policy("memcached"),
                               SizeClassConfig(slab_size=1024))
             got = []
-            apply(cache, iter(rows), True, got.append, False)
+            apply(cache, iter(rows), True, got.append)
             caches.append(cache)
             notes.append(got)
         assert built == []

@@ -50,7 +50,7 @@ def frames_per_row(cache, rows) -> float:
     got = []
     sets, misses = cache.stats.sets, cache.stats.misses
     calls = calls_during(
-        lambda: cache.apply_rows(iter(rows), True, got.append, False))
+        lambda: cache.apply_rows(iter(rows), True, got.append))
     assert cache.stats.sets - sets == len(rows)
     assert len(got) == cache.stats.misses - misses
     cache.check_invariants()

@@ -28,10 +28,10 @@ from repro.faults.scenarios import (default_policy_kwargs, make_plan,
 from repro.obs import EventTrace, Registry, SpanTracer, TimelineRecorder
 from repro.policies import make_policy
 from repro.sim.metrics import MetricsCollector
-from repro.sim.service import ServiceTimeModel
 from repro.sim.simulator import SimulationResult, Simulator, _slab_snapshot
 from repro.traces import ETC, generate
 from repro.traces.record import Trace, iter_windows
+from tests.sim.test_kernel_differential import record_get
 
 MIB = 1 << 20
 ROWS = 6_000
@@ -89,10 +89,10 @@ def _replay_faulty(sim, rows, metrics, service, hist, hist_hit, hist_miss,
             item = cache_lookup(key, key_size, value_size, penalty)
             extra = inj.consume_latency()
             if item is not None:
-                cost = service.hit(item.total_size) + extra
+                cost = service.hit_time + extra
                 record_hit(cost)
                 if timeline is not None:
-                    timeline.record_get(tick, True, cost)
+                    record_get(timeline, tick, True, cost)
                 if hist is not None:
                     hist.record(cost)
                     hist_hit.record(cost)
@@ -117,7 +117,7 @@ def _replay_faulty(sim, rows, metrics, service, hist, hist_hit, hist_miss,
                     cost = extra + miss_cost * mult
                 record_miss(cost)
                 if timeline is not None:
-                    timeline.record_get(tick, False, cost, penalty)
+                    record_get(timeline, tick, False, cost, penalty)
                 if hist is not None:
                     hist.record(cost)
                     hist_miss.record(cost)
@@ -203,16 +203,8 @@ def _windows():
     return iter([TRACE.slice(a, b) for a, b in zip(cuts, cuts[1:])])
 
 
-class _Priced(ServiceTimeModel):
-    """Sized hits and a miss that is not the penalty."""
-
-    def miss(self, penalty: float) -> float:
-        return 0.5 * penalty + 2e-4
-
-
 def _sides(build, plan, source=lambda: TRACE, instrumented=True,
-           service=None, resilience=None, window_gets=WINDOW_GETS,
-           stride=STRIDE):
+           resilience=None, window_gets=WINDOW_GETS, stride=STRIDE):
     """(reference, kernel): each side's observable state after one
     replay of ``source()`` on the cache ``build(injector, tracer)``
     makes."""
@@ -226,7 +218,7 @@ def _sides(build, plan, source=lambda: TRACE, instrumented=True,
         inj = FaultInjector(plan, resilience=resilience, obs=registry,
                             events=events)
         cache = build(inj, tracer)
-        sim = Simulator(cache, service, window_gets=window_gets,
+        sim = Simulator(cache, window_gets=window_gets,
                         obs=registry, faults=inj, timeline=timeline)
         result = runner(sim, source())
         sides.append({
@@ -320,11 +312,6 @@ class TestFaultedReplayEqualsTheFaultLoop:
                        resilience=ResilienceConfig(serve_stale=False))
         assert_same(sides)
         assert sides[1]["counters"]["backend_give_up"] > 0
-
-    def test_sized_hits_and_an_overridden_miss(self):
-        names, build = _cluster("pama", 2)
-        plan = make_plan("backend-brownout", ROWS, names, seed=7)
-        assert_same(_sides(build, plan, service=_Priced(bandwidth=3e7)))
 
     def test_injector_reused_for_a_second_run(self):
         """The second run's ticks continue the injector's clock: its

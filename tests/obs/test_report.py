@@ -8,6 +8,7 @@ from repro.obs.report import (load_dump, render_html, render_report,
                               validate_dump, write_dump)
 from repro.obs.spans import SpanTracer
 from repro.obs.timeline import TimelineRecorder
+from tests.sim.test_kernel_differential import record_get
 
 import pytest
 
@@ -16,8 +17,8 @@ def _sample_timeline() -> TimelineRecorder:
     rec = TimelineRecorder(stride=10)
     rec.snapshot_fn = lambda: ({1: 2, 3: 1}, {(1, 0): 2, (3, 0): 1})
     for t in range(25):
-        rec.record_get(t, hit=(t % 3 != 0), cost=0.001 if t % 3 else 0.2,
-                       penalty=0.2)
+        record_get(rec, t, hit=(t % 3 != 0), cost=0.001 if t % 3 else 0.2,
+                   penalty=0.2)
     rec.note_decision(2.0, 1.0, "approved")
     rec.note_migration()
     rec.note_eviction()
@@ -168,7 +169,7 @@ class TestRenderHtml:
         rec = TimelineRecorder(stride=10)
         rec.snapshot_fn = lambda: ({c: c + 1 for c in range(12)}, {})
         for t in range(10):
-            rec.record_get(t, hit=True, cost=0.001)
+            record_get(rec, t, hit=True, cost=0.001)
         rec.finish()
         doc = render_html({"meta": {}, "timeline": rec.rows, "traces": [],
                            "snapshot": {}})

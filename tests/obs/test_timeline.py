@@ -1,20 +1,20 @@
-"""Tests for the windowed timeline recorder and its sinks."""
+"""Tests for the windowed timeline recorder and its JSONL sink."""
 
 import io
 import json
 
 import pytest
 
-from repro.obs.timeline import (CsvSink, JsonlSink, NESTED_FIELDS,
-                                SCALAR_FIELDS, TimelineRecorder, load_jsonl,
-                                merge_rows, open_sink)
+from repro.obs.timeline import (JsonlSink, NESTED_FIELDS, SCALAR_FIELDS,
+                                TimelineRecorder, load_jsonl)
+from tests.sim.test_kernel_differential import record_get
 
 
 def _drive(recorder: TimelineRecorder, ticks: int, stride_hits=0.5):
     """Feed a deterministic GET pattern: every other request hits."""
     for t in range(ticks):
-        recorder.record_get(t, hit=(t % 2 == 0), cost=0.001 if t % 2 == 0
-                            else 0.1, penalty=0.1)
+        record_get(recorder, t, hit=(t % 2 == 0), cost=0.001 if t % 2 == 0
+                   else 0.1, penalty=0.1)
     recorder.finish()
 
 
@@ -40,37 +40,37 @@ class TestWindows:
 
     def test_penalty_mass_counts_misses_only(self):
         rec = TimelineRecorder(stride=4)
-        rec.record_get(0, hit=True, cost=0.001, penalty=9.0)
-        rec.record_get(1, hit=False, cost=0.5, penalty=0.5)
-        rec.record_get(2, hit=False, cost=0.25, penalty=0.25)
+        record_get(rec, 0, hit=True, cost=0.001, penalty=9.0)
+        record_get(rec, 1, hit=False, cost=0.5, penalty=0.5)
+        record_get(rec, 2, hit=False, cost=0.25, penalty=0.25)
         rec.finish()
         assert rec.rows[0]["penalty_mass"] == pytest.approx(0.75)
 
     def test_nan_penalty_skipped(self):
         rec = TimelineRecorder(stride=4)
-        rec.record_get(0, hit=False, cost=0.5, penalty=float("nan"))
+        record_get(rec, 0, hit=False, cost=0.5, penalty=float("nan"))
         rec.finish()
         assert rec.rows[0]["penalty_mass"] == 0.0
         assert rec.rows[0]["misses"] == 1
 
     def test_sparse_trace_skips_empty_windows(self):
         rec = TimelineRecorder(stride=10)
-        rec.record_get(3, hit=True, cost=0.001)
-        rec.record_get(905, hit=True, cost=0.001)
+        record_get(rec, 3, hit=True, cost=0.001)
+        record_get(rec, 905, hit=True, cost=0.001)
         rec.finish()
         assert [r["tick_start"] for r in rec.rows] == [0, 900]
 
     def test_advance_rolls_without_recording(self):
         rec = TimelineRecorder(stride=10)
-        rec.record_get(0, hit=True, cost=0.001)
+        record_get(rec, 0, hit=True, cost=0.001)
         rec.advance(25)  # SET/DELETE far later
-        rec.record_get(26, hit=False, cost=0.1, penalty=0.1)
+        record_get(rec, 26, hit=False, cost=0.1, penalty=0.1)
         rec.finish()
         assert [r["gets"] for r in rec.rows] == [1, 1]
 
     def test_cold_notes_accumulate_into_open_window(self):
         rec = TimelineRecorder(stride=10)
-        rec.record_get(0, hit=True, cost=0.001)
+        record_get(rec, 0, hit=True, cost=0.001)
         rec.note_eviction()
         rec.note_migration()
         rec.note_ghost_hit()
@@ -107,59 +107,18 @@ class TestWindows:
     def test_invalid_args_rejected(self):
         with pytest.raises(ValueError):
             TimelineRecorder(stride=0)
-        with pytest.raises(ValueError):
-            TimelineRecorder(max_rows=1)
-
-
-class TestDownsampling:
-    def test_max_rows_merges_and_doubles_stride(self):
-        rec = TimelineRecorder(stride=10, max_rows=4)
-        _drive(rec, 100)  # 10 windows at stride 10
-        assert len(rec.rows) <= 4
-        # full coverage is kept: first row starts at 0, last ends at 100
-        assert rec.rows[0]["tick_start"] == 0
-        assert rec.rows[-1]["tick_end"] >= 100
-        assert rec.stride > 10
-        # totals survive merging
-        assert sum(r["gets"] for r in rec.rows) == 100
-        assert sum(r["hits"] for r in rec.rows) == 50
-
-    def test_merge_rows_recomputes_means(self):
-        a = {"window": 0, "tick_start": 0, "tick_end": 10, "gets": 10,
-             "hits": 5, "misses": 5, "hit_ratio": 0.5, "ghost_hits": 1,
-             "penalty_mass": 1.0, "avg_service_time": 0.1,
-             "service_p50": 0.05, "service_p99": 0.2, "evictions": 2,
-             "migrations": 1, "decisions": {"approved": 1},
-             "decision_count": 1, "eq1_incoming_sum": 1.0,
-             "eq2_outgoing_sum": 0.5, "class_slabs": {"1": 1},
-             "queue_slabs": {"1:0": 1}}
-        b = dict(a, window=1, tick_start=10, tick_end=20, gets=30, hits=30,
-                 misses=0, hit_ratio=1.0, avg_service_time=0.01,
-                 service_p99=0.5, decisions={"approved": 2, "self": 1},
-                 decision_count=3, class_slabs={"1": 4},
-                 queue_slabs={"1:0": 4})
-        m = merge_rows(a, b)
-        assert m["gets"] == 40
-        assert m["hit_ratio"] == pytest.approx(35 / 40)
-        assert m["avg_service_time"] == pytest.approx(
-            (0.1 * 10 + 0.01 * 30) / 40)
-        assert m["service_p99"] == 0.5  # pairwise max
-        assert m["decisions"] == {"approved": 3, "self": 1}
-        assert m["class_slabs"] == {"1": 4}  # later row wins
-        assert m["tick_start"] == 0 and m["tick_end"] == 20
 
 
 class TestSinks:
     def test_jsonl_sink_streams_every_closed_row(self):
         buf = io.StringIO()
-        rec = TimelineRecorder(stride=10, sink=JsonlSink(buf),
-                               keep_rows=False)
+        rec = TimelineRecorder(stride=10, sink=JsonlSink(buf))
         _drive(rec, 25)
         lines = [json.loads(line) for line in
                  buf.getvalue().strip().splitlines()]
         assert len(lines) == 3
         assert lines[0]["gets"] == 10
-        assert rec.rows == []  # sink-only mode retains nothing
+        assert rec.rows == lines
         assert rec.rows_closed == 3
 
     def test_jsonl_roundtrip_via_file(self, tmp_path):
@@ -168,22 +127,6 @@ class TestSinks:
         _drive(rec, 20)
         rows = load_jsonl(path)
         assert rows == rec.rows
-
-    def test_csv_sink_header_and_nested_cells(self):
-        buf = io.StringIO()
-        rec = TimelineRecorder(stride=10, sink=CsvSink(buf))
-        rec.snapshot_fn = lambda: ({1: 2}, {(1, 0): 2})
-        _drive(rec, 10)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0].split(",")[:3] == ["window", "tick_start", "tick_end"]
-        assert len(lines) == 2
-        # nested columns are JSON-encoded cells
-        assert '""1"": 2' in lines[1] or '""1"":2' in lines[1].replace(
-            ' ', '')
-
-    def test_open_sink_by_extension(self, tmp_path):
-        assert isinstance(open_sink(str(tmp_path / "a.csv")), CsvSink)
-        assert isinstance(open_sink(str(tmp_path / "a.jsonl")), JsonlSink)
 
     def test_schema_constants_cover_row(self):
         rec = TimelineRecorder(stride=10)

@@ -1,11 +1,11 @@
-"""Per-tenant timeline cells and their back-compat guarantees.
+"""Per-tenant timeline cells.
 
 The cells are fed by ``record_many``'s ``tenants``, the way the replay
 kernel records a run of GETs inside the open window."""
 
 import numpy as np
 
-from repro.obs.timeline import TimelineRecorder, merge_rows
+from repro.obs.timeline import TimelineRecorder
 
 
 def record(tl, hits, costs, penalties, tenants=None):
@@ -42,35 +42,3 @@ def test_nan_penalty_miss_skips_tenant_penalty():
     tl.finish()
     cell = tl.rows[0]["tenants"]["2"]
     assert cell["gets"] == 1 and cell["penalty"] == 0.0
-
-
-def test_merge_rows_adds_tenant_cells():
-    tl = TimelineRecorder(stride=5)
-    for start in (0, 5):
-        tl.advance(start)
-        ticks = range(start, start + 5)
-        record(tl, [t % 2 == 0 for t in ticks], [0.1] * 5,
-               [0.0 if t % 2 == 0 else 0.1 for t in ticks],
-               [t % 2 for t in ticks])
-    tl.finish()
-    assert len(tl.rows) == 2
-    merged = merge_rows(tl.rows[0], tl.rows[1])
-    assert merged["tenants"]["0"]["gets"] == \
-        (tl.rows[0]["tenants"]["0"]["gets"]
-         + tl.rows[1]["tenants"]["0"]["gets"])
-    assert merged["gets"] == 10
-
-
-def test_merge_rows_tolerates_pre_tenancy_rows():
-    tl = TimelineRecorder(stride=5)
-    record(tl, [True] * 5, [0.1] * 5, [0.0] * 5)
-    tl.advance(5)
-    record(tl, [True] * 5, [0.1] * 5, [0.0] * 5, [0] * 5)
-    tl.finish()
-    old, new = tl.rows
-    assert old["tenants"] == {}
-    del old["tenants"]  # a row from a dump written before v2
-    merged = merge_rows(old, new)
-    assert merged["tenants"]["0"]["gets"] == 5
-    merged_rev = merge_rows(new, dict(old))
-    assert merged_rev["tenants"]["0"]["gets"] == 5

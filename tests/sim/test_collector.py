@@ -178,7 +178,7 @@ class TestClose:
         cache = small_cache(make_policy(name, **kwargs))
         hashes = {key: hash_pair(key) for key in trace.keys.tolist()}
         cache.apply_rows(trace.iter_rows(), True, lambda outcome: None,
-                         False, hashes)
+                         hashes)
         slabs = cache.slab_distribution()
         cache.close()
         assert len(cache) == 0
@@ -193,7 +193,7 @@ class TestClose:
         trace = mix_tenants(specs, 10_000, seed=7)
         for row, cache.policy.current_tenant in zip(trace.iter_rows(),
                                                     trace.tenants.tolist()):
-            cache.apply_rows([row], True, lambda outcome: None, False)
+            cache.apply_rows([row], True, lambda outcome: None)
         cache.close()
         del cache
         assert gc.collect() == 0
@@ -209,8 +209,7 @@ class TestClose:
 
     def test_an_unclosed_cache_is_left_to_the_collector(self, paused, trace):
         cache = small_cache(make_policy("pama"))
-        cache.apply_rows(trace.iter_rows(), True, lambda outcome: None,
-                         False)
+        cache.apply_rows(trace.iter_rows(), True, lambda outcome: None)
         del cache
         assert gc.collect() > 0
 

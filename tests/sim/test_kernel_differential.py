@@ -1,9 +1,9 @@
 """Differential pin: the outcome-column kernel vs the per-request loops.
 
-``Simulator.run`` used to choose among four fault-free bodies (constant
-hit cost, bandwidth hit cost, registry histograms, ``_replay_timeline``)
-that called ``record_hit`` / ``record_miss`` / ``Histogram.record`` /
-``record_get`` / ``advance`` per request.  The kernel that replaced them
+``Simulator.run`` used to choose among fault-free bodies (plain,
+registry histograms, ``_replay_timeline``) that called ``record_hit`` /
+``record_miss`` / ``Histogram.record`` / ``record_get`` / ``advance``
+per request.  The kernel that replaced them
 notes one outcome per GET and reduces per run of rows.  Those bodies
 live on below as :func:`reference_run`, and the kernel must come out
 ``==`` to them: every ``SimulationResult`` field including every window
@@ -53,7 +53,7 @@ KWARGS = {"pama": {"value_window": 1_500},
           # edges learned at the 400th penalty, re-learned every 300
           "pama-adaptive": {"value_window": 1_500, "warmup_samples": 400,
                             "refresh_interval": 300}}
-MODES = ("plain", "bandwidth", "registry", "registry+timeline")
+MODES = ("plain", "registry", "registry+timeline")
 SOURCES = ("trace", "compiled-2048", "windows-1", "windows-7",
            "empty-window")
 HISTOGRAMS = ("sim_service_time_seconds", "sim_hit_time_seconds",
@@ -61,6 +61,21 @@ HISTOGRAMS = ("sim_service_time_seconds", "sim_hit_time_seconds",
 
 
 # -- the parent's loops, kept as the oracle ----------------------------------
+
+def record_get(timeline, tick, hit, cost, penalty=0.0):
+    """The retired ``TimelineRecorder.record_get``: one GET outcome at
+    ``tick``, rolling the window when crossed.  ``record_many`` is the
+    array form of it for a run of GETs inside the open window."""
+    if tick >= timeline._window_start + timeline.stride:
+        timeline._close(tick)
+    timeline._gets += 1
+    timeline._service += cost
+    timeline._hist.record(cost)
+    if hit:
+        timeline._hits += 1
+    elif penalty == penalty:  # miss; skip NaN (unknown penalty)
+        timeline._penalty += penalty
+
 
 def _reference_rows(trace, service):
     """The parent's ``_trace_rows`` / ``_windowed_rows``."""
@@ -88,7 +103,6 @@ def _reference_timeline(sim, rows, metrics, service, hist, hist_hit,
     cache_delete = cache.delete
     record_hit = metrics.record_hit
     record_miss = metrics.record_miss
-    record_get = timeline.record_get
     advance = timeline.advance
     tick = -1
     for op, key, key_size, value_size, penalty, miss_cost in rows:
@@ -96,15 +110,15 @@ def _reference_timeline(sim, rows, metrics, service, hist, hist_hit,
         if op == 0:  # GET
             item = cache_lookup(key, key_size, value_size, penalty)
             if item is not None:
-                cost = service.hit(item.total_size)
+                cost = service.hit_time
                 record_hit(cost)
-                record_get(tick, True, cost)
+                record_get(timeline, tick, True, cost)
                 if hist is not None:
                     hist.record(cost)
                     hist_hit.record(cost)
             else:
                 record_miss(miss_cost)
-                record_get(tick, False, miss_cost, penalty)
+                record_get(timeline, tick, False, miss_cost, penalty)
                 if hist is not None:
                     hist.record(miss_cost)
                     hist_miss.record(miss_cost)
@@ -145,8 +159,6 @@ def _reference_tenants(sim, rows, metrics, service, hist, hist_hit,
     cache_delete = cache.delete
     record_hit = metrics.record_hit
     record_miss = metrics.record_miss
-    service_hit = service.hit
-    record_get = timeline.record_get if timeline is not None else None
     advance = timeline.advance if timeline is not None else None
     cells: dict[int, list] = {}
     tenant_hists: dict[int, object] = {}
@@ -158,7 +170,7 @@ def _reference_tenants(sim, rows, metrics, service, hist, hist_hit,
             item = cache_lookup(key, key_size, value_size, penalty)
             if item is not None:
                 hit = True
-                cost = service_hit(item.total_size)
+                cost = service.hit_time
                 record_hit(cost)
                 if hist is not None:
                     hist.record(cost)
@@ -178,11 +190,11 @@ def _reference_tenants(sim, rows, metrics, service, hist, hist_hit,
             cell[2] += cost
             if not hit and penalty == penalty:
                 cell[3] += penalty
-            if record_get is not None:
+            if timeline is not None:
                 # what record_get's retired ``tenant`` argument did, after
                 # the window roll
                 cell_penalty = 0.0 if hit else penalty
-                record_get(tick, hit, cost, cell_penalty)
+                record_get(timeline, tick, hit, cost, cell_penalty)
                 tally_tenants(timeline._tenants, np.array([tenant]),
                               np.array([hit], dtype=bool), np.array([cost]),
                               np.array([cell_penalty]))
@@ -264,42 +276,26 @@ def reference_run(sim: Simulator, trace) -> SimulationResult:
         _reference_timeline(sim, rows, metrics, service, hist, hist_hit,
                             hist_miss, timeline)
     elif hist is None:
-        if service.bandwidth is None:
-            hit_cost = service.hit_time
-            for op, key, key_size, value_size, penalty, miss_cost in rows:
-                if op == 0:  # GET
-                    if cache_lookup(key, key_size, value_size,
-                                    penalty) is not None:
-                        record_hit(hit_cost)
-                    else:
-                        record_miss(miss_cost)
-                        if fill:
-                            cache_set(key, key_size, value_size, penalty)
-                elif op == 1:  # SET
-                    cache_set(key, key_size, value_size, penalty)
-                else:  # DELETE
-                    cache_delete(key)
-        else:
-            service_hit = service.hit
-            for op, key, key_size, value_size, penalty, miss_cost in rows:
-                if op == 0:  # GET
-                    item = cache_lookup(key, key_size, value_size, penalty)
-                    if item is not None:
-                        record_hit(service_hit(item.total_size))
-                    else:
-                        record_miss(miss_cost)
-                        if fill:
-                            cache_set(key, key_size, value_size, penalty)
-                elif op == 1:  # SET
-                    cache_set(key, key_size, value_size, penalty)
-                else:  # DELETE
-                    cache_delete(key)
+        hit_cost = service.hit_time
+        for op, key, key_size, value_size, penalty, miss_cost in rows:
+            if op == 0:  # GET
+                if cache_lookup(key, key_size, value_size,
+                                penalty) is not None:
+                    record_hit(hit_cost)
+                else:
+                    record_miss(miss_cost)
+                    if fill:
+                        cache_set(key, key_size, value_size, penalty)
+            elif op == 1:  # SET
+                cache_set(key, key_size, value_size, penalty)
+            else:  # DELETE
+                cache_delete(key)
     else:
         for op, key, key_size, value_size, penalty, miss_cost in rows:
             if op == 0:  # GET
                 item = cache_lookup(key, key_size, value_size, penalty)
                 if item is not None:
-                    cost = service.hit(item.total_size)
+                    cost = service.hit_time
                     record_hit(cost)
                     hist.record(cost)
                     hist_hit.record(cost)
@@ -425,16 +421,15 @@ def filling_miss(policy: str) -> int:
 
 
 def run_pair(policy, mode, source_kind, compiled_path, window_gets, stride,
-             max_rows=None, passes=1):
+             passes=1):
     """(reference, kernel) as (result, histogram states, timeline rows);
     ``passes`` > 1 reuses each side's recorder and registry."""
     sides = []
     for runner in (reference_run, Simulator.run):
         registry = Registry() if mode.startswith("registry") else None
-        timeline = (TimelineRecorder(stride=stride, max_rows=max_rows)
+        timeline = (TimelineRecorder(stride=stride)
                     if mode.endswith("timeline") else None)
-        service = ServiceTimeModel(
-            hit_time=1e-4, bandwidth=3e7 if mode == "bandwidth" else None)
+        service = ServiceTimeModel(hit_time=1e-4)
         for _ in range(passes):
             sim = Simulator(_cache(policy), service, window_gets=window_gets,
                             obs=registry, timeline=timeline)
@@ -505,16 +500,6 @@ class TestKernelEqualsPerRequestLoops:
                              compiled_path, gets_through(policy, row),
                              stride=7 * 60 + edge))
 
-    @pytest.mark.parametrize("source_kind", ("trace", "compiled-2048",
-                                             "windows-7"))
-    def test_stride_doubles_mid_run(self, source_kind, compiled_path):
-        sides = run_pair("pama", "registry+timeline", source_kind,
-                         compiled_path, window_gets=613, stride=300,
-                         max_rows=2)
-        assert_same(sides)
-        rows = sides[1][2]
-        assert len(rows) <= 3 and rows[-1]["tick_end"] >= ROWS
-
     @pytest.mark.parametrize("source_kind", ("trace", "windows-7"))
     def test_recorder_reused_for_a_second_run(self, source_kind,
                                               compiled_path):
@@ -533,24 +518,6 @@ class TestKernelEqualsPerRequestLoops:
         assert len(list(trace_record.iter_windows(TRACE))) == 5
         assert_same([whole, run_pair("pama", "registry+timeline", "trace",
                                      None, window_gets=613, stride=977)[1]])
-
-    def test_subclassed_hit_is_mapped_in_every_mode(self):
-        class Tiered(ServiceTimeModel):
-            def hit(self, size=0):
-                return self.hit_time * (2.0 if size > 1_000 else 1.0)
-
-        results = []
-        for registry in (None, Registry()):
-            sim = Simulator(_cache("pama"), Tiered(), window_gets=613,
-                            obs=registry)
-            results.append(sim.run(TRACE))
-        plain, observed = results
-        assert plain.avg_service_time == observed.avg_service_time
-        assert plain.windows == observed.windows
-        constant = Simulator(_cache("pama"), ServiceTimeModel(),
-                             window_gets=613).run(TRACE)
-        assert plain.hit_ratio == constant.hit_ratio
-        assert plain.avg_service_time > constant.avg_service_time
 
 
 class TestSourceIsPulledLazily:
@@ -685,8 +652,7 @@ def run_tenant_pair(name, mode, source_kind, paths, window_gets, stride):
         registry = Registry() if mode.startswith("registry") else None
         timeline = (TimelineRecorder(stride=stride)
                     if mode.endswith("timeline") else None)
-        service = ServiceTimeModel(
-            hit_time=1e-4, bandwidth=3e7 if mode == "bandwidth" else None)
+        service = ServiceTimeModel(hit_time=1e-4)
         sim = Simulator(_arbiter_cache(name), service,
                         window_gets=window_gets, obs=registry,
                         timeline=timeline)

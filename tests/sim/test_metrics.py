@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim.metrics import MetricsCollector
+from repro.sim.simulator import SimulationResult
 
 
 class TestMetricsCollector:
@@ -49,11 +50,15 @@ class TestMetricsCollector:
         assert m.windows[0].queue_slabs == {(0, 0): 2}
 
     def test_series_accessors(self):
+        # the per-window series callers read, SimulationResult's
         m = MetricsCollector(window_gets=1)
         m.record_hit(0.001)
         m.record_miss(0.2)
-        assert m.hit_ratio_series() == [1.0, 0.0]
-        assert m.service_time_series() == pytest.approx([0.001, 0.2])
+        result = SimulationResult("p", m.windows, m.overall_hit_ratio,
+                                  m.overall_avg_service_time, m.total_gets,
+                                  {}, 0.0)
+        assert result.hit_ratio_series() == [1.0, 0.0]
+        assert result.service_time_series() == pytest.approx([0.001, 0.2])
 
     def test_invalid_window(self):
         with pytest.raises(ValueError):

@@ -18,6 +18,7 @@ from repro._util import seq_sum
 from repro.obs import TimelineRecorder
 from repro.obs.registry import Histogram
 from repro.sim.metrics import MetricsCollector
+from tests.sim.test_kernel_differential import record_get
 
 LO, GROWTH, NBUCKETS = 1e-6, 1.25, 24
 BOUNDS = Histogram("h", lo=LO, growth=GROWTH, nbuckets=NBUCKETS).bounds
@@ -171,11 +172,11 @@ class TestTimelineRecorder:
                                                               cuts):
         one, many = TimelineRecorder(stride=100), TimelineRecorder(stride=100)
         for recorder in (one, many):  # a closed row behind both
-            recorder.record_get(3, False, 0.5, 0.5)
+            record_get(recorder, 3, False, 0.5, 0.5)
             recorder.advance(100)
         assert one.next_close == many.next_close == 200
         for tick, (hit, cost, penalty) in enumerate(seq, start=110):
-            one.record_get(tick, hit, cost, penalty)
+            record_get(one, tick, hit, cost, penalty)
         for run in split(seq, cuts):
             many.record_many(
                 np.array([h for h, _, _ in run], dtype=bool),
@@ -189,7 +190,7 @@ class TestTimelineRecorder:
 
     def test_empty_input_is_a_no_op(self):
         t = TimelineRecorder(stride=100)
-        t.record_get(1, True, 0.5)
+        record_get(t, 1, True, 0.5)
         before = recorder_state(t)
         empty = np.array([])
         t.record_many(empty.astype(bool), empty, empty)

@@ -28,18 +28,12 @@ def manual_trace(rows):
 class TestServiceTimeModel:
     def test_constant_hit(self):
         m = ServiceTimeModel(hit_time=1e-4)
-        assert m.hit(10_000) == 1e-4
-        assert m.miss(0.7) == 0.7
-
-    def test_bandwidth_term(self):
-        m = ServiceTimeModel(hit_time=1e-4, bandwidth=1e6)
-        assert m.hit(1_000_000) == pytest.approx(1.0001)
+        assert m.hit_time == 1e-4
+        assert m.miss_array(np.array([0.7])) == [0.7]
 
     def test_invalid(self):
         with pytest.raises(ValueError):
             ServiceTimeModel(hit_time=-1)
-        with pytest.raises(ValueError):
-            ServiceTimeModel(bandwidth=0)
 
 
 class TestSimulator:
