@@ -4,7 +4,7 @@ from repro.cache.cache import SlabCache
 from repro.cache.errors import (CacheError, InvalidItemError,
                                 ItemTooLargeError, OutOfMemoryError,
                                 PolicyError)
-from repro.cache.item import Item
+from repro.cache.item import Item, StoredItem
 from repro.cache.lru import LRUList
 from repro.cache.queue import Queue
 from repro.cache.sizeclasses import SizeClassConfig
@@ -18,6 +18,7 @@ __all__ = [
     "SlabPool",
     "Queue",
     "Item",
+    "StoredItem",
     "LRUList",
     "CacheStats",
     "QueueStats",

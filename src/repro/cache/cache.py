@@ -24,7 +24,7 @@ from repro._util import fmt_bytes
 from repro.bloom.hashing import PAIR_SEED_DELTA, hash_key
 from repro.cache.errors import (InvalidItemError, OutOfMemoryError,
                                 PolicyError)
-from repro.cache.item import Item
+from repro.cache.item import Item, StoredItem
 from repro.cache.queue import Queue
 from repro.cache.sizeclasses import SizeClassConfig
 from repro.cache.slab import SlabPool
@@ -306,14 +306,16 @@ class SlabCache:
         and queue unless the policy bins by ``bin_for`` (no static
         edges), which the fill asks again after the miss's ``on_miss``.
         What goes through :meth:`lookup` / :meth:`set` whole is a GET of
-        an item that can expire, a row whose size no SET has classed
-        yet or no class holds (memoized as -1, so it raises nothing),
-        and an invalid row (a negative size, a NaN or negative
-        penalty); DELETE goes through :meth:`delete`.  ``accesses`` is
-        stored before any hook runs; a migration requested from inside
-        a hook waits until the operation is done, as it does in
-        :meth:`lookup` and :meth:`set`; an exception leaves the rows
-        before it applied and ``_in_operation`` clear.
+        an item that can expire, a SET of a key whose live item is a
+        :class:`~repro.cache.item.StoredItem` (which the store resets),
+        a row whose size no SET has classed yet or no class holds
+        (memoized as -1, so it raises nothing), and an invalid row (a
+        negative size, a NaN or negative penalty); DELETE goes through
+        :meth:`delete`.  ``accesses`` is stored before any hook runs; a
+        migration requested from inside a hook waits until the
+        operation is done, as it does in :meth:`lookup` and
+        :meth:`set`; an exception leaves the rows before it applied and
+        ``_in_operation`` clear.
 
         ``hashes`` maps each key of the rows to its base hash pair
         ``(h1, h2)`` (:func:`~repro.bloom.hashing.hash_pair_arrays` of a
@@ -369,7 +371,8 @@ class SlabCache:
                 class_idx = (memo_get(key_size + value_size, -1)
                              if key_size >= 0 and value_size >= 0
                              and penalty >= 0 else -1)
-                if class_idx < 0 or op == 0 and item is not None:
+                if class_idx < 0 or item is not None and (
+                        op == 0 or item.__class__ is not Item):
                     if op == 1:  # SET
                         cache_set(key, key_size, value_size, penalty)
                         continue
@@ -422,9 +425,6 @@ class SlabCache:
                         item.key_size = key_size
                         item.value_size = value_size
                         item.penalty = penalty
-                        item.value = None
-                        item.expires_at = 0.0
-                        item.cas = 0
                     else:
                         self._unlink(item)
                         item = None
@@ -441,8 +441,7 @@ class SlabCache:
                             if self._pending_migrations:
                                 self._flush_migrations()
                             continue
-                    item = Item(key, key_size, value_size, penalty, None,
-                                0.0, queue)
+                    item = Item(key, key_size, value_size, penalty, queue)
                     lru.push_front(item)
                     index[key] = item
                 queue.stats.sets += 1
@@ -462,14 +461,21 @@ class SlabCache:
             expires_at: float = 0.0) -> bool:
         """Store an item; returns False if it cannot be stored.
 
-        A key that is live in the queue the item maps to is re-stored in
-        place: the policy hears ``on_remove`` for it, the item keeps its
-        slot and its object and is promoted (one ``move_to_front``),
-        takes the new sizes, penalty, value and expiry,
-        its CAS unique is reset to 0, and the policy hears ``on_insert``.  A
-        live key that maps to another queue is unlinked first, so it
-        frees its old slot before the new queue is asked for one.
-        ``expires_at`` is an absolute clock time (0.0 = never).
+        A store that carries a value or an expiry builds a
+        :class:`~repro.cache.item.StoredItem`; any other builds a plain
+        :class:`~repro.cache.item.Item`.  A key that is live in the
+        queue the item maps to, as an object whose class fits the store
+        (a ``StoredItem`` fits any), is re-stored in place: the policy
+        hears ``on_remove`` for it, the item keeps its slot and its
+        object and is promoted (one ``move_to_front``), takes the new
+        sizes and penalty — a ``StoredItem`` the new value and expiry,
+        and its CAS unique is reset to 0 — and the policy hears
+        ``on_insert``.  A live key that maps to another queue, or whose
+        plain ``Item`` cannot hold the store, is unlinked first, so it
+        frees its old slot before the new queue is asked for one.  A
+        store that no size class can hold unlinks the live key too, so
+        no GET serves the value it replaced.  ``expires_at`` is an
+        absolute clock time (0.0 = never).
         """
         item_size = key_size + value_size
         if key_size < 0 or value_size < 0 or item_size <= 0:
@@ -483,6 +489,15 @@ class SlabCache:
             class_idx = self.size_classes.classify(item_size)
         if class_idx < 0:
             self.stats.rejected_too_large += 1
+            item = self.index.get(key)
+            if item is not None:
+                self._in_operation = True
+                try:
+                    self._unlink(item)
+                finally:
+                    self._in_operation = False
+                    if self._pending_migrations:
+                        self._flush_migrations()
             return False
         edges = self._bin_edges
         if edges is None:
@@ -492,12 +507,14 @@ class SlabCache:
             if bin_idx > self._last_bin:
                 bin_idx = self._last_bin
 
+        stored = value is not None or expires_at != 0.0
         self._in_operation = True
         try:
             queue = self.queues.get((class_idx, bin_idx))
             item = self.index.get(key)
             if item is not None:
-                if item.queue is queue:
+                plain = item.__class__ is Item
+                if item.queue is queue and not (plain and stored):
                     if self._on_remove is not None:
                         self._on_remove(queue, item)
                     lru = queue.lru
@@ -506,9 +523,10 @@ class SlabCache:
                     item.key_size = key_size
                     item.value_size = value_size
                     item.penalty = penalty
-                    item.value = value
-                    item.expires_at = expires_at
-                    item.cas = 0
+                    if not plain:
+                        item.value = value
+                        item.expires_at = expires_at
+                        item.cas = 0
                 else:
                     self._unlink(item)
                     item = None
@@ -522,8 +540,9 @@ class SlabCache:
                     except OutOfMemoryError:
                         self.stats.set_failures += 1
                         return False
-                item = Item(key, key_size, value_size, penalty, value,
-                            expires_at, queue)
+                item = (StoredItem(key, key_size, value_size, penalty,
+                                   value, expires_at, queue) if stored
+                        else Item(key, key_size, value_size, penalty, queue))
                 lru.push_front(item)
                 self.index[key] = item
             queue.stats.sets += 1
@@ -542,9 +561,13 @@ class SlabCache:
         Issued on the first ask after each store, which reset it to 0:
         the next :attr:`cas_tick`.  A unique is never 0, so a ``cas``
         carrying one never matches an item stored since its ``gets``.
+        A plain :class:`Item` is first replaced by a
+        :class:`StoredItem` (:meth:`_to_stored`), which holds it.
         """
         cas = item.cas
         if not cas:
+            if item.__class__ is Item:
+                item = self._to_stored(item)
             self.cas_tick = item.cas = cas = self.cas_tick + 1
         return cas
 
@@ -559,7 +582,10 @@ class SlabCache:
         return True
 
     def touch(self, key: object, expires_at: float) -> bool:
-        """Update a live item's expiry; returns False if absent/expired."""
+        """Update a live item's expiry; returns False if absent/expired.
+
+        A plain :class:`Item` given an expiry is first replaced by a
+        :class:`StoredItem` (:meth:`_to_stored`), which holds it."""
         item = self.index.get(key)
         if item is None:
             return False
@@ -567,8 +593,33 @@ class SlabCache:
             self._unlink(item)
             self.stats.expired += 1
             return False
+        if item.__class__ is Item:
+            if not expires_at:
+                return True
+            item = self._to_stored(item)
         item.expires_at = expires_at
         return True
+
+    def _to_stored(self, item: Item) -> StoredItem:
+        """Replace the live plain ``item`` by a :class:`StoredItem` of its
+        key, sizes and penalty, as a store whose class does not fit it
+        replaces it: the policy hears ``on_remove``, then ``on_insert``
+        for the new object, which takes the front of the item's queue."""
+        queue = item.queue
+        self._in_operation = True
+        try:
+            self._unlink(item)
+            item = StoredItem(item.key, item.key_size, item.value_size,
+                              item.penalty, None, 0.0, queue)
+            queue.lru.push_front(item)
+            self.index[item.key] = item
+            if self._on_insert is not None:
+                self._on_insert(queue, item)
+        finally:
+            self._in_operation = False
+            if self._pending_migrations:
+                self._flush_migrations()
+        return item
 
     def flush_all(self) -> int:
         """Drop every item (memcached ``flush_all``); slabs keep their

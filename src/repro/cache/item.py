@@ -1,4 +1,5 @@
-"""Cache item: an intrusive doubly-linked LRU node carrying KV metadata."""
+"""Cache items: an intrusive doubly-linked LRU node carrying KV metadata,
+and the subclass a store that carries a payload or an expiry builds."""
 
 from __future__ import annotations
 
@@ -8,9 +9,10 @@ class Item:
 
     The item doubles as its own LRU-list node (``prev``/``next``), the
     standard intrusive-list trick that makes hit handling allocation-free
-    on the hot path.  It carries what its readers use and nothing the
+    on the hot path.  It carries what every cache reads and nothing the
     replay would have to write per operation: a policy that needs ages
-    or versions of its items keeps them itself.
+    or versions of its items keeps them itself (the Facebook rebalancer
+    keeps a tick per key).  Eight slots: 96 B on CPython 3.11.
 
     Attributes:
         key: the cache key (int in simulations, str/bytes in the server).
@@ -23,30 +25,27 @@ class Item:
             stamped by ``SlabCache.set`` (None on an item no cache
             stored), so a hit or an unlink reads it instead of probing
             ``cache.queues``; ``class_idx`` / ``bin_idx`` read its qid.
-        last_access: an access tick for a policy that ages items (the
-            Facebook rebalancer stamps it); the cache never writes it.
-        cas: the memcached ``gets``/``cas`` unique, 0 until a ``gets``
-            issues one (``SlabCache.cas_unique``); every store resets it.
-        value: optional payload (only the real server stores one; the
-            simulator leaves it ``None`` to keep memory flat).
+        value / expires_at / cas: read-only class defaults (``None``,
+            ``0.0`` = never expires, ``0`` = no CAS unique issued), so a
+            reader needs no branch; a :class:`StoredItem` holds its own.
+        last_access: read-only 0: the cache stamps no access tick.
     """
 
-    __slots__ = ("key", "key_size", "value_size", "penalty", "last_access",
-                 "value", "prev", "next", "seg", "expires_at", "cas", "queue")
+    __slots__ = ("key", "key_size", "value_size", "penalty",
+                 "prev", "next", "seg", "queue")
+
+    value = None
+    expires_at = 0.0
+    cas = 0
+    last_access = 0
 
     def __init__(self, key: object, key_size: int, value_size: int,
-                 penalty: float, value: object = None,
-                 expires_at: float = 0.0, queue=None) -> None:
+                 penalty: float, queue=None) -> None:
         self.key = key
         self.key_size = key_size
         self.value_size = value_size
         self.penalty = penalty
         self.queue = queue
-        self.last_access = 0
-        self.value = value
-        #: absolute expiry time in seconds (0.0 = never expires).
-        self.expires_at = expires_at
-        self.cas = 0
         self.prev: Item | None = None
         self.next: Item | None = None
         # Bottom segment, kept by the SegmentedLRU holding the item (-1 =
@@ -71,5 +70,42 @@ class Item:
         return self.key_size + self.value_size
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"Item(key={self.key!r}, size={self.total_size}, "
-                f"penalty={self.penalty:.4f}, q=({self.class_idx},{self.bin_idx}))")
+        return (f"{type(self).__name__}(key={self.key!r}, "
+                f"size={self.total_size}, penalty={self.penalty:.4f}, "
+                f"q=({self.class_idx},{self.bin_idx}))")
+
+
+class StoredItem(Item):
+    """An item that holds a payload, an expiry or a CAS unique.
+
+    ``SlabCache.set`` builds one only for a store that carries a value
+    or an expiry (every server store; a snapshot restore with an
+    expiry), and ``touch`` / ``cas_unique`` replace a plain
+    :class:`Item` by one before they write.  Eleven slots: 120 B, which
+    the allocator rounds to the 128 B a served item took before.
+
+    Attributes:
+        value: the payload (the server stores ``(flags, data)``), or None.
+        expires_at: absolute expiry time in seconds (0.0 = never).
+        cas: the memcached ``gets``/``cas`` unique, 0 until a ``gets``
+            issues one (``SlabCache.cas_unique``); every store resets it.
+    """
+
+    __slots__ = ("value", "expires_at", "cas")
+
+    def __init__(self, key: object, key_size: int, value_size: int,
+                 penalty: float, value: object = None,
+                 expires_at: float = 0.0, queue=None) -> None:
+        # Item.__init__'s stores, inline: a server store builds one
+        # frame, not two
+        self.key = key
+        self.key_size = key_size
+        self.value_size = value_size
+        self.penalty = penalty
+        self.queue = queue
+        self.prev = None
+        self.next = None
+        self.seg = -1
+        self.value = value
+        self.expires_at = expires_at
+        self.cas = 0

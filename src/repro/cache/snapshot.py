@@ -65,6 +65,9 @@ def load_snapshot(cache: SlabCache, path: str | os.PathLike) -> int:
     Returns the number of items actually stored (the target cache may
     be smaller than the snapshotted one, in which case the replay's own
     evictions keep the most recently used tail — the right warm state).
+    An item saved with an expiry is restored as a
+    :class:`~repro.cache.item.StoredItem`, any other as a plain
+    :class:`~repro.cache.item.Item`, as ``set`` builds them.
     """
     import numpy as np
 

@@ -124,7 +124,10 @@ class AllocationPolicy(ABC):
         SET storing the key again).  A SET into the queue the item lives
         in re-stores it in place: ``on_insert`` follows for the same
         object, whose CAS unique the store reset to 0 (the next ``gets``
-        issues one, ``SlabCache.cas_unique``)."""
+        issues one, ``SlabCache.cas_unique``) — unless it is a plain
+        ``Item`` and the store carries a value or an expiry, which
+        replaces it: ``on_insert`` then hears the new ``StoredItem``,
+        as after ``touch`` or ``cas_unique`` of a plain ``Item``."""
 
     # -- eviction decisions -----------------------------------------------
     def choose_victim(self, queue: Queue) -> Item | None:

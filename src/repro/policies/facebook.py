@@ -7,9 +7,10 @@ ages, one slab moves from the class with the oldest LRU item to the
 class with the youngest.
 
 Age here is measured in cache accesses since the item's last access,
-the trace-driven analogue of wall-clock age.  The cache keeps no such
-tick; this policy stamps ``item.last_access`` itself, on every hit and
-store.
+the trace-driven analogue of wall-clock age.  Neither the cache nor its
+items keep such a tick: this policy keeps its own stamp per key, the
+cache's ``accesses`` at the key's last hit or store, and drops it when
+the item is evicted or removed.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ class FacebookPolicy(AllocationPolicy):
         self.check_interval = check_interval
         self.youth_threshold = youth_threshold
         self._last_check = 0
+        #: key -> ``cache.accesses`` at its item's last hit or store
+        self._stamps: dict[object, int] = {}
 
     def _maybe_rebalance(self) -> None:
         cache = self.cache
@@ -44,7 +47,8 @@ class FacebookPolicy(AllocationPolicy):
         for q in cache.iter_queues():
             tail = q.lru.back
             if tail is not None:
-                ages.append((q, float(cache.accesses - tail.last_access)))
+                ages.append((q, float(cache.accesses
+                                      - self._stamps[tail.key])))
         if len(ages) < 2:
             return
         total = sum(a for _, a in ages)
@@ -60,10 +64,18 @@ class FacebookPolicy(AllocationPolicy):
         # stamped after the balance, which reads the item's old age
         # when it is its queue's tail
         self._maybe_rebalance()
-        item.last_access = self.cache.accesses
+        self._stamps[item.key] = self.cache.accesses
 
     def on_insert(self, queue: Queue, item) -> None:
-        item.last_access = self.cache.accesses
+        self._stamps[item.key] = self.cache.accesses
+
+    def on_evict(self, queue: Queue, items) -> None:
+        stamps = self._stamps
+        for item in items:
+            del stamps[item.key]
+
+    def on_remove(self, queue: Queue, item) -> None:
+        del self._stamps[item.key]
 
     def on_miss(self, key: object, class_idx: int, penalty: float,
                 h1: int = 0, h2: int = 0) -> None:

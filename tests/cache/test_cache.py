@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cache import SlabCache, SizeClassConfig
 from repro.cache.errors import InvalidItemError
+from repro.cache.item import Item, StoredItem
 from repro.core.pama import PamaPolicy
 from repro.policies.facebook import FacebookPolicy
 from repro.policies.memcached import StaticMemcachedPolicy
@@ -170,10 +171,12 @@ class TestAllocationMechanics:
         assert cache.index[1].last_access == 0
         aged = small_cache(policy=FacebookPolicy())
         aged.set(1, 8, 50, 0.1)
-        assert aged.index[1].last_access == aged.accesses == 1
+        assert aged.policy._stamps[1] == aged.accesses == 1
         aged.set(2, 8, 50, 0.1)
         aged.get(1)
-        assert aged.index[1].last_access == aged.accesses == 3
+        assert aged.policy._stamps[1] == aged.accesses == 3
+        aged.delete(2)
+        assert list(aged.policy._stamps) == [1]
 
 
 class TestDeferredMigrations:
@@ -309,3 +312,129 @@ class TestWhatAHitReads:
         counting.apply_rows(iter([(0, "k", 4, 100, 0.05)]), True,
                             [].append)
         assert counting.policy.hits == 2 and counting._on_miss is None
+
+
+class Heard(StaticMemcachedPolicy):
+    """Records the store hooks: (hook, key, class of the item)."""
+
+    def __init__(self):
+        super().__init__()
+        self.heard = []
+
+    def on_insert(self, queue, item):
+        self.heard.append(("insert", item.key, type(item)))
+
+    def on_remove(self, queue, item):
+        self.heard.append(("remove", item.key, type(item)))
+
+
+def replayed(keys, clock=1000.0):
+    """A cache whose ``keys`` a replay stored, oldest first."""
+    cache = small_cache(policy=Heard())
+    cache.clock = lambda: clock
+    cache.apply_rows([(1, key, 4, 100, 0.05) for key in keys], False,
+                     [].append)
+    cache.policy.heard.clear()
+    return cache
+
+
+def lru_keys(cache, key):
+    return [item.key for item in cache.index[key].queue.lru]
+
+
+class TestStoredItems:
+    """A store carrying a value or an expiry builds a StoredItem; one
+    whose live item is a plain Item replaces it, with the hooks, LRU
+    position and stats of the re-store in place it replaces."""
+
+    def test_a_replayed_key_re_stored_with_a_value_and_an_expiry(self):
+        cache = replayed(["a", "k", "b"])
+        old = cache.index["k"]
+        assert type(old) is Item
+        assert cache.set("k", 4, 90, 0.06, value=(0, b"v"),
+                         expires_at=2000.0)
+        new = cache.index["k"]
+        assert type(new) is StoredItem and new is not old
+        assert cache.policy.heard == [("remove", "k", Item),
+                                      ("insert", "k", StoredItem)]
+        assert lru_keys(cache, "k") == ["k", "b", "a"]
+        assert (new.key_size, new.value_size, new.penalty, new.value,
+                new.expires_at, new.cas) == (4, 90, 0.06, (0, b"v"),
+                                             2000.0, 0)
+        assert old.prev is old.next is None
+        assert (cache.stats.sets, cache.stats.evictions, len(cache)) \
+            == (4, 0, 3)
+        assert new.queue.stats.sets == 4
+        cache.check_invariants()
+        # a plain re-store of it keeps the StoredItem and resets it
+        cache.apply_rows([(1, "k", 4, 100, 0.05), (0, "k", 4, 100, 0.05)],
+                         False, [].append)
+        assert cache.index["k"] is new and cache.stats.hits == 1
+        assert (new.value, new.expires_at, new.cas) == (None, 0.0, 0)
+
+    def test_a_served_item_re_stored_by_a_replay_row(self):
+        cache = replayed([])
+        cache.set("k", 4, 100, 0.05, value=(0, b"v"), expires_at=2000.0)
+        cache.apply_rows([(1, "a", 4, 100, 0.05)], False, [].append)
+        item = cache.index["k"]
+        assert cache.cas_unique(item) == 1
+        cache.policy.heard.clear()
+        cache.apply_rows([(1, "k", 4, 90, 0.06)], False, [].append)
+        assert cache.index["k"] is item           # same object, same slot
+        assert cache.policy.heard == [("remove", "k", StoredItem),
+                                      ("insert", "k", StoredItem)]
+        assert lru_keys(cache, "k") == ["k", "a"]
+        assert (item.value_size, item.penalty, item.value, item.expires_at,
+                item.cas) == (90, 0.06, None, 0.0, 0)
+        assert (cache.stats.sets, len(cache)) == (3, 2)
+        cache.check_invariants()
+
+    def test_a_plain_item_stays_plain(self):
+        cache = replayed(["k"])
+        item = cache.index["k"]
+        assert cache.set("k", 4, 90, 0.06)
+        assert cache.index["k"] is item and type(item) is Item
+        # its value, expiry and unique are read-only class defaults
+        assert (item.value, item.expires_at, item.cas) == (None, 0.0, 0)
+        with pytest.raises(AttributeError):
+            item.cas = 1
+        assert cache.touch("k", 0.0) and cache.index["k"] is item
+
+    def test_touch_and_cas_unique_replace_a_plain_item(self):
+        cache = replayed(["k", "a"])
+        assert cache.touch("k", 2000.0)
+        touched = cache.index["k"]
+        assert type(touched) is StoredItem and touched.expires_at == 2000.0
+        assert lru_keys(cache, "k") == ["k", "a"]
+        cache.lookup("a", 4, 100, 0.05)           # a in front again
+        first = cache.cas_unique(cache.index["a"])
+        assert type(cache.index["a"]) is StoredItem
+        assert cache.index["a"].cas == first == cache.cas_tick == 1
+        assert cache.policy.heard == [("remove", "k", Item),
+                                      ("insert", "k", StoredItem),
+                                      ("remove", "a", Item),
+                                      ("insert", "a", StoredItem)]
+        assert lru_keys(cache, "a") == ["a", "k"]
+        assert cache.stats.sets == 2                # neither is a store
+        cache.check_invariants()
+
+
+class TestRejectedStore:
+    def test_a_set_no_class_holds_drops_the_value_it_replaced(self):
+        cache = small_cache(policy=Heard())
+        assert cache.set("k", 1, 100, 0.05, value=(0, b"old"))
+        cache.policy.heard.clear()
+        assert not cache.set("k", 1, 1 << 20, 0.05, value=(0, b"new"))
+        assert cache.get("k") is None and "k" not in cache
+        assert cache.policy.heard == [("remove", "k", StoredItem)]
+        assert (cache.stats.rejected_too_large, cache.stats.sets) == (1, 1)
+        cache.check_invariants()
+
+    def test_a_replay_row_no_class_holds_drops_the_key(self):
+        cache = replayed(["k"])
+        notes = []
+        cache.apply_rows([(1, "k", 4, 1 << 20, 0.05), (0, "k", 4, 100, 0.05)],
+                         False, notes.append)
+        assert notes == [-1] and "k" not in cache
+        assert cache.stats.rejected_too_large == 1
+        cache.check_invariants()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cache import SlabCache, SizeClassConfig
+from repro.cache.item import Item, StoredItem
 from repro.cache.snapshot import load_snapshot, save_snapshot
 from repro.core import PamaPolicy
 from repro.policies import StaticMemcachedPolicy
@@ -102,6 +103,37 @@ class TestSnapshotRoundTrip:
         fresh.clock = lambda: clock_value[0]
         load_snapshot(fresh, path)
         assert fresh.index[1].expires_at == 2000.0
+
+    def test_a_replayed_cache_restores_stored_items_only_with_an_expiry(
+            self, tmp_path):
+        cache = small_cache(policy=PamaPolicy())
+        cache.clock = lambda: 1000.0
+        stores = [(1, key, 8, 50, 0.01 * (key % 4)) for key in range(40)]
+        hits = [(0, key, 8, 50, 0.01) for key in range(0, 40, 3)]
+        cache.apply_rows(stores + hits, False, [].append)
+        assert cache.touch(7, 2000.0)
+        assert cache.set(11, 8, 50, 0.02, value=(0, b"v"), expires_at=3000.0)
+        assert cache.set(12, 8, 50, 0.02, value=(0, b"v"))
+        path = tmp_path / "snap.npz"
+        assert save_snapshot(cache, path) == 40
+
+        fresh = small_cache(policy=PamaPolicy())
+        fresh.clock = lambda: 1000.0
+        assert load_snapshot(fresh, path) == 40
+        kinds = {key: type(item) for key, item in fresh.index.items()}
+        assert kinds == {key: StoredItem if key in (7, 11) else Item
+                         for key in range(40)}
+        assert (fresh.index[7].expires_at, fresh.index[11].expires_at) \
+            == (2000.0, 3000.0)
+        assert all(item.value is None and item.cas == 0
+                   for item in fresh.index.values())
+        for key, item in cache.index.items():
+            restored = fresh.index[key]
+            assert (restored.key_size, restored.value_size, restored.penalty,
+                    restored.queue.qid) == (item.key_size, item.value_size,
+                                            item.penalty, item.queue.qid)
+        fresh.check_invariants()
+        fresh.policy.check_ghost_sync()
 
     def test_empty_cache_snapshot(self, tmp_path):
         cache = small_cache()

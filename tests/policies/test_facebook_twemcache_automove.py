@@ -46,7 +46,7 @@ class TestFacebookPolicy:
         assert cache.get("old") is not None    # tick 10: the check
         assert cache.stats.migrations == 1
         assert (old_q.slabs, new_q.slabs) == (0, 2)
-        assert "old" not in cache and cache.index["new"].last_access == 9
+        assert "old" not in cache and cache.policy._stamps == {"new": 9}
 
     def test_no_move_with_single_queue(self):
         cache = build(FacebookPolicy(check_interval=10), slabs=2)

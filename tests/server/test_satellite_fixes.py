@@ -10,6 +10,8 @@ Each test here fails on the pre-fix code:
   (the handler returned before the counter increment).
 * ``CacheClient.incr`` raised a bare ``ValueError`` on a
   ``SERVER_ERROR``/``ERROR`` reply (``int(b"SERVER_ERROR ...")``).
+* a store whose key pushed its value past the largest class answered
+  ``NOT_STORED`` and left the **old value served**.
 """
 
 import socket
@@ -119,6 +121,23 @@ class TestIncrStoreFailure:
             self._break_set(cache)
             with pytest.raises(RuntimeError):
                 c.decr("n", 1)
+
+
+class TestRejectedStoreDropsTheOldValue:
+    # the fixture's largest class is one 64 KiB slab: a block of that
+    # many bytes is read, but its key pushes the item past the class
+    BLOCK = b"x" * (64 << 10)
+
+    @pytest.mark.parametrize("verb", [b"set", b"replace"])
+    def test_get_misses_after_not_stored(self, raw, verb):
+        sock, f = raw
+        sock.sendall(b"set k 0 0 3\r\nold\r\n")
+        assert f.readline() == b"STORED\r\n"
+        sock.sendall(b"%s k 0 0 %d\r\n%s\r\n" % (verb, len(self.BLOCK),
+                                                   self.BLOCK))
+        assert f.readline() == b"NOT_STORED\r\n"
+        sock.sendall(b"get k\r\n")
+        assert f.readline() == b"END\r\n"
 
 
 class TestBytesReadAccounting:
